@@ -9,10 +9,17 @@ are no defaults and no skipped fields, so equal values encode to identical
 bytes and decode(encode(x)) == x.
 
 Field header layout: tag (u8) then length (u32, big-endian), then the value.
+
+Each schema is compiled once, when it is registered: every field gets its own
+encoder and decoder holding its precomputed tag, header and integer width and
+range, so no value looks up its field's kind, width or tag.  Decoding walks
+the one input buffer by offsets and copies out only leaf values.  An encoded
+nested value must be an instance of exactly the declared class.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from enum import IntEnum
 from typing import Any, Optional
@@ -27,6 +34,7 @@ from .errors import (
 )
 
 _HEADER = struct.Struct(">BI")
+_HEADER_SIZE = _HEADER.size
 _MAX_FIELD = 0xFFFFFFFF
 
 
@@ -71,16 +79,215 @@ class SchemaId(IntEnum):
     ERROR_REPLY = 0x3F
 
 
-_INT_WIDTH = {"u8": 1, "u16": 2, "u32": 4, "u64": 8}
+_INT_CODECS = {kind: struct.Struct(fmt) for kind, fmt in
+               (("u8", ">B"), ("u16", ">H"), ("u32", ">I"), ("u64", ">Q"))}
+_KINDS = frozenset(_INT_CODECS) | {"bytes", "str", "struct", "opt", "list"}
+
+
+def _too_large(length: int) -> FieldTooLarge:
+    return FieldTooLarge(f"field value of {length} bytes exceeds u32 length")
+
+
+def _short_header(offset: int, have: int) -> Truncated:
+    return Truncated(f"need {_HEADER_SIZE} header bytes at offset {offset}, have {have}")
+
+
+def _overlong(offset: int, length: int, remain: int) -> Truncated:
+    return Truncated(f"field at offset {offset} declares {length} bytes, {remain} remain")
+
+
+def _require_schema(cls: type) -> "_Schema":
+    schema = _by_type.get(cls)
+    if schema is None:
+        raise TypeError(f"no schema registered for {cls.__name__}")
+    return schema
+
+
+# Field codecs.  Each kind gets a pair built once per field: the encoder takes
+# the attribute value and returns the whole field TLV; the decoder reads the
+# value that a field header bounded to ``data[start:stop]``.
+
+def _int_codec(tag: int, kind: str):
+    packer = _INT_CODECS[kind]
+    head = _HEADER.pack(tag, packer.size)
+    limit = 1 << (8 * packer.size)
+
+    def encode_int(value) -> bytes:
+        if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+            raise MalformedValue(f"expected int for {kind}, got {type(value).__name__}")
+        if value < 0 or value >= limit:
+            raise FieldTooLarge(f"{value} does not fit in {kind}")
+        return head + packer.pack(value)
+
+    def decode_int(data: bytes, start: int, stop: int) -> int:
+        if stop - start != packer.size:
+            raise MalformedValue(f"{kind} field has {stop - start} bytes")
+        return packer.unpack_from(data, start)[0]
+    return encode_int, decode_int
+
+
+def _bytes_codec(tag: int):
+    def encode_bytes(value) -> bytes:
+        if not isinstance(value, (bytes, bytearray)):
+            raise MalformedValue(f"expected bytes, got {type(value).__name__}")
+        if len(value) > _MAX_FIELD:
+            raise _too_large(len(value))
+        return _HEADER.pack(tag, len(value)) + value
+
+    def decode_bytes(data: bytes, start: int, stop: int) -> bytes:
+        return data[start:stop]
+    return encode_bytes, decode_bytes
+
+
+def _str_codec(tag: int):
+    def encode_str(value) -> bytes:
+        if not isinstance(value, str):
+            raise MalformedValue(f"expected str, got {type(value).__name__}")
+        raw = value.encode("utf-8")
+        if len(raw) > _MAX_FIELD:
+            raise _too_large(len(raw))
+        return _HEADER.pack(tag, len(raw)) + raw
+
+    def decode_str(data: bytes, start: int, stop: int) -> str:
+        try:
+            return data[start:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedValue(f"invalid UTF-8 in string field: {exc}") from None
+    return encode_str, decode_str
+
+
+def _struct_codec(tag: int, cls: type, optional: bool):
+    """A nested ``cls`` value; ``optional`` (kind opt) also allows None."""
+    sub = None  # the schema of ``cls``, found on first use
+
+    def encode_struct(value) -> bytes:
+        nonlocal sub
+        if type(value) is not cls:
+            if optional and value is None:
+                return _HEADER.pack(tag, 0)
+            raise MalformedValue(f"expected {cls.__name__}, got {type(value).__name__}")
+        if sub is None:
+            sub = _require_schema(cls)
+        raw = sub.encode(value)
+        if len(raw) > _MAX_FIELD:
+            raise _too_large(len(raw))
+        return _HEADER.pack(tag, len(raw)) + raw
+
+    def decode_struct(data: bytes, start: int, stop: int):
+        nonlocal sub
+        if optional and start == stop:
+            return None
+        if sub is None:
+            sub = _require_schema(cls)
+        obj, end = sub.decode_at(data, start, start, stop)
+        if end != stop:
+            raise TrailingGarbage(f"{stop - end} bytes after {cls.__name__}")
+        return obj
+    return encode_struct, decode_struct
+
+
+def _list_codec(tag: int, cls: type):
+    sub = None  # the schema of ``cls``, found on first use
+
+    def encode_list(items) -> bytes:
+        nonlocal sub
+        if sub is None:
+            sub = _require_schema(cls)
+        parts = []
+        for item in items:
+            if type(item) is not cls:
+                raise MalformedValue(f"expected {cls.__name__} items, got {type(item).__name__}")
+            parts.append(sub.encode(item))
+        raw = b"".join(parts)
+        if len(raw) > _MAX_FIELD:
+            raise _too_large(len(raw))
+        return _HEADER.pack(tag, len(raw)) + raw
+
+    def decode_list(data: bytes, start: int, stop: int) -> list:
+        nonlocal sub
+        if sub is None:
+            sub = _require_schema(cls)
+        items = []
+        pos = start
+        while pos < stop:
+            item, pos = sub.decode_at(data, pos, start, stop)
+            items.append(item)
+        return items
+    return encode_list, decode_list
+
+
+def _field_codec(tag: int, kind: str, cls):
+    if kind in _INT_CODECS:
+        return _int_codec(tag, kind)
+    if kind == "bytes":
+        return _bytes_codec(tag)
+    if kind == "str":
+        return _str_codec(tag)
+    if kind == "list":
+        return _list_codec(tag, cls)
+    return _struct_codec(tag, cls, optional=kind == "opt")
 
 
 class _Schema:
-    __slots__ = ("schema_id", "cls", "fields")
+    """One registered structure, with its field codecs built once."""
+
+    __slots__ = ("schema_id", "cls", "fields", "_encoders", "_decoders")
 
     def __init__(self, schema_id: int, cls: type, fields: tuple):
         self.schema_id = schema_id
         self.cls = cls
         self.fields = fields
+        encoders, decoders = [], []
+        for index, (name, kind, arg) in enumerate(fields, start=1):
+            encode_field, decode_field = _field_codec(index, kind, arg)
+            encoders.append((name, encode_field))
+            decoders.append((index, name, decode_field))
+        self._encoders = tuple(encoders)
+        self._decoders = tuple(decoders)
+
+    def encode(self, obj) -> bytes:
+        body = b"".join([encode_field(getattr(obj, name)) for name, encode_field in self._encoders])
+        if len(body) > _MAX_FIELD:
+            raise _too_large(len(body))
+        return _HEADER.pack(self.schema_id, len(body)) + body
+
+    def decode_at(self, data: bytes, off: int, base: int, limit: int) -> tuple[Any, int]:
+        """Decode the structure at ``off`` inside the value ``data[base:limit]``.
+
+        Returns the object and the offset just after it.  Nothing the structure
+        declares may reach past ``limit``; error messages give offsets from the
+        start of the value that holds the header at fault.
+        """
+        unpack_from = _HEADER.unpack_from
+        if off + _HEADER_SIZE > limit:
+            raise _short_header(off - base, limit - off)
+        tag, length = unpack_from(data, off)
+        pos = off + _HEADER_SIZE
+        end = pos + length
+        if end > limit:
+            raise _overlong(off - base, length, limit - pos)
+        if tag != self.schema_id:
+            if tag in _by_id:
+                raise SchemaMismatch(f"expected schema {self.schema_id:#x}, found {tag:#x}")
+            raise UnknownTag(f"unknown schema tag {tag:#x}")
+        body = pos
+        values = []
+        for index, name, decode_field in self._decoders:
+            if pos >= end:
+                raise Truncated(f"missing field {index} ({name}) of {self.cls.__name__}")
+            if pos + _HEADER_SIZE > end:
+                raise _short_header(pos - body, end - pos)
+            tag, length = unpack_from(data, pos)
+            start = pos + _HEADER_SIZE
+            if start + length > end:
+                raise _overlong(pos - body, length, end - start)
+            pos = start + length
+            if tag != index:
+                raise UnknownTag(f"expected field tag {index} in {self.cls.__name__}, found {tag}")
+            values.append(decode_field(data, start, pos))
+        if pos != end:
+            raise TrailingGarbage(f"{end - pos} unread bytes inside {self.cls.__name__}")
+        return self.cls(*values), end
 
 
 _by_type: dict[type, _Schema] = {}
@@ -90,9 +297,12 @@ _by_id: dict[int, _Schema] = {}
 def register(cls: type, schema_id: SchemaId, fields: list[tuple]) -> None:
     """Register ``cls`` under ``schema_id`` with an ordered field list.
 
+    ``cls`` is a dataclass and the field names are its init fields, in order.
     Each field is (name, kind) or (name, kind, nested_cls) where kind is one
     of u8/u16/u32/u64/bytes/str/struct/opt/list.  Registration order of the
-    field list is the wire order and must never change once published.
+    field list is the wire order and must never change once published.  The
+    field encoders and decoders are built here, once; nested classes are
+    looked up on first use, so they may be registered later.
     """
     norm = []
     for spec in fields:
@@ -100,12 +310,17 @@ def register(cls: type, schema_id: SchemaId, fields: list[tuple]) -> None:
         arg = spec[2] if len(spec) > 2 else None
         if kind in ("struct", "opt", "list") and arg is None:
             raise ValueError(f"field {name}: kind {kind} needs a nested class")
-        if kind not in _INT_WIDTH and kind not in ("bytes", "str", "struct", "opt", "list"):
+        if kind not in _KINDS:
             raise ValueError(f"field {name}: unknown kind {kind}")
         norm.append((name, kind, arg))
-    schema = _Schema(int(schema_id), cls, tuple(norm))
     if int(schema_id) in _by_id:
         raise ValueError(f"schema id {schema_id:#x} registered twice")
+    if not dataclasses.is_dataclass(cls):
+        raise ValueError(f"{cls.__name__} is not a dataclass")
+    init_names = [f.name for f in dataclasses.fields(cls) if f.init]
+    if init_names != [name for name, _, _ in norm]:
+        raise ValueError(f"fields of {cls.__name__} must be its init fields in order: {init_names}")
+    schema = _Schema(int(schema_id), cls, tuple(norm))
     _by_type[cls] = schema
     _by_id[int(schema_id)] = schema
 
@@ -118,118 +333,9 @@ def schema_id_of(payload: bytes) -> Optional[int]:
     return tag if tag in _by_id else None
 
 
-def _field(tag: int, value: bytes) -> bytes:
-    if len(value) > _MAX_FIELD:
-        raise FieldTooLarge(f"field value of {len(value)} bytes exceeds u32 length")
-    return _HEADER.pack(tag, len(value)) + bytes(value)
-
-
-def _encode_value(kind: str, arg, value: Any) -> bytes:
-    width = _INT_WIDTH.get(kind)
-    if width is not None:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise MalformedValue(f"expected int for {kind}, got {type(value).__name__}")
-        if value < 0 or value >= 1 << (8 * width):
-            raise FieldTooLarge(f"{value} does not fit in {kind}")
-        return value.to_bytes(width, "big")
-    if kind == "bytes":
-        if not isinstance(value, (bytes, bytearray)):
-            raise MalformedValue(f"expected bytes, got {type(value).__name__}")
-        return bytes(value)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise MalformedValue(f"expected str, got {type(value).__name__}")
-        return value.encode("utf-8")
-    if kind == "struct":
-        return encode(value)
-    if kind == "opt":
-        return b"" if value is None else encode(value)
-    # list
-    return b"".join(encode(item) for item in value)
-
-
 def encode(obj: Any) -> bytes:
     """Encode a registered structure to its canonical bytes."""
-    schema = _by_type.get(type(obj))
-    if schema is None:
-        raise TypeError(f"no schema registered for {type(obj).__name__}")
-    parts = []
-    for index, (name, kind, arg) in enumerate(schema.fields, start=1):
-        parts.append(_field(index, _encode_value(kind, arg, getattr(obj, name))))
-    return _field(schema.schema_id, b"".join(parts))
-
-
-def _read_tlv(data: bytes, off: int) -> tuple[int, bytes, int]:
-    """Return (tag, value, next_offset); raises Truncated on short input."""
-    if off + _HEADER.size > len(data):
-        raise Truncated(f"need {_HEADER.size} header bytes at offset {off}, have {len(data) - off}")
-    tag, length = _HEADER.unpack_from(data, off)
-    end = off + _HEADER.size + length
-    if end > len(data):
-        raise Truncated(f"field at offset {off} declares {length} bytes, {len(data) - off - _HEADER.size} remain")
-    return tag, data[off + _HEADER.size:end], end
-
-
-def _decode_value(kind: str, arg, value: bytes):
-    width = _INT_WIDTH.get(kind)
-    if width is not None:
-        if len(value) != width:
-            raise MalformedValue(f"{kind} field has {len(value)} bytes")
-        return int.from_bytes(value, "big")
-    if kind == "bytes":
-        return value
-    if kind == "str":
-        try:
-            return value.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedValue(f"invalid UTF-8 in string field: {exc}") from None
-    if kind == "struct":
-        return _decode_exact(value, _require_schema(arg))
-    if kind == "opt":
-        if not value:
-            return None
-        return _decode_exact(value, _require_schema(arg))
-    items = []
-    pos = 0
-    schema = _require_schema(arg)
-    while pos < len(value):
-        item, pos = _decode_at(value, pos, schema)
-        items.append(item)
-    return items
-
-
-def _require_schema(cls: type) -> _Schema:
-    schema = _by_type.get(cls)
-    if schema is None:
-        raise TypeError(f"no schema registered for {cls.__name__}")
-    return schema
-
-
-def _decode_at(data: bytes, off: int, schema: _Schema) -> tuple[Any, int]:
-    tag, value, end = _read_tlv(data, off)
-    if tag != schema.schema_id:
-        if tag in _by_id:
-            raise SchemaMismatch(f"expected schema {schema.schema_id:#x}, found {tag:#x}")
-        raise UnknownTag(f"unknown schema tag {tag:#x}")
-    kwargs = {}
-    pos = 0
-    for index, (name, kind, arg) in enumerate(schema.fields, start=1):
-        if pos >= len(value):
-            raise Truncated(f"missing field {index} ({name}) of {schema.cls.__name__}")
-        ftag, fval, pos = _read_tlv(value, pos)
-        if ftag != index:
-            raise UnknownTag(f"expected field tag {index} in {schema.cls.__name__}, found {ftag}")
-        kwargs[name] = _decode_value(kind, arg, fval)
-    if pos != len(value):
-        raise TrailingGarbage(f"{len(value) - pos} unread bytes inside {schema.cls.__name__}")
-    return schema.cls(**kwargs), end
-
-
-def _decode_exact(data: bytes, schema: _Schema) -> Any:
-    obj, end = _decode_at(data, 0, schema)
-    if end != len(data):
-        raise TrailingGarbage(f"{len(data) - end} bytes after {schema.cls.__name__}")
-    return obj
+    return _require_schema(type(obj)).encode(obj)
 
 
 def decode(data: bytes, expected: SchemaId) -> Any:
@@ -237,4 +343,8 @@ def decode(data: bytes, expected: SchemaId) -> Any:
     schema = _by_id.get(int(expected))
     if schema is None:
         raise TypeError(f"no schema registered for id {int(expected):#x}")
-    return _decode_exact(bytes(data), schema)
+    data = bytes(data)
+    obj, end = schema.decode_at(data, 0, 0, len(data))
+    if end != len(data):
+        raise TrailingGarbage(f"{len(data) - end} bytes after {schema.cls.__name__}")
+    return obj

@@ -4,6 +4,8 @@ Two profiles ship:
 
 * ``toy`` — fully deterministic given a seed.  Keystream-XOR sealing with a
   keyed-hash tag, keyed-hash "signatures", and an XOR-mask public-key wrap.
+  Each keystream is one SHAKE-256 output, read to the payload's length, over
+  the secret's length (u32), the secret and a context naming the purpose.
   Insecure by design; it exists so whole protocol runs are reproducible byte
   for byte and cheap enough for exhaustive tamper sweeps.
 * ``standard`` — AES-GCM sealing, Ed25519 signatures, X25519+HKDF+AES-GCM for
@@ -167,12 +169,16 @@ class ToyProvider(CryptoProvider):
 
     @staticmethod
     def _stream(secret: bytes, context: bytes, length: int) -> bytes:
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            out += _sha(secret, context, counter.to_bytes(8, "big"))
-            counter += 1
-        return bytes(out[:length])
+        # The length prefix keeps (b"ab", b"c") and (b"a", b"bc") apart.
+        return hashlib.shake_256(len(secret).to_bytes(4, "big") + secret + context).digest(length)
+
+    @classmethod
+    def _xor_stream(cls, secret: bytes, context: bytes, data: bytes) -> bytes:
+        stream = cls._stream(secret, context, len(data))
+        return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+
+    def _seal_tag(self, key: SymmetricKey, label: int, body: bytes) -> bytes:
+        return hmac_mod.digest(key.data, b"tag" + bytes([label]) + body, "sha256")[: self._TAG_LEN]
 
     def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
         if not password:
@@ -183,9 +189,8 @@ class ToyProvider(CryptoProvider):
     def seal(self, key: SymmetricKey, plaintext: bytes, label: int) -> SealedBox:
         self._check_key(key)
         label = self._check_label(label)
-        body = bytes(a ^ b for a, b in zip(plaintext, self._stream(key.data, b"seal" + bytes([label]), len(plaintext))))
-        tag = hmac_mod.new(key.data, b"tag" + bytes([label]) + body, hashlib.sha256).digest()[: self._TAG_LEN]
-        return SealedBox(body + tag, label)
+        body = self._xor_stream(key.data, b"seal" + bytes([label]), plaintext)
+        return SealedBox(body + self._seal_tag(key, label, body), label)
 
     def open(self, key: SymmetricKey, box: SealedBox, label: int) -> bytes:
         self._check_key(key)
@@ -195,10 +200,9 @@ class ToyProvider(CryptoProvider):
         if len(box.ciphertext) < self._TAG_LEN:
             raise IntegrityError("sealed box shorter than its tag")
         body, tag = box.ciphertext[: -self._TAG_LEN], box.ciphertext[-self._TAG_LEN:]
-        want = hmac_mod.new(key.data, b"tag" + bytes([label]) + body, hashlib.sha256).digest()[: self._TAG_LEN]
-        if not hmac_mod.compare_digest(tag, want):
+        if not hmac_mod.compare_digest(tag, self._seal_tag(key, label, body)):
             raise IntegrityError("seal tag mismatch")
-        return bytes(a ^ b for a, b in zip(body, self._stream(key.data, b"seal" + bytes([label]), len(body))))
+        return self._xor_stream(key.data, b"seal" + bytes([label]), body)
 
     @classmethod
     def _pub_core(cls, public_key: bytes) -> bytes:
@@ -223,17 +227,15 @@ class ToyProvider(CryptoProvider):
         core = self._pub_core(public_key)
         if len(payload) > self.pk_payload_limit:
             raise PayloadTooLarge(f"{len(payload)} bytes exceeds pk payload limit {self.pk_payload_limit}")
-        mask = self._stream(core, b"pk-mask", len(payload))
         tag = _sha(b"pk-tag", core, payload)[: self._PK_TAG_LEN]
-        return bytes(a ^ b for a, b in zip(payload, mask)) + tag
+        return self._xor_stream(core, b"pk-mask", payload) + tag
 
     def pk_decrypt(self, private_key: bytes, ciphertext: bytes) -> bytes:
         core = self._core_from_private(private_key)
         if len(ciphertext) < self._PK_TAG_LEN:
             raise DecryptFailure("ciphertext shorter than its tag")
         body, tag = ciphertext[: -self._PK_TAG_LEN], ciphertext[-self._PK_TAG_LEN:]
-        mask = self._stream(core, b"pk-mask", len(body))
-        payload = bytes(a ^ b for a, b in zip(body, mask))
+        payload = self._xor_stream(core, b"pk-mask", body)
         if not hmac_mod.compare_digest(tag, _sha(b"pk-tag", core, payload)[: self._PK_TAG_LEN]):
             raise DecryptFailure("pk unwrap tag mismatch")
         return payload

@@ -8,6 +8,14 @@ import sys
 
 import pytest
 
+import kerbpk
+
+# Children run in a temporary directory, so a relative PYTHONPATH such as
+# "src" would not find the package; put its absolute source root first.
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(kerbpk.__file__)))
+CHILD_PYTHONPATH = os.pathsep.join(
+    [SRC_DIR] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
 
 def run_cli(args, env, cwd):
     return subprocess.run([sys.executable, "-m", "kerbpk", *args],
@@ -33,6 +41,7 @@ class Stack:
     def __init__(self, root):
         self.root = root
         self.env = dict(os.environ,
+                        PYTHONPATH=CHILD_PYTHONPATH,
                         KERBPK_DB=str(root / "realm.db"),
                         KERBPK_CCACHE=str(root / "alice.ccache"),
                         KERBPK_REALM="EXAMPLE")

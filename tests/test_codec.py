@@ -1,6 +1,7 @@
 """Wire codec: golden encodings, round-trips, and rejection of malformed input."""
 
 import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -227,13 +228,50 @@ def test_unregistered_type_rejected():
         codec.decode(b"", 0x7D)
 
 
-def test_registration_guards():
-    class Fresh:
-        pass
+def test_nested_value_of_wrong_class_rejected():
+    box = SealedBox(b"\x00", 1)
+    with pytest.raises(MalformedValue):
+        codec.encode(SealedTicket(Validity(1, 2), box))
 
-    with pytest.raises(ValueError):
-        codec.register(Fresh, codec.SchemaId.VALIDITY, [("x", "u8")])  # id taken
-    with pytest.raises(ValueError):
-        codec.register(Fresh, 0x7C, [("x", "floats")])  # unknown kind
-    with pytest.raises(ValueError):
-        codec.register(Fresh, 0x7C, [("x", "struct")])  # nested class missing
+
+def test_list_item_of_wrong_class_rejected():
+    client = Principal("alice", "EXAMPLE")
+    with pytest.raises(MalformedValue):
+        codec.encode(CredentialCacheFile(client, None, [Validity(1, 2)]))
+
+
+def test_none_only_allowed_in_optional_fields():
+    with pytest.raises(MalformedValue):
+        codec.encode(SealedTicket(None, SealedBox(b"\x00", 1)))
+    with pytest.raises(MalformedValue):
+        codec.encode(CredentialCacheFile(Principal("alice", "EXAMPLE"), None, [None]))
+
+
+def test_registration_guards():
+    @dataclass(frozen=True)
+    class Fresh:
+        x: int
+
+    with pytest.raises(ValueError, match="registered twice"):
+        codec.register(Fresh, codec.SchemaId.VALIDITY, [("x", "u8")])
+    with pytest.raises(ValueError, match="unknown kind"):
+        codec.register(Fresh, 0x7C, [("x", "floats")])
+    with pytest.raises(ValueError, match="needs a nested class"):
+        codec.register(Fresh, 0x7C, [("x", "struct")])
+
+
+def test_registration_requires_dataclass_init_fields_in_order():
+    @dataclass(frozen=True)
+    class Pair:
+        a: int
+        b: int
+
+    class Plain:
+        a: int
+
+    for fields in ([("b", "u8"), ("a", "u8")], [("a", "u8")], [("a", "u8"), ("b", "u8"), ("c", "u8")]):
+        with pytest.raises(ValueError, match="init fields"):
+            codec.register(Pair, 0x7C, fields)
+    with pytest.raises(ValueError, match="not a dataclass"):
+        codec.register(Plain, 0x7C, [("a", "u8")])
+    assert codec.schema_id_of(b"\x7c") is None  # nothing was registered

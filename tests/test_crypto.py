@@ -216,3 +216,60 @@ def test_pk_roundtrip_property(payload):
     prov = get_provider("toy", seed=4)
     pair = prov.generate_keypair()
     assert prov.pk_decrypt(pair.private_key, prov.pk_encrypt(pair.public_key, payload)) == payload
+
+
+# -------------------------------------------------------------- toy keystream
+
+TOY_SIZES = [0, 1, 31, 32, 33, 1024, 65536]
+
+
+def _xor_bytewise(data: bytes, stream: bytes) -> bytes:
+    return bytes(a ^ b for a, b in zip(data, stream, strict=True))
+
+
+@pytest.mark.parametrize("size", TOY_SIZES)
+def test_toy_seal_roundtrip_sizes(size):
+    prov = ToyProvider(seed=5)
+    key = prov.random_session_key()
+    plaintext = bytes(i % 251 for i in range(size))  # leading zero bytes must survive
+    box = prov.seal(key, plaintext, SealLabel.WRAP)
+    stream = ToyProvider._stream(key.data, b"seal" + bytes([SealLabel.WRAP]), size)
+    assert box.ciphertext[:-16] == _xor_bytewise(plaintext, stream)
+    assert prov.open(key, box, SealLabel.WRAP) == plaintext
+
+
+@pytest.mark.parametrize("size", TOY_SIZES)
+def test_toy_pk_roundtrip_sizes(size):
+    prov = ToyProvider(seed=6)
+    pair = prov.generate_keypair()
+    payload = bytes(i % 251 for i in range(size))
+    if size > PK_PAYLOAD_LIMIT:
+        with pytest.raises(PayloadTooLarge):
+            prov.pk_encrypt(pair.public_key, payload)
+        return
+    wrapped = prov.pk_encrypt(pair.public_key, payload)
+    core = ToyProvider._pub_core(pair.public_key)
+    assert wrapped[:size] == _xor_bytewise(payload, ToyProvider._stream(core, b"pk-mask", size))
+    assert prov.pk_decrypt(pair.private_key, wrapped) == payload
+
+
+@pytest.mark.parametrize("size", [0, 1, 31, 33, 1024])
+def test_every_toy_box_bit_flip_is_rejected(size):
+    prov = ToyProvider(seed=7)
+    key = prov.random_session_key()
+    box = prov.seal(key, bytes(size), SealLabel.TGS_ENC_PART)
+    for bit in range(8 * len(box.ciphertext)):
+        mutated = bytearray(box.ciphertext)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(IntegrityError):
+            prov.open(key, SealedBox(bytes(mutated), box.label), SealLabel.TGS_ENC_PART)
+    for bit in range(8):
+        with pytest.raises(IntegrityError):
+            prov.open(key, SealedBox(box.ciphertext, box.label ^ (1 << bit)), SealLabel.TGS_ENC_PART)
+
+
+def test_toy_keystream_separates_secret_from_context():
+    assert ToyProvider._stream(b"ab", b"c", 64) != ToyProvider._stream(b"a", b"bc", 64)
+    assert ToyProvider._stream(b"", b"abc", 64) != ToyProvider._stream(b"abc", b"", 64)
+    assert len(ToyProvider._stream(b"k", b"c", 65536)) == 65536
+    assert ToyProvider._stream(b"k", b"c", 0) == b""
