@@ -8,9 +8,10 @@ faults by frame index: drop, duplicate, swap, single-bit flip over the full
 wire image (header included), and delayed delivery measured in clock ticks.
 
 Time in the simulator is a logical tick counter shared by every endpoint, so
-runs are reproducible; the threaded TCP server uses the real clock and keeps
-the same session interface.  A session object consumes one request payload at
-a time via ``feed(payload, now) -> (replies, close)``.
+runs are reproducible; the TCP server, a bounded set of reused worker threads,
+uses the real clock and keeps the same session interface.  A session object
+consumes one request payload at a time via ``feed(payload, now) -> (replies,
+close)``; both transports reach it through ``serve_frame``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import socket
 import struct
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from . import codec
 from .errors import (
     ConnectionClosed,
     FrameError,
@@ -29,10 +32,14 @@ from .errors import (
     ScenarioParseError,
     Timeout,
 )
+from .messages import ErrorReply
 
 MAX_FRAME = 1 << 20
-DEFAULT_RECV_TIMEOUT = 30
+DEFAULT_RECV_TIMEOUT = 30   # also the TCP server's idle timeout, in seconds
+MAX_CONNECTIONS = 64        # TCP server workers, and its listen backlog
 SIM_CLOCK_START = 1_000_000
+
+_RECV_CHUNK = 1 << 16
 
 _LEN = struct.Struct(">I")
 
@@ -53,6 +60,34 @@ def unpack_frame(wire: bytes) -> bytes:
     if len(wire) - _LEN.size != length:
         raise FrameError(f"frame header claims {length} bytes, carried {len(wire) - _LEN.size}")
     return wire[_LEN.size:]
+
+
+def serve_frame(session, wire: bytes, now: int) -> tuple[list[bytes], bool]:
+    """Feed one received wire image to a server session: ``(replies, close)``.
+
+    A mangled frame never reaches the session; it gets one ErrorReply, and
+    then the connection closes.
+    """
+    try:
+        payload = unpack_frame(wire)
+    except (FrameError, FrameTooLarge) as exc:
+        return [codec.encode(ErrorReply(exc.name, str(exc)))], True
+    return session.feed(payload, now)
+
+
+def _take_wire(buf: bytearray) -> Optional[bytes]:
+    """Cut the next frame's wire image off the front of ``buf``, or return
+    None while it is incomplete.  A header that claims more than MAX_FRAME
+    comes back alone, because none of its body will be read."""
+    if len(buf) < _LEN.size:
+        return None
+    (length,) = _LEN.unpack_from(buf)
+    end = _LEN.size + length if length <= MAX_FRAME else _LEN.size
+    if len(buf) < end:
+        return None
+    wire = bytes(buf[:end])
+    del buf[:end]
+    return wire
 
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -312,21 +347,12 @@ class SimNetwork:
             record.status = "stale"
             record.note = (record.note + " " if record.note else "") + "server side closed"
             return
-        try:
-            payload = unpack_frame(record.wire)
-        except (FrameError, FrameTooLarge) as exc:
-            # a mangled frame kills the connection after one error report
-            from . import codec
-            from .messages import ErrorReply
-            conn.server_closed = True
-            self._transmit(conn, "s->c", pack_frame(
-                codec.encode(ErrorReply(exc.name, str(exc)))))
-            return
-        replies, close = conn.session.feed(payload, self.clock.now())
-        for reply in replies:
-            self._transmit(conn, "s->c", pack_frame(reply))
+        replies, close = serve_frame(conn.session, record.wire, self.clock.now())
+        # a frame released while the last replies go out finds the server closed
         if close:
             conn.server_closed = True
+        for reply in replies:
+            self._transmit(conn, "s->c", pack_frame(reply))
 
     def _pump(self) -> None:
         now = self.clock.now()
@@ -360,7 +386,18 @@ class SimNetwork:
 
 
 class ThreadedFrameServer:
-    """Real-socket counterpart: one thread per connection, same sessions."""
+    """Real-socket counterpart of SimNetwork: reused worker threads, same sessions.
+
+    Workers share the listening socket and block in ``accept`` with no
+    timeout; Linux wakes one waiter per connection.  A worker serves its
+    connection to the end from a receive buffer it owns, then accepts again.
+    The worker that takes the last idle slot starts one more, so the pool
+    grows to the peak number of concurrent connections, at most
+    ``MAX_CONNECTIONS``; later connections wait in the listen backlog.  A
+    connection that sends nothing for ``DEFAULT_RECV_TIMEOUT`` seconds is
+    closed.  A partial frame stays in the buffer across reads, so a slow
+    peer cannot desynchronise the framing.
+    """
 
     def __init__(self, session_factory: Callable[[], object],
                  now_fn: Callable[[], int] = lambda: int(time.time()),
@@ -370,68 +407,89 @@ class ThreadedFrameServer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(16)
-        self._sock.settimeout(0.1)  # so the accept loop can poll the stop flag
+        self._sock.listen(MAX_CONNECTIONS)
         self.host, self.port = self._sock.getsockname()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._accept_thread: Optional[threading.Thread] = None
+        self._lock = threading.Lock()   # guards the four fields below
+        self._workers: list[threading.Thread] = []
+        self._idle = 0
+        self._conns: set[socket.socket] = set()
+        self._stopping = False
 
     def start(self) -> "ThreadedFrameServer":
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        with self._lock:
+            self._add_worker()
         return self
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+    def _add_worker(self) -> None:
+        # the caller holds self._lock
+        worker = threading.Thread(target=self._work, daemon=True)
+        self._workers.append(worker)
+        self._idle += 1
+        worker.start()
+
+    def _work(self) -> None:
+        while True:
             try:
-                client, _ = self._sock.accept()
-            except socket.timeout:
-                continue
+                conn, _ = self._sock.accept()
             except OSError:
-                break
-            worker = threading.Thread(target=self._serve_one, args=(client,), daemon=True)
-            worker.start()
-            self._threads.append(worker)
+                return  # stop() shut the listening socket down
+            with self._lock:
+                if self._stopping:
+                    conn.close()
+                    return
+                self._idle -= 1
+                if self._idle == 0 and len(self._workers) < MAX_CONNECTIONS:
+                    self._add_worker()
+                self._conns.add(conn)
+            try:
+                self._serve(conn)
+            except Exception:
+                # a failing session loses its connection, not the worker
+                traceback.print_exc()
+            finally:
+                with self._lock:
+                    self._conns.discard(conn)
+                    self._idle += 1
+                conn.close()
 
-    def _serve_one(self, client: socket.socket) -> None:
-        from . import codec
-        from .messages import ErrorReply
-
+    def _serve(self, conn: socket.socket) -> None:
         session = self.session_factory()
-        with client:
-            while not self._stop.is_set():
+        conn.settimeout(DEFAULT_RECV_TIMEOUT)
+        buf = bytearray()
+        while True:
+            wire = _take_wire(buf)
+            if wire is None:
                 try:
-                    payload = recv_frame(client, timeout=5.0)
-                except Timeout:
-                    continue
-                except (ConnectionClosed, OSError):
-                    return
-                except (FrameError, FrameTooLarge) as exc:
-                    try:
-                        send_frame(client, codec.encode(ErrorReply(exc.name, str(exc))))
-                    except OSError:
-                        pass
-                    return
-                replies, close = session.feed(payload, self.now_fn())
-                try:
-                    for reply in replies:
-                        send_frame(client, reply)
+                    chunk = conn.recv(_RECV_CHUNK)
                 except OSError:
+                    return  # idle timeout, reset, or stop()
+                if not chunk:
                     return
-                if close:
-                    return
+                buf += chunk
+                continue
+            replies, close = serve_frame(session, wire, self.now_fn())
+            try:
+                for reply in replies:
+                    send_frame(conn, reply)
+            except OSError:
+                return
+            if close:
+                return
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for worker in self._threads:
+        with self._lock:
+            self._stopping = True
+            conns = list(self._conns)
+            workers = list(self._workers)
+        # shutdown, unlike close, wakes every worker blocked in accept or recv
+        for sock in [self._sock, *conns]:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for worker in workers:
             worker.join(timeout=2.0)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+        self._sock.close()
 
 
 class FrameClient:
@@ -444,11 +502,14 @@ class FrameClient:
     def send(self, payload: bytes) -> None:
         try:
             send_frame(self._sock, payload)
-        except BrokenPipeError:
+        except (BrokenPipeError, ConnectionResetError):
             raise ConnectionClosed("peer closed the connection") from None
 
     def recv(self, timeout: Optional[float] = None) -> bytes:
-        return recv_frame(self._sock, timeout if timeout is not None else self.timeout)
+        try:
+            return recv_frame(self._sock, timeout if timeout is not None else self.timeout)
+        except ConnectionResetError:
+            raise ConnectionClosed("peer reset the connection") from None
 
     def close(self) -> None:
         try:

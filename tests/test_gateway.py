@@ -1,5 +1,8 @@
 """Caching gateway: policy, LRU cache, routing, and the protected front door."""
 
+import socket
+import threading
+
 import pytest
 
 from conftest import NOW, REALM
@@ -14,7 +17,8 @@ from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
 from kerbpk.gss import (MECHANISM, ContextInitiator, CredentialUsage,
                         MechanismName, NameType, ReqFlags, acquire_credential)
 from kerbpk.messages import ErrorReply, Principal, ReplayCache
-from kerbpk.transport import SimClock, SimNetwork
+from kerbpk.transport import (FrameClient, SimClock, SimNetwork, recv_frame,
+                              send_frame)
 
 
 # --------------------------------------------------------------------- policy
@@ -171,6 +175,16 @@ def test_protected_session_rejects_wrap_before_handshake(logged_in):
 
 # --------------------------------------------------------------- full gateway
 
+def initiator_factory(logged_in):
+    def make_initiator(now):
+        cred = acquire_credential(
+            MechanismName(Principal("alice", REALM), NameType.PRINCIPAL_NAME, MECHANISM),
+            CredentialUsage.INITIATE, logged_in.agent.cache)
+        target = MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
+        return ContextInitiator(cred, target, ReqFlags(), logged_in.provider)
+    return make_initiator
+
+
 def gateway_stack(logged_in, policy="bypass /public\n", capacity=4):
     net = SimNetwork(SimClock())
     net.register("backend", lambda: BackendSession(echo_handler))
@@ -180,16 +194,8 @@ def gateway_stack(logged_in, policy="bypass /public\n", capacity=4):
     net.register("gw", lambda: GatewaySession(
         core, Principal("echo", REALM), logged_in.service.long_term_key,
         logged_in.provider, replay, on_event=lambda a, e: events.append((a, e))))
-
-    def make_initiator(now):
-        cred = acquire_credential(
-            MechanismName(Principal("alice", REALM), NameType.PRINCIPAL_NAME, MECHANISM),
-            CredentialUsage.INITIATE, logged_in.agent.cache)
-        target = MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
-        return ContextInitiator(cred, target, ReqFlags(), logged_in.provider)
-
-    client = GatewayClient(lambda: net.connect("gw", "alice/gw"), make_initiator,
-                           net.clock.now)
+    client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
+                           initiator_factory(logged_in), net.clock.now)
     return net, core, client, events
 
 
@@ -239,6 +245,42 @@ def test_client_reconnects_when_the_channel_dies(logged_in):
     client._channel.conn.close()  # the connection quietly goes away
     assert client.fetch("/data/b").status == 200  # retried on a fresh channel
     assert handshake_frames(net) == 4
+
+
+def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
+    net, core, _, _ = gateway_stack(logged_in)
+    replay = ReplayCache()
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        # each connection carries the handshake and one fetch; the first is
+        # then closed with the next request unread, which resets it
+        for reset in (True, False):
+            conn, _ = listener.accept()
+            with conn:
+                session = GatewaySession(core, Principal("echo", REALM),
+                                         logged_in.service.long_term_key,
+                                         logged_in.provider, replay)
+                for _ in range(2):
+                    replies, _ = session.feed(recv_frame(conn, timeout=5.0), NOW)
+                    for reply in replies:
+                        send_frame(conn, reply)
+                if reset:
+                    conn.recv(1, socket.MSG_PEEK)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    client = GatewayClient(lambda: FrameClient(*listener.getsockname()),
+                           initiator_factory(logged_in), lambda: NOW)
+    try:
+        assert client.fetch("/data/a", body=b"a").body == b"a"
+        assert client.fetch("/data/b", body=b"b").body == b"b"  # retried once
+    finally:
+        client.close()
+        server.join(timeout=5.0)
+        listener.close()
+    assert not server.is_alive()
+    assert core.backend_hits == 2
 
 
 def test_fetch_without_a_ticket_names_the_failing_step(realm):

@@ -2,17 +2,21 @@
 
 import socket
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
-from kerbpk import codec
+from kerbpk import codec, transport
 from kerbpk.errors import (ConnectionClosed, FrameError, FrameTooLarge,
                            ScenarioParseError, Timeout)
 from kerbpk.messages import ErrorReply
 from kerbpk.transport import (MAX_FRAME, SIM_CLOCK_START, Delay, Drop,
                               Duplicate, FlipBit, FrameClient, SimClock,
                               SimNetwork, Swap, ThreadedFrameServer,
-                              pack_frame, parse_fault, unpack_frame)
+                              pack_frame, parse_fault, recv_frame,
+                              unpack_frame)
 
 
 class EchoSession:
@@ -259,7 +263,6 @@ def test_tcp_mangled_frame_gets_an_error_report(tcp_server):
     sock = socket.create_connection((tcp_server.host, tcp_server.port), timeout=2.0)
     try:
         sock.sendall(struct.pack(">I", MAX_FRAME + 1))  # absurd length claim
-        from kerbpk.transport import recv_frame
         err = codec.decode(recv_frame(sock, timeout=2.0), codec.SchemaId.ERROR_REPLY)
         assert err.error == "FrameTooLarge"
     finally:
@@ -271,5 +274,148 @@ def test_tcp_oversize_send_fails_client_side(tcp_server):
     try:
         with pytest.raises(FrameTooLarge):
             client.send(b"x" * (MAX_FRAME + 1))
+    finally:
+        client.close()
+
+
+def test_client_sees_a_reset_as_connection_closed():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        for first in ("recv", "send"):
+            client = FrameClient(*listener.getsockname())
+            conn, _ = listener.accept()
+            try:
+                client.send(b"left unread")
+                conn.recv(1, socket.MSG_PEEK)  # the request has arrived...
+                conn.close()  # ...so closing over it resets the connection
+                with pytest.raises(ConnectionClosed):
+                    if first == "recv":
+                        client.recv(timeout=2.0)
+                    for _ in range(100):  # until the reset has come back
+                        client.send(b"late")
+                        time.sleep(0.01)
+            finally:
+                client.close()
+
+
+# -------------------------------------------------------------- server bounds
+
+@pytest.fixture
+def short_idle(monkeypatch):
+    monkeypatch.setattr(transport, "DEFAULT_RECV_TIMEOUT", 0.5)
+
+
+def read_to_end(sock):
+    """Everything the server sends until it closes."""
+    data = b""
+    try:
+        while chunk := sock.recv(4096):
+            data += chunk
+    except ConnectionResetError:
+        pass
+    return data
+
+
+def test_tcp_frame_split_by_a_short_stall_comes_back_whole(short_idle, tcp_server):
+    wire = pack_frame(b"split frame")
+    with socket.create_connection((tcp_server.host, tcp_server.port), timeout=2.0) as sock:
+        sock.sendall(wire[:6])
+        time.sleep(0.25)
+        sock.sendall(wire[6:])
+        assert recv_frame(sock) == b"echo:split frame"
+
+
+def test_tcp_stall_past_the_idle_timeout_closes_without_a_reply(short_idle, tcp_server):
+    wire = pack_frame(b"split frame")
+    with socket.create_connection((tcp_server.host, tcp_server.port), timeout=3.0) as sock:
+        sock.sendall(wire[:6])
+        time.sleep(1.0)
+        try:
+            sock.sendall(wire[6:])  # the tail must not be read as a new header
+        except OSError:
+            pass
+        assert read_to_end(sock) == b""
+
+
+def test_tcp_sequential_connections_reuse_workers(tcp_server):
+    before = threading.active_count()
+    for i in range(200):
+        client = FrameClient(tcp_server.host, tcp_server.port)
+        try:
+            client.send(b"%d" % i)
+            assert client.recv() == b"echo:%d" % i
+        finally:
+            client.close()
+    assert threading.active_count() <= before + 4
+
+
+def test_tcp_concurrent_clients_keep_the_pool_consistent(tcp_server):
+    errors = []
+
+    def client_loop(n):
+        try:
+            for i in range(25):
+                client = FrameClient(tcp_server.host, tcp_server.port)
+                try:
+                    client.send(b"%d.%d" % (n, i))
+                    assert client.recv() == b"echo:%d.%d" % (n, i)
+                finally:
+                    client.close()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client_loop, args=(n,)) for n in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in clients)
+    assert errors == []
+    # once the last connections wind down, every worker is idle again; a lost
+    # update to the idle count would show here
+    deadline = time.monotonic() + 2.0
+    while (tcp_server._idle != len(tcp_server._workers)
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert tcp_server._idle == len(tcp_server._workers) <= transport.MAX_CONNECTIONS
+
+
+def test_tcp_connections_past_the_cap_wait_for_a_free_worker(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_CONNECTIONS", 2)
+    server = ThreadedFrameServer(EchoSession).start()
+    clients = []
+    try:
+        for name in (b"a", b"b", b"c"):
+            client = FrameClient(server.host, server.port)
+            clients.append(client)
+            client.send(name)
+        assert [c.recv() for c in clients[:2]] == [b"echo:a", b"echo:b"]
+        with pytest.raises(Timeout):
+            clients[2].recv(timeout=0.3)
+        clients[0].close()
+        assert clients[2].recv(timeout=2.0) == b"echo:c"
+    finally:
+        for client in clients:
+            client.close()
+        server.stop()
+
+
+def test_tcp_stop_closes_idle_connections_promptly():
+    before = threading.active_count()
+    server = ThreadedFrameServer(EchoSession).start()
+    client = FrameClient(server.host, server.port)
+    try:
+        client.send(b"hi")
+        assert client.recv() == b"echo:hi"
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(ConnectionClosed):
+            client.recv(timeout=1.0)
+        assert threading.active_count() <= before
     finally:
         client.close()
