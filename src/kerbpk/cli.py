@@ -25,6 +25,7 @@ from typing import Optional
 
 from . import __version__, codec
 from .client import (
+    DEFAULT_LIFETIME,
     ClientAgent,
     ClientIdentity,
     CredentialCache,
@@ -70,8 +71,6 @@ from .kdc import (
 from .messages import Principal, ReplayCache, Validity, decode_reply
 from .scenario import load_scenario, parse_scenario, run_scenario
 from .transport import FrameClient, ThreadedFrameServer
-
-DEFAULT_LIFETIME = 28800
 
 _KIND_NAMES = {int(RecordKind.USER): "user", int(RecordKind.SERVICE): "service",
                int(RecordKind.TGS_SERVICE): "tgs"}

@@ -161,10 +161,6 @@ class CredentialCache:
             self._tgt = None
             self._services.clear()
 
-    def is_empty(self) -> bool:
-        with self._lock:
-            return self._tgt is None and not self._services
-
     # --- single-line hex file form ---
 
     def to_file_struct(self) -> CredentialCacheFile:
@@ -253,19 +249,6 @@ class ClientAgent:
         """One ticket-granting exchange; requires a fresh TGT in the cache."""
         return request_service_ticket(self.cache, self.provider, service_id, now,
                                       send_tgs, requested_validity)
-
-    def service_credential(self, service_id: str, now: int,
-                           send_tgs: Callable[[TgsRequest], TgsReply],
-                           requested_validity: Optional[Validity] = None) -> CredEntry:
-        """Cached service credential if fresh, else one ticket exchange."""
-        entry = self.cache.get_service(service_id, now)
-        if entry is not None:
-            return entry
-        return self.get_service_ticket(service_id, now, send_tgs, requested_validity)
-
-    def identity_file(self) -> IdentityFile:
-        return IdentityFile(self.identity.principal, self.identity.keypair.public_key,
-                            self.identity.keypair.private_key, self.identity.certificate)
 
 
 def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,

@@ -218,10 +218,6 @@ class StateError(ContextError):
     pass
 
 
-class HandshakeExceededLegBudget(ContextError):
-    pass
-
-
 class WrapIntegrityError(ContextError):
     pass
 

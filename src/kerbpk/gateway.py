@@ -29,9 +29,9 @@ from .errors import (
     KerbPkError,
     PolicyParseError,
     StateError,
-    Timeout,
 )
 from .gss import (
+    MECHANISM,
     ContextAcceptor,
     ContextInitiator,
     CredentialUsage,
@@ -232,7 +232,7 @@ class ProtectedAppSession:
         schema = codec.schema_id_of(payload)
         if schema == codec.SchemaId.CONTEXT_TOKEN:
             cred = acquire_credential(
-                MechanismName(self.service, NameType.PRINCIPAL_NAME, "kerbpk-ticket"),
+                MechanismName(self.service, NameType.PRINCIPAL_NAME, MECHANISM),
                 CredentialUsage.ACCEPT, self.key)
             acceptor = ContextAcceptor(cred, self.provider,
                                        replay_cache=self.replay_cache, skew=self.skew)
@@ -364,25 +364,18 @@ class GatewayClient:
 
     def fetch(self, resource: str, method: str = "GET", body: bytes = b"") -> AppResponse:
         request = AppRequest(method, resource, body)
-        fresh = self._channel is None
-        if fresh:
-            try:
-                self._channel = self._open()
-            except KerbPkError as exc:
-                raise self._as_fetch_error("handshake", exc) from exc
-        try:
-            return self._channel.call(request, self.timeout)
-        except (ConnectionClosed, Timeout, KerbPkError) as exc:
-            self.close()
+        # A reused channel may simply have gone away: a failed call closes it,
+        # so the next pass opens a fresh one, and a fresh channel never retries.
+        while True:
+            fresh = self._channel is None
             if fresh:
-                raise self._as_fetch_error("channel", exc) from exc
-        # the reused channel may simply have gone away; retry once fresh
-        try:
-            self._channel = self._open()
-        except KerbPkError as exc:
-            raise self._as_fetch_error("handshake", exc) from exc
-        try:
-            return self._channel.call(request, self.timeout)
-        except (ConnectionClosed, Timeout, KerbPkError) as exc:
-            self.close()
-            raise self._as_fetch_error("channel", exc) from exc
+                try:
+                    self._channel = self._open()
+                except KerbPkError as exc:
+                    raise self._as_fetch_error("handshake", exc) from exc
+            try:
+                return self._channel.call(request, self.timeout)
+            except KerbPkError as exc:
+                self.close()
+                if fresh:
+                    raise self._as_fetch_error("channel", exc) from exc

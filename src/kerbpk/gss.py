@@ -1,26 +1,25 @@
 """Security contexts over the ticket exchange, in the style of a generic
 security-service API.
 
-Callers import a target name ("svc@host" maps to the service principal
-"svc/host"), acquire a credential bound to a usage (Initiate for clients
-holding a credential cache, Accept for services holding their long-term key),
-then drive ``step`` until the context is complete.  The mechanism needs
-exactly two legs: the initiator presents a service ticket with a fresh sealed
-authenticator, the acceptor answers with a sealed timestamp echo, a fresh
-subkey, and its initial sequence number.
+Callers name principals directly, acquire a credential bound to a usage
+(Initiate for clients holding a credential cache, Accept for services holding
+their long-term key), then drive ``step`` until the context is complete.  The
+mechanism needs exactly two legs: the initiator presents a service ticket with
+a fresh sealed authenticator, the acceptor answers with a sealed timestamp
+echo, a fresh subkey, and its initial sequence number.
 
 Mutual authentication, replay detection, and sequence checking are all
 mandatory; an initiator asking for less is refused.  Established contexts
 exchange WrapTokens sealed under the subkey only, with the sequence number and
-direction bound into the sealed bytes, per-message replay detection over a
-bounded window, and strict in-order delivery.
+direction bound into the sealed bytes, and deliver strictly in order: each
+side expects exactly the next sequence number, so a lower one is a replay and
+a higher one is out of sequence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Optional
@@ -28,12 +27,9 @@ from typing import Callable, Optional
 from . import codec
 from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
 from .errors import (
-    HandshakeExceededLegBudget,
     IntegrityError,
-    MalformedName,
     MissingBacking,
     MutualAuthFailure,
-    NoTicket,
     OutOfSequence,
     ReplayDetected,
     RequiredFlagMissing,
@@ -50,7 +46,6 @@ from .messages import (
     Authenticator,
     Principal,
     ReplayCache,
-    SealedTicket,
     TicketBody,
     ap_request_digest,
     validate_authenticator,
@@ -65,16 +60,11 @@ LEG_REPLY = 2
 DIR_INITIATOR_TO_ACCEPTOR = 1
 DIR_ACCEPTOR_TO_INITIATOR = 2
 
-FLAG_MUTUAL = 0x1
-FLAG_REPLAY = 0x2
-FLAG_SEQUENCE = 0x4
-ALL_FLAGS = FLAG_MUTUAL | FLAG_REPLAY | FLAG_SEQUENCE
-
-SEQ_WINDOW_CAPACITY = 4096
+#: Mutual, replay, and sequence, sealed into every leg-1 authenticator.
+ALL_FLAGS = 0x7
 
 
 class NameType(IntEnum):
-    HOST_BASED_SERVICE = 1
     PRINCIPAL_NAME = 2
 
 
@@ -91,53 +81,18 @@ class ContextState(Enum):
 
 
 @dataclass(frozen=True)
-class InternalName:
-    text: str
-    name_type: NameType
-
-
-@dataclass(frozen=True)
 class MechanismName:
     principal: Principal
     name_type: NameType
     mechanism: str
 
 
-def import_name(text: str, name_type: NameType) -> InternalName:
-    if not text or "\x00" in text:
-        raise MalformedName("name must be non-empty and free of NUL")
-    if name_type == NameType.HOST_BASED_SERVICE:
-        service, sep, host = text.partition("@")
-        if not sep or not service or not host or "@" in host:
-            raise MalformedName(f"host-based name must look like service@host, got {text!r}")
-    return InternalName(text, NameType(name_type))
-
-
-def canonicalize_name(name: InternalName, realm: str,
-                      mechanism: str = MECHANISM) -> MechanismName:
-    """Host-based "svc@host" becomes the principal "svc/host" in ``realm``."""
-    if name.name_type == NameType.HOST_BASED_SERVICE:
-        service, _, host = name.text.partition("@")
-        principal = Principal(f"{service}/{host}", realm)
-    else:
-        principal = Principal(name.text, realm)
-    return MechanismName(principal, name.name_type, mechanism)
-
-
 @dataclass(frozen=True)
 class ReqFlags:
+    """The services a caller asks for; all three are mandatory."""
     mutual: bool = True
     replay: bool = True
     sequence: bool = True
-
-    def to_bits(self) -> int:
-        return ((FLAG_MUTUAL if self.mutual else 0)
-                | (FLAG_REPLAY if self.replay else 0)
-                | (FLAG_SEQUENCE if self.sequence else 0))
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "ReqFlags":
-        return cls(bool(bits & FLAG_MUTUAL), bool(bits & FLAG_REPLAY), bool(bits & FLAG_SEQUENCE))
 
 
 @dataclass(frozen=True)
@@ -213,22 +168,6 @@ codec.register(WrapBody, codec.SchemaId.WRAP_BODY, [
 ])
 
 
-class _SeqSeen:
-    """Bounded set of accepted sequence numbers, oldest evicted first."""
-
-    def __init__(self, capacity: int = SEQ_WINDOW_CAPACITY):
-        self.capacity = capacity
-        self._seen: OrderedDict[int, None] = OrderedDict()
-
-    def __contains__(self, seq: int) -> bool:
-        return seq in self._seen
-
-    def add(self, seq: int) -> None:
-        self._seen[seq] = None
-        while len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-
-
 class SecurityContext:
     """State shared by both roles once the handshake settles."""
 
@@ -236,13 +175,11 @@ class SecurityContext:
         self.role = role
         self.provider = provider
         self.state = ContextState.INITIAL
-        self.flags = ReqFlags()
         self.session_key: Optional[SymmetricKey] = None
         self.subkey: Optional[SymmetricKey] = None
         self.send_seq = 0
         self.recv_seq = 0
         self.peer: Optional[Principal] = None
-        self._seen = _SeqSeen()
         self._lock = threading.Lock()
 
     @property
@@ -265,7 +202,7 @@ class SecurityContext:
         return WrapToken(seq, direction, self.provider.seal(self.subkey, body, SealLabel.WRAP))
 
     def unwrap(self, token: WrapToken) -> bytes:
-        """Direction, integrity, binding, replay, then strict ordering."""
+        """Direction, integrity, binding, then the strict sequence check."""
         if not self.established:
             raise StateError("unwrap before the context is complete")
         expected_dir = (DIR_ACCEPTOR_TO_INITIATOR if self.role == CredentialUsage.INITIATE
@@ -280,41 +217,32 @@ class SecurityContext:
         if body.seq != token.seq or body.direction != token.direction:
             raise WrapIntegrityError("sealed seq/direction do not match the token header")
         with self._lock:
-            if self.flags.replay and body.seq in self._seen:
+            # below the next expected number: accepted before, or never sealed
+            if body.seq < self.recv_seq:
                 raise ReplayDetected(f"wrap token seq {body.seq} already accepted")
-            if self.flags.sequence and body.seq != self.recv_seq:
+            if body.seq > self.recv_seq:
                 raise OutOfSequence(f"wrap token seq {body.seq}, expected {self.recv_seq}")
-            if self.flags.replay:
-                self._seen.add(body.seq)
-            if self.flags.sequence:
-                self.recv_seq += 1
+            self.recv_seq += 1
         return body.payload
 
 
-def cache_ticket_source(cache) -> Callable:
-    """Ticket source that only consults the credential cache."""
-    def source(target: Principal, now: int):
-        entry = cache.get_service(target.name, now)
-        if entry is None:
-            raise NoTicket(f"no cached service ticket for {target.name}")
-        return entry.ticket, entry.key
-    return source
-
-
 class ContextInitiator:
-    """Client half of the handshake; drives ``step`` with received tokens."""
+    """Client half of the handshake; drives ``step`` with received tokens.
+
+    ``ticket_source(target, now)`` returns the (ticket, session key) pair to
+    present; it decides whether a ticket exchange happens first.
+    """
 
     def __init__(self, cred: ContextCredential, target: MechanismName, flags: ReqFlags,
-                 provider: CryptoProvider, ticket_source: Optional[Callable] = None):
+                 provider: CryptoProvider, ticket_source: Callable):
         if cred.usage != CredentialUsage.INITIATE:
             raise UsageViolation("initiator needs an Initiate credential")
         if not (flags.mutual and flags.replay and flags.sequence):
             raise RequiredFlagMissing("mutual, replay, and sequence flags are all mandatory")
         self.cred = cred
         self.target = target
-        self.flags = flags
         self.provider = provider
-        self.ticket_source = ticket_source or cache_ticket_source(cred.backing)
+        self.ticket_source = ticket_source
         self.context = SecurityContext(CredentialUsage.INITIATE, provider)
         self._ts1: Optional[int] = None
 
@@ -328,13 +256,12 @@ class ContextInitiator:
             options = 0
             auth = Authenticator(self.cred.name.principal.name,
                                  self.cred.name.principal.realm, now)
-            sealed = ContextAuthenticator(auth, self.flags.to_bits(), initial_seq,
+            sealed = ContextAuthenticator(auth, ALL_FLAGS, initial_seq,
                                           ap_request_digest(options, ticket))
             box = self.provider.seal(session_key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
             request = ApRequest(options, ticket, box)
             ctx.session_key = session_key
             ctx.send_seq = initial_seq
-            ctx.flags = self.flags
             ctx.state = ContextState.AWAITING_REPLY
             self._ts1 = now
             return ContextToken(LEG_INIT, codec.encode(request)), ctx.state
@@ -420,42 +347,7 @@ class ContextAcceptor:
         ctx.subkey = subkey
         ctx.send_seq = initial_seq
         ctx.recv_seq = sealed.initial_seq
-        ctx.flags = ReqFlags.from_bits(sealed.flags)
         ctx.peer = Principal(body.client_id, body.client_realm)
         ctx.state = ContextState.COMPLETE
         return ContextToken(LEG_REPLY, codec.encode(ApReply(box))), ctx.state
 
-
-def run_handshake(initiator: ContextInitiator, acceptor: ContextAcceptor,
-                  now_fn: Callable[[], int], channel=None, max_legs: int = 8,
-                  recv_timeout: int = 30) -> int:
-    """Exchange tokens until both contexts complete; returns the leg count.
-
-    ``channel`` is an optional (initiator_conn, acceptor_conn) pair whose
-    ``send``/``recv`` move raw frames; without it tokens pass directly.
-    Transport errors (loss shows up as Timeout) propagate to the caller.
-    """
-    conn_i, conn_a = channel if channel is not None else (None, None)
-    legs = 0
-
-    def transmit(sender, receiver, token: ContextToken) -> ContextToken:
-        nonlocal legs
-        legs += 1
-        if legs > max_legs:
-            raise HandshakeExceededLegBudget(f"handshake needed more than {max_legs} legs")
-        if sender is None:
-            return token
-        sender.send(codec.encode(token))
-        return codec.decode(receiver.recv(recv_timeout), codec.SchemaId.CONTEXT_TOKEN)
-
-    token, _ = initiator.step(None, now_fn())
-    while not (initiator.context.established and acceptor.context.established):
-        if token is None:
-            raise StateError("handshake stalled before completing")
-        delivered = transmit(conn_i, conn_a, token)
-        token, _ = acceptor.step(delivered, now_fn())
-        if token is None:
-            continue
-        delivered = transmit(conn_a, conn_i, token)
-        token, _ = initiator.step(delivered, now_fn())
-    return legs

@@ -188,10 +188,6 @@ class PrincipalDb:
         with self._lock:
             return len(self._records)
 
-    def count_kind(self, kind: RecordKind) -> int:
-        with self._lock:
-            return sum(1 for r in self._records.values() if r.kind == int(kind))
-
     def save(self, path: str) -> None:
         """One HEX(TLV(PrincipalRecord)) line per principal; atomic rewrite."""
         with self._lock:

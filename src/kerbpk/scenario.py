@@ -32,10 +32,9 @@ from importlib import resources
 from typing import Callable, Optional
 
 from . import codec
-from .client import ClientAgent, ClientIdentity, CredentialCache
+from .client import DEFAULT_LIFETIME, ClientAgent, ClientIdentity, CredentialCache
 from .crypto import get_provider
 from .errors import KerbPkError, NoTicket, ScenarioParseError, StateError
-from .client import DEFAULT_LIFETIME
 from .gateway import (
     AppRequest,
     ProtectedAppSession,
@@ -77,7 +76,6 @@ from .transport import (
     parse_fault,
 )
 
-STEP_KINDS = ("kinit", "ticket", "handshake", "send", "pipeline", "advance")
 KINIT_VARIANTS = ("bad-cert", "forged-sig")
 
 

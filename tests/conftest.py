@@ -5,7 +5,11 @@ import pytest
 from kerbpk import codec
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import get_provider
+from kerbpk.errors import NoTicket
+from kerbpk.gss import (MECHANISM, ContextInitiator, CredentialUsage,
+                        MechanismName, NameType, ReqFlags, acquire_credential)
 from kerbpk.kdc import KdcConfig, KdcService, PrincipalDb
+from kerbpk.messages import Principal
 
 REALM = "EXAMPLE"
 NOW = 1_000_000  # same epoch the simulated clock starts at
@@ -49,3 +53,25 @@ def logged_in(realm):
     realm.agent.kinit(realm.send_as, NOW)
     realm.agent.get_service_ticket("echo", NOW, realm.send_tgs)
     return realm
+
+
+def cache_ticket_source(cache):
+    """Ticket source that only consults the credential cache."""
+    def source(target: Principal, now: int):
+        entry = cache.get_service(target.name, now)
+        if entry is None:
+            raise NoTicket(f"no cached service ticket for {target.name}")
+        return entry.ticket, entry.key
+    return source
+
+
+def initiator_factory(realm):
+    """Builds alice's initiator for "echo" from her cached tickets alone."""
+    def make_initiator(now):
+        cred = acquire_credential(
+            MechanismName(Principal("alice", REALM), NameType.PRINCIPAL_NAME, MECHANISM),
+            CredentialUsage.INITIATE, realm.agent.cache)
+        target = MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
+        return ContextInitiator(cred, target, ReqFlags(), realm.provider,
+                                ticket_source=cache_ticket_source(realm.agent.cache))
+    return make_initiator

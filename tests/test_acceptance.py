@@ -10,15 +10,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import NOW, REALM
+from conftest import NOW, REALM, initiator_factory
 from kerbpk import cli, codec
 from kerbpk.crypto import SealLabel, get_provider
 from kerbpk.errors import IntegrityError, ProviderMismatch, Truncated
 from kerbpk.gateway import (BackendSession, GatewayClient, GatewayCore,
                             GatewayPolicy, GatewaySession, ResponseCache,
                             echo_handler)
-from kerbpk.gss import (MECHANISM, ContextInitiator, CredentialUsage,
-                        MechanismName, NameType, ReqFlags, acquire_credential)
 from kerbpk.kdc import PrincipalDb
 from kerbpk.messages import Authenticator, Principal, ReplayCache
 from kerbpk.scenario import load_scenario, parse_scenario, run_scenario
@@ -167,16 +165,8 @@ def gateway_stack(logged_in, cache):
     net.register("gw", lambda: GatewaySession(
         core, Principal("echo", REALM), logged_in.service.long_term_key,
         logged_in.provider, ReplayCache()))
-
-    def make_initiator(now):
-        cred = acquire_credential(
-            MechanismName(Principal("alice", REALM), NameType.PRINCIPAL_NAME, MECHANISM),
-            CredentialUsage.INITIATE, logged_in.agent.cache)
-        target = MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
-        return ContextInitiator(cred, target, ReqFlags(), logged_in.provider)
-
-    client = GatewayClient(lambda: net.connect("gw", "alice/gw"), make_initiator,
-                           net.clock.now)
+    client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
+                           initiator_factory(logged_in), net.clock.now)
     return net, core, client
 
 

@@ -16,6 +16,11 @@ from kerbpk.messages import Certificate, Principal, SealedTicket, Validity
 HOUR = Validity(NOW, NOW + 3600)
 
 
+def is_empty(cache: CredentialCache) -> bool:
+    snapshot = cache.to_file_struct()
+    return snapshot.tgt is None and not snapshot.services
+
+
 # ---------------------------------------------------------------- initial auth
 
 def test_kinit_fills_the_cache(realm):
@@ -35,7 +40,7 @@ def test_reply_for_someone_else_rejected(realm):
     other = ClientAgent(ident, realm.provider)
     with pytest.raises(PrincipalMismatch):
         other.process_as_reply(reply, req.nonce1)
-    assert other.cache.is_empty()
+    assert is_empty(other.cache)
 
 
 def test_wrong_password_cannot_open_the_reply(realm):
@@ -43,7 +48,7 @@ def test_wrong_password_cannot_open_the_reply(realm):
     agent = ClientAgent(bad_identity, realm.provider)
     with pytest.raises(WrongPassword):
         agent.kinit(realm.send_as, NOW)
-    assert agent.cache.is_empty()  # nothing is cached on a failed login
+    assert is_empty(agent.cache)  # nothing is cached on a failed login
 
 
 def test_nonce_echo_is_checked(realm):
@@ -51,7 +56,7 @@ def test_nonce_echo_is_checked(realm):
     reply = realm.send_as(req)
     with pytest.raises(NonceMismatch):
         realm.agent.process_as_reply(reply, b"\x00" * 8)
-    assert realm.agent.cache.is_empty()
+    assert is_empty(realm.agent.cache)
 
 
 def test_swapped_ticket_hint_is_caught(realm):
@@ -72,7 +77,7 @@ def test_key_wrapped_for_a_different_key_pair(realm):
     agent = ClientAgent(imposter, realm.provider)
     with pytest.raises(PkDecryptFailure):
         agent.process_as_reply(reply, req.nonce1)
-    assert agent.cache.is_empty()
+    assert is_empty(agent.cache)
 
 
 # -------------------------------------------------------------- service ticket
@@ -90,9 +95,9 @@ def test_service_ticket_stored_under_its_name(logged_in):
 
 def test_service_credential_reuses_fresh_entry(logged_in):
     before = logged_in.kdc.tgs_requests
-    entry = logged_in.agent.service_credential("echo", NOW, logged_in.send_tgs)
+    entry = logged_in.agent.cache.get_service("echo", NOW)
     assert logged_in.kdc.tgs_requests == before  # cache hit, no new exchange
-    assert entry == logged_in.agent.cache.get_service("echo", NOW)
+    assert entry is not None and entry == logged_in.agent.cache.peek_service("echo")
 
 
 def test_request_service_ticket_needs_only_the_cache(logged_in, tmp_path):
@@ -121,7 +126,7 @@ def test_cache_evicts_at_till_plus_skew():
     assert cache.get_tgt(1301) is None
     assert cache.get_service("echo", 1301) is None
     assert cache.peek_service("echo") is None  # get_service dropped it
-    assert cache.is_empty()
+    assert is_empty(cache)
 
 
 def test_cache_peek_ignores_freshness():
@@ -135,7 +140,7 @@ def test_cache_clear():
     cache = CredentialCache(Principal("alice", REALM))
     cache.store_tgt(_entry(1000))
     cache.clear()
-    assert cache.is_empty()
+    assert is_empty(cache)
 
 
 def test_cache_file_roundtrip(logged_in, tmp_path):

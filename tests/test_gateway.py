@@ -5,17 +5,15 @@ import threading
 
 import pytest
 
-from conftest import NOW, REALM
+from conftest import NOW, REALM, initiator_factory
 from kerbpk import codec
-from kerbpk.errors import (FetchError, NoTicket, PolicyParseError, StateError,
-                           UnknownService)
+from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket,
+                           PolicyParseError, StateError, UnknownService)
 from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             AppRequest, AppResponse, BackendSession,
                             GatewayClient, GatewayCore, GatewayPolicy,
                             GatewaySession, ProtectedAppSession, ResponseCache,
                             echo_handler)
-from kerbpk.gss import (MECHANISM, ContextInitiator, CredentialUsage,
-                        MechanismName, NameType, ReqFlags, acquire_credential)
 from kerbpk.messages import ErrorReply, Principal, ReplayCache
 from kerbpk.transport import (FrameClient, SimClock, SimNetwork, recv_frame,
                               send_frame)
@@ -175,16 +173,6 @@ def test_protected_session_rejects_wrap_before_handshake(logged_in):
 
 # --------------------------------------------------------------- full gateway
 
-def initiator_factory(logged_in):
-    def make_initiator(now):
-        cred = acquire_credential(
-            MechanismName(Principal("alice", REALM), NameType.PRINCIPAL_NAME, MECHANISM),
-            CredentialUsage.INITIATE, logged_in.agent.cache)
-        target = MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
-        return ContextInitiator(cred, target, ReqFlags(), logged_in.provider)
-    return make_initiator
-
-
 def gateway_stack(logged_in, policy="bypass /public\n", capacity=4):
     net = SimNetwork(SimClock())
     net.register("backend", lambda: BackendSession(echo_handler))
@@ -281,6 +269,28 @@ def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
         listener.close()
     assert not server.is_alive()
     assert core.backend_hits == 2
+
+
+def test_fresh_channel_that_fails_is_not_retried(logged_in):
+    net, core, client, events = gateway_stack(logged_in)
+
+    class HangUpAfterHandshake:
+        def __init__(self):
+            self.session = GatewaySession(core, Principal("echo", REALM),
+                                          logged_in.service.long_term_key,
+                                          logged_in.provider, ReplayCache())
+
+        def feed(self, payload, now):
+            replies, close = self.session.feed(payload, now)
+            return replies, close or codec.schema_id_of(payload) == codec.SchemaId.CONTEXT_TOKEN
+
+    net.register("gw", HangUpAfterHandshake)
+    with pytest.raises(FetchError) as info:
+        client.fetch("/data/a")
+    assert info.value.step == "channel"
+    assert isinstance(info.value.cause, ConnectionClosed)
+    assert handshake_frames(net) == 2  # one handshake, no second attempt
+    assert core.backend_hits == 0 and client._channel is None
 
 
 def test_fetch_without_a_ticket_names_the_failing_step(realm):
