@@ -22,7 +22,6 @@ from .errors import (
     CcacheParseError,
     DecryptFailure,
     IntegrityError,
-    KerbPkError,
     NonceMismatch,
     NoTgt,
     PkDecryptFailure,
@@ -170,20 +169,12 @@ class CredentialCache:
             return CredentialCacheFile(self.client, self._tgt, services)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(codec.encode(self.to_file_struct()).hex() + "\n")
+        codec.save_records(path, [self.to_file_struct()])
 
     @classmethod
     def load(cls, path: str, skew: int = 300) -> "CredentialCache":
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                line = fh.read().strip()
-            parsed: CredentialCacheFile = codec.decode(
-                bytes.fromhex(line), codec.SchemaId.CREDENTIAL_CACHE)
-        except OSError as exc:
-            raise CcacheParseError(f"cannot read credential cache {path}: {exc}") from None
-        except (ValueError, KerbPkError) as exc:
-            raise CcacheParseError(f"{path}: {exc}") from None
+        parsed: CredentialCacheFile = codec.load_record(
+            path, codec.SchemaId.CREDENTIAL_CACHE, CcacheParseError, "credential cache")
         cache = cls(parsed.client, skew)
         cache._tgt = parsed.tgt
         cache._services = {sc.service_id: sc.entry for sc in parsed.services}
@@ -206,12 +197,11 @@ class ClientAgent:
     def build_as_request(self, tgs_id: str, requested_validity: Validity,
                          options: int = 0) -> AsRequest:
         """Fresh nonce; signature covers every other request field."""
-        nonce1 = self.provider.random_nonce()
-        signable = as_request_signable(options, self.identity.principal, tgs_id,
-                                       requested_validity, nonce1, self.identity.certificate)
-        signature = self.provider.sign(self.identity.keypair.private_key, signable)
-        return AsRequest(options, self.identity.principal, tgs_id, requested_validity,
-                         nonce1, self.identity.certificate, signature)
+        fields = (options, self.identity.principal, tgs_id, requested_validity,
+                  self.provider.random_nonce(), self.identity.certificate)
+        signature = self.provider.sign(self.identity.keypair.private_key,
+                                       as_request_signable(AsRequest(*fields, b"")))
+        return AsRequest(*fields, signature)
 
     def process_as_reply(self, reply: AsReply, sent_nonce1: bytes) -> CredEntry:
         """Open with the password key, then unwrap the pk-encrypted session key."""
@@ -265,12 +255,11 @@ def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,
         raise NoTgt("no fresh ticket-granting ticket in the cache")
     validity = requested_validity or Validity(now, now + DEFAULT_LIFETIME)
     nonce2 = provider.random_nonce()
-    options = 0
-    digest = tgs_request_digest(options, service_id, validity, nonce2, tgt.ticket)
+    fields = (0, service_id, validity, nonce2, tgt.ticket)  # all but the authenticator box
     sealed = TgsAuthenticator(Authenticator(cache.client.name, cache.client.realm, now),
-                              digest)
+                              tgs_request_digest(TgsRequest(*fields, None)))
     box = provider.seal(tgt.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
-    req = TgsRequest(options, service_id, validity, nonce2, tgt.ticket, box)
+    req = TgsRequest(*fields, box)
 
     reply = send_tgs(req)
     if reply.client != cache.client:
@@ -287,20 +276,12 @@ def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,
 
 
 def save_identity(identity: ClientIdentity, path: str) -> None:
-    blob = IdentityFile(identity.principal, identity.keypair.public_key,
-                        identity.keypair.private_key, identity.certificate)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(codec.encode(blob).hex() + "\n")
+    codec.save_records(path, [IdentityFile(identity.principal, identity.keypair.public_key,
+                                           identity.keypair.private_key, identity.certificate)])
 
 
 def load_identity(path: str, password: str) -> ClientIdentity:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            line = fh.read().strip()
-        blob: IdentityFile = codec.decode(bytes.fromhex(line), codec.SchemaId.IDENTITY_FILE)
-    except OSError as exc:
-        raise CcacheParseError(f"cannot read identity file {path}: {exc}") from None
-    except (ValueError, KerbPkError) as exc:
-        raise CcacheParseError(f"{path}: {exc}") from None
+    blob: IdentityFile = codec.load_record(path, codec.SchemaId.IDENTITY_FILE,
+                                           CcacheParseError, "identity file")
     return ClientIdentity(blob.principal, password,
                           KeyPair(blob.public_key, blob.private_key), blob.certificate)

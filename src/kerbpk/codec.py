@@ -15,17 +15,24 @@ encoder and decoder holding its precomputed tag, header and integer width and
 range, so no value looks up its field's kind, width or tag.  Decoding walks
 the one input buffer by offsets and copies out only leaf values.  An encoded
 nested value must be an instance of exactly the declared class.
+
+A request's signature or digest covers every field but the last, under its
+body's own schema id (``encode_body``).  Every ``SchemaId`` is a known tag,
+registered or not.  On disk, each structure is one line of hex, in files that
+only their owner may read, because they hold keys.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 from enum import IntEnum
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .errors import (
     FieldTooLarge,
+    KerbPkError,
     MalformedValue,
     SchemaMismatch,
     TrailingGarbage,
@@ -78,6 +85,8 @@ class SchemaId(IntEnum):
     APP_RESPONSE = 0x31
     ERROR_REPLY = 0x3F
 
+
+_KNOWN_IDS = frozenset(int(schema_id) for schema_id in SchemaId)
 
 _INT_CODECS = {kind: struct.Struct(fmt) for kind, fmt in
                (("u8", ">B"), ("u16", ">H"), ("u32", ">I"), ("u64", ">Q"))}
@@ -168,7 +177,7 @@ def _struct_codec(tag: int, cls: type, optional: bool):
             raise MalformedValue(f"expected {cls.__name__}, got {type(value).__name__}")
         if sub is None:
             sub = _require_schema(cls)
-        raw = sub.encode(value)
+        raw = _encode_fields(sub.schema_id, sub.encoders, value)
         if len(raw) > _MAX_FIELD:
             raise _too_large(len(raw))
         return _HEADER.pack(tag, len(raw)) + raw
@@ -197,7 +206,7 @@ def _list_codec(tag: int, cls: type):
         for item in items:
             if type(item) is not cls:
                 raise MalformedValue(f"expected {cls.__name__} items, got {type(item).__name__}")
-            parts.append(sub.encode(item))
+            parts.append(_encode_fields(sub.schema_id, sub.encoders, item))
         raw = b"".join(parts)
         if len(raw) > _MAX_FIELD:
             raise _too_large(len(raw))
@@ -228,10 +237,18 @@ def _field_codec(tag: int, kind: str, cls):
     return _struct_codec(tag, cls, optional=kind == "opt")
 
 
+def _encode_fields(tag: int, encoders: tuple, obj) -> bytes:
+    """One TLV tagged ``tag`` holding the field TLVs that ``encoders`` make of ``obj``."""
+    body = b"".join([encode_field(getattr(obj, name)) for name, encode_field in encoders])
+    if len(body) > _MAX_FIELD:
+        raise _too_large(len(body))
+    return _HEADER.pack(tag, len(body)) + body
+
+
 class _Schema:
     """One registered structure, with its field codecs built once."""
 
-    __slots__ = ("schema_id", "cls", "fields", "_encoders", "_decoders")
+    __slots__ = ("schema_id", "cls", "fields", "encoders", "_decoders")
 
     def __init__(self, schema_id: int, cls: type, fields: tuple):
         self.schema_id = schema_id
@@ -242,14 +259,8 @@ class _Schema:
             encode_field, decode_field = _field_codec(index, kind, arg)
             encoders.append((name, encode_field))
             decoders.append((index, name, decode_field))
-        self._encoders = tuple(encoders)
+        self.encoders = tuple(encoders)
         self._decoders = tuple(decoders)
-
-    def encode(self, obj) -> bytes:
-        body = b"".join([encode_field(getattr(obj, name)) for name, encode_field in self._encoders])
-        if len(body) > _MAX_FIELD:
-            raise _too_large(len(body))
-        return _HEADER.pack(self.schema_id, len(body)) + body
 
     def decode_at(self, data: bytes, off: int, base: int, limit: int) -> tuple[Any, int]:
         """Decode the structure at ``off`` inside the value ``data[base:limit]``.
@@ -267,7 +278,7 @@ class _Schema:
         if end > limit:
             raise _overlong(off - base, length, limit - pos)
         if tag != self.schema_id:
-            if tag in _by_id:
+            if tag in _KNOWN_IDS:
                 raise SchemaMismatch(f"expected schema {self.schema_id:#x}, found {tag:#x}")
             raise UnknownTag(f"unknown schema tag {tag:#x}")
         body = pos
@@ -330,12 +341,18 @@ def schema_id_of(payload: bytes) -> Optional[int]:
     if not payload:
         return None
     tag = payload[0]
-    return tag if tag in _by_id else None
+    return tag if tag in _KNOWN_IDS else None
 
 
 def encode(obj: Any) -> bytes:
     """Encode a registered structure to its canonical bytes."""
-    return _require_schema(type(obj)).encode(obj)
+    schema = _require_schema(type(obj))
+    return _encode_fields(schema.schema_id, schema.encoders, obj)
+
+
+def encode_body(obj: Any, body_id: SchemaId) -> bytes:
+    """Encode every field of ``obj`` but the last, as one structure tagged ``body_id``."""
+    return _encode_fields(int(body_id), _require_schema(type(obj)).encoders[:-1], obj)
 
 
 def decode(data: bytes, expected: SchemaId) -> Any:
@@ -348,3 +365,41 @@ def decode(data: bytes, expected: SchemaId) -> Any:
     if end != len(data):
         raise TrailingGarbage(f"{len(data) - end} bytes after {schema.cls.__name__}")
     return obj
+
+
+# On-disk form: one structure per line, as the hex of its encoding.
+
+def save_records(path: str, records: Iterable) -> None:
+    """Replace ``path`` atomically with one hex line per structure, owner-only (keys)."""
+    text = "".join(encode(record).hex() + "\n" for record in records)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w",
+              encoding="ascii") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def load_records(path: str, expected: SchemaId, error: type, what: str) -> list:
+    """Read what ``save_records`` wrote; every failure raises ``error``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(decode(bytes.fromhex(line), expected))
+        except (ValueError, KerbPkError) as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def load_record(path: str, expected: SchemaId, error: type, what: str) -> Any:
+    """Read a file that ``save_records`` wrote with exactly one structure."""
+    records = load_records(path, expected, error, what)
+    if len(records) != 1:
+        raise error(f"{path}: expected exactly one {what} record, found {len(records)}")
+    return records[0]

@@ -364,8 +364,9 @@ class GatewayClient:
 
     def fetch(self, resource: str, method: str = "GET", body: bytes = b"") -> AppResponse:
         request = AppRequest(method, resource, body)
-        # A reused channel may simply have gone away: a failed call closes it,
-        # so the next pass opens a fresh one, and a fresh channel never retries.
+        # A failed call closes the channel, so the next pass opens a fresh one.
+        # Only a GET on a reused channel is retried: any other request may
+        # already have reached the backend.
         while True:
             fresh = self._channel is None
             if fresh:
@@ -377,5 +378,5 @@ class GatewayClient:
                 return self._channel.call(request, self.timeout)
             except KerbPkError as exc:
                 self.close()
-                if fresh:
+                if fresh or method != "GET":
                     raise self._as_fetch_error("channel", exc) from exc

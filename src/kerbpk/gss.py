@@ -253,13 +253,13 @@ class ContextInitiator:
                 raise StateError("first initiator step takes no input token")
             ticket, session_key = self.ticket_source(self.target.principal, now)
             initial_seq = int.from_bytes(self.provider.random_nonce(), "big") >> 1
-            options = 0
+            fields = (0, ticket)  # all but the authenticator box
             auth = Authenticator(self.cred.name.principal.name,
                                  self.cred.name.principal.realm, now)
             sealed = ContextAuthenticator(auth, ALL_FLAGS, initial_seq,
-                                          ap_request_digest(options, ticket))
+                                          ap_request_digest(ApRequest(*fields, None)))
             box = self.provider.seal(session_key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
-            request = ApRequest(options, ticket, box)
+            request = ApRequest(*fields, box)
             ctx.session_key = session_key
             ctx.send_seq = initial_seq
             ctx.state = ContextState.AWAITING_REPLY
@@ -327,7 +327,7 @@ class ContextAcceptor:
                 raise TokenIntegrityError(f"authenticator does not open: {exc}") from None
             sealed: ContextAuthenticator = codec.decode(
                 auth_bytes, codec.SchemaId.CONTEXT_AUTHENTICATOR)
-            if sealed.request_digest != ap_request_digest(request.options, request.ticket):
+            if sealed.request_digest != ap_request_digest(request):
                 raise TokenIntegrityError("request fields do not match the sealed digest")
             if sealed.flags & ALL_FLAGS != ALL_FLAGS:
                 raise RequiredFlagMissing("peer did not assert all mandatory context flags")

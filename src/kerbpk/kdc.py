@@ -14,14 +14,13 @@ atomically.  Handlers are thread-safe.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
 from . import codec
-from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
+from .crypto import CryptoProvider, SealLabel, SymmetricKey
 from .errors import (
     AddressMismatch,
     AuthenticatorIntegrityError,
@@ -40,7 +39,6 @@ from .errors import (
     UnknownService,
 )
 from .messages import (
-    Authenticator,
     AsEncPart,
     AsReply,
     AsRequest,
@@ -56,8 +54,8 @@ from .messages import (
     TgsRequest,
     TicketBody,
     Validity,
-    as_request_signable_of,
-    tgs_request_digest_of,
+    as_request_signable,
+    tgs_request_digest,
     validate_authenticator,
     validate_times,
 )
@@ -103,20 +101,12 @@ codec.register(ServiceKeyFile, codec.SchemaId.SERVICE_KEY_FILE, [
 
 
 def save_service_key(record: "PrincipalRecord", path: str) -> None:
-    blob = ServiceKeyFile(record.principal, record.long_term_key)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(codec.encode(blob).hex() + "\n")
+    codec.save_records(path, [ServiceKeyFile(record.principal, record.long_term_key)])
 
 
 def load_service_key(path: str) -> ServiceKeyFile:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            line = fh.read().strip()
-        return codec.decode(bytes.fromhex(line), codec.SchemaId.SERVICE_KEY_FILE)
-    except OSError as exc:
-        raise DbParseError(f"cannot read service key file {path}: {exc}") from None
-    except (ValueError, KerbPkError) as exc:
-        raise DbParseError(f"{path}: {exc}") from None
+    return codec.load_record(path, codec.SchemaId.SERVICE_KEY_FILE, DbParseError,
+                             "service key file")
 
 
 @dataclass
@@ -189,30 +179,13 @@ class PrincipalDb:
             return len(self._records)
 
     def save(self, path: str) -> None:
-        """One HEX(TLV(PrincipalRecord)) line per principal; atomic rewrite."""
-        with self._lock:
-            lines = [codec.encode(r).hex() for r in self._records.values()]
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, path)
+        """One PrincipalRecord per line; atomic rewrite."""
+        codec.save_records(path, self.records())
 
     @classmethod
     def load(cls, path: str) -> "PrincipalDb":
-        records: list[PrincipalRecord] = []
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                raw_lines = fh.read().splitlines()
-        except OSError as exc:
-            raise DbParseError(f"cannot read principal db {path}: {exc}") from None
-        for lineno, line in enumerate(raw_lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(codec.decode(bytes.fromhex(line), codec.SchemaId.PRINCIPAL_RECORD))
-            except (ValueError, KerbPkError) as exc:
-                raise DbParseError(f"{path}:{lineno}: {exc}") from None
+        records = codec.load_records(path, codec.SchemaId.PRINCIPAL_RECORD, DbParseError,
+                                     "principal db")
         tgs = [r for r in records if r.kind == int(RecordKind.TGS_SERVICE)]
         if len(tgs) != 1:
             raise DbParseError(f"{path}: expected exactly one ticket-granting record, found {len(tgs)}")
@@ -237,7 +210,7 @@ def handle_as_request(db: PrincipalDb, config: KdcConfig, req: AsRequest, now: i
         raise CertificateMismatch(f"presented public key differs from registered one for {req.client.name}")
     if req.certificate.subject != req.client:
         raise CertificateMismatch("certificate subject does not name the requesting client")
-    if not provider.verify(record.certificate.public_key, as_request_signable_of(req), req.signature):
+    if not provider.verify(record.certificate.public_key, as_request_signable(req), req.signature):
         raise SignatureInvalid(f"request signature does not verify for {req.client.name}")
     if req.requested_validity.from_time >= req.requested_validity.till:
         raise BadValidityWindow(
@@ -277,7 +250,7 @@ def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now:
         sealed: TgsAuthenticator = codec.decode(auth_bytes, codec.SchemaId.TGS_AUTHENTICATOR)
     except SchemaMismatch as exc:
         raise AuthenticatorIntegrityError(str(exc)) from None
-    if sealed.request_digest != tgs_request_digest_of(req):
+    if sealed.request_digest != tgs_request_digest(req):
         raise RequestDigestMismatch("request fields do not match the sealed digest")
     validate_authenticator(sealed.authenticator, Principal(body.client_id, body.client_realm),
                            now, config.clock_skew, replay_cache,

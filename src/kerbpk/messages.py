@@ -108,17 +108,6 @@ class AsRequest:
 
 
 @dataclass(frozen=True)
-class AsReqBody:
-    """Signature input: every AsRequest field except the signature itself."""
-    options: int
-    client: Principal
-    tgs_id: str
-    requested_validity: Validity
-    nonce1: bytes
-    certificate: Certificate
-
-
-@dataclass(frozen=True)
 class AsEncPart:
     wrapped_session_key: bytes
     validity: Validity
@@ -142,16 +131,6 @@ class TgsRequest:
     nonce2: bytes
     ticket: SealedTicket
     authenticator: SealedBox
-
-
-@dataclass(frozen=True)
-class TgsReqBody:
-    """Digest input: every TgsRequest field except the authenticator box."""
-    options: int
-    service_id: str
-    requested_validity: Validity
-    nonce2: bytes
-    ticket: SealedTicket
 
 
 @dataclass(frozen=True)
@@ -182,13 +161,6 @@ class ApRequest:
     options: int
     ticket: SealedTicket
     authenticator: SealedBox
-
-
-@dataclass(frozen=True)
-class ApReqBody:
-    """Digest input: every ApRequest field except the authenticator box."""
-    options: int
-    ticket: SealedTicket
 
 
 @dataclass(frozen=True)
@@ -248,14 +220,6 @@ codec.register(AsRequest, codec.SchemaId.AS_REQUEST, [
     ("certificate", "struct", Certificate),
     ("signature", "bytes"),
 ])
-codec.register(AsReqBody, codec.SchemaId.AS_REQ_BODY, [
-    ("options", "u32"),
-    ("client", "struct", Principal),
-    ("tgs_id", "str"),
-    ("requested_validity", "struct", Validity),
-    ("nonce1", "bytes"),
-    ("certificate", "struct", Certificate),
-])
 codec.register(AsEncPart, codec.SchemaId.ENC_PART_AS, [
     ("wrapped_session_key", "bytes"),
     ("validity", "struct", Validity),
@@ -275,13 +239,6 @@ codec.register(TgsRequest, codec.SchemaId.TGS_REQUEST, [
     ("nonce2", "bytes"),
     ("ticket", "struct", SealedTicket),
     ("authenticator", "struct", SealedBox),
-])
-codec.register(TgsReqBody, codec.SchemaId.TGS_REQ_BODY, [
-    ("options", "u32"),
-    ("service_id", "str"),
-    ("requested_validity", "struct", Validity),
-    ("nonce2", "bytes"),
-    ("ticket", "struct", SealedTicket),
 ])
 codec.register(TgsAuthenticator, codec.SchemaId.TGS_AUTHENTICATOR, [
     ("authenticator", "struct", Authenticator),
@@ -303,10 +260,6 @@ codec.register(ApRequest, codec.SchemaId.AP_REQUEST, [
     ("options", "u32"),
     ("ticket", "struct", SealedTicket),
     ("authenticator", "struct", SealedBox),
-])
-codec.register(ApReqBody, codec.SchemaId.AP_REQ_BODY, [
-    ("options", "u32"),
-    ("ticket", "struct", SealedTicket),
 ])
 codec.register(ApEncPart, codec.SchemaId.ENC_PART_AP, [
     ("ts2", "u64"),
@@ -330,31 +283,19 @@ def decode_reply(payload: bytes, expected: codec.SchemaId):
     return codec.decode(payload, expected)
 
 
-def as_request_signable(options: int, client: Principal, tgs_id: str,
-                        requested_validity: Validity, nonce1: bytes,
-                        certificate: Certificate) -> bytes:
-    """Canonical bytes the initial-auth signature covers."""
-    return codec.encode(AsReqBody(options, client, tgs_id, requested_validity, nonce1, certificate))
+def as_request_signable(req: AsRequest) -> bytes:
+    """Canonical bytes the initial-auth signature covers: all but the signature."""
+    return codec.encode_body(req, codec.SchemaId.AS_REQ_BODY)
 
 
-def as_request_signable_of(req: AsRequest) -> bytes:
-    return as_request_signable(req.options, req.client, req.tgs_id,
-                               req.requested_validity, req.nonce1, req.certificate)
+def tgs_request_digest(req: TgsRequest) -> bytes:
+    """Digest the sealed authenticator binds: all but the authenticator box."""
+    return hashlib.sha256(codec.encode_body(req, codec.SchemaId.TGS_REQ_BODY)).digest()
 
 
-def tgs_request_digest(options: int, service_id: str, requested_validity: Validity,
-                       nonce2: bytes, ticket: SealedTicket) -> bytes:
-    return hashlib.sha256(codec.encode(
-        TgsReqBody(options, service_id, requested_validity, nonce2, ticket))).digest()
-
-
-def tgs_request_digest_of(req: TgsRequest) -> bytes:
-    return tgs_request_digest(req.options, req.service_id, req.requested_validity,
-                              req.nonce2, req.ticket)
-
-
-def ap_request_digest(options: int, ticket: SealedTicket) -> bytes:
-    return hashlib.sha256(codec.encode(ApReqBody(options, ticket))).digest()
+def ap_request_digest(req: ApRequest) -> bytes:
+    """Digest the sealed context authenticator binds: all but its box."""
+    return hashlib.sha256(codec.encode_body(req, codec.SchemaId.AP_REQ_BODY)).digest()
 
 
 def validate_times(validity: Validity, now: int, skew: int) -> None:

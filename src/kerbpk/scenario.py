@@ -64,7 +64,7 @@ from .messages import (
     Principal,
     ReplayCache,
     Validity,
-    as_request_signable_of,
+    as_request_signable,
     decode_reply,
 )
 from .transport import (
@@ -425,7 +425,7 @@ class ScenarioRunner:
         elif variant == "forged-sig":
             rogue = self.provider.generate_keypair()
             request = replace(request, signature=self.provider.sign(
-                rogue.private_key, as_request_signable_of(request)))
+                rogue.private_key, as_request_signable(request)))
         conn = self._connect("as", f"{user}<->as")
         try:
             conn.send(codec.encode(request))

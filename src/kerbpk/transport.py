@@ -21,7 +21,7 @@ import struct
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from . import codec
@@ -260,8 +260,8 @@ class SimNetwork:
         self._delays: dict[int, int] = {}
         self._flips: dict[int, list[FlipBit]] = {}
         self._swap_hold: dict[int, int] = {}    # frame to hold -> release trigger
-        self._held: dict[int, tuple] = {}       # trigger -> (record, conn, direction)
-        self._pending: list[tuple[int, FrameRecord, SimConnection, str]] = []
+        self._held: dict[int, tuple] = {}       # trigger -> (record, conn)
+        self._pending: list[tuple[int, FrameRecord, SimConnection]] = []
         for fault in faults:
             self.add_fault(fault)
 
@@ -311,36 +311,34 @@ class SimNetwork:
         if index in self._swap_hold:
             record.status = "held"
             self.transcript.append(record)
-            self._held[self._swap_hold[index]] = (record, conn, direction)
+            self._held[self._swap_hold[index]] = (record, conn)
             return
         if index in self._delays:
             ready = self.clock.now() + self._delays[index]
             record.note = (record.note + " " if record.note else "") + f"delayed to tick {ready}"
             self.transcript.append(record)
-            self._pending.append((ready, record, conn, direction))
+            self._pending.append((ready, record, conn))
             self._release_if_triggered(index)
             return
         self.transcript.append(record)
-        self._deliver(record, conn, direction)
+        self._deliver(record, conn)
         if index in self._dups:
-            copy = FrameRecord(index, conn.channel, conn.internal, direction,
-                               wire, self.clock.now(), "duplicate", "replayed copy")
+            copy = replace(record, tick=self.clock.now(), status="duplicate", note="replayed copy")
             self.transcript.append(copy)
-            self._deliver(copy, conn, direction)
+            self._deliver(copy, conn)
         self._release_if_triggered(index)
 
     def _release_if_triggered(self, index: int) -> None:
         held = self._held.pop(index, None)
         if held is not None:
-            record, conn, direction = held
-            release = FrameRecord(record.index, record.channel, record.internal,
-                                  direction, record.wire, self.clock.now(),
-                                  "delivered", "released after swap")
+            record, conn = held
+            release = replace(record, tick=self.clock.now(), status="delivered",
+                              note="released after swap")
             self.transcript.append(release)
-            self._deliver(release, conn, direction)
+            self._deliver(release, conn)
 
-    def _deliver(self, record: FrameRecord, conn: SimConnection, direction: str) -> None:
-        if direction == "s->c":
+    def _deliver(self, record: FrameRecord, conn: SimConnection) -> None:
+        if record.direction == "s->c":
             conn.inbox.append(record.wire)
             return
         if conn.server_closed:
@@ -360,12 +358,10 @@ class SimNetwork:
         if not due:
             return
         self._pending = [item for item in self._pending if item[0] > now]
-        for _, record, conn, direction in sorted(due, key=lambda item: (item[0], item[1].index)):
-            release = FrameRecord(record.index, record.channel, record.internal,
-                                  direction, record.wire, now, "delivered",
-                                  "released after delay")
+        for _, record, conn in sorted(due, key=lambda item: (item[0], item[1].index)):
+            release = replace(record, tick=now, status="delivered", note="released after delay")
             self.transcript.append(release)
-            self._deliver(release, conn, direction)
+            self._deliver(release, conn)
 
     def _await_frame(self, conn: SimConnection, timeout: int) -> bytes:
         deadline = self.clock.now() + timeout

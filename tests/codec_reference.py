@@ -112,7 +112,7 @@ def _require_schema(cls: type):
 def _decode_at(data: bytes, off: int, schema) -> tuple[Any, int]:
     tag, value, end = _read_tlv(data, off)
     if tag != schema.schema_id:
-        if tag in codec._by_id:
+        if tag in codec._KNOWN_IDS:
             raise SchemaMismatch(f"expected schema {schema.schema_id:#x}, found {tag:#x}")
         raise UnknownTag(f"unknown schema tag {tag:#x}")
     kwargs = {}

@@ -1,10 +1,12 @@
 """Client agent: reply cross-checks, credential cache, on-disk file forms."""
 
 import dataclasses
+import os
 
 import pytest
 
 from conftest import NOW, REALM
+from kerbpk import codec
 from kerbpk.client import (DEFAULT_LIFETIME, ClientAgent, ClientIdentity,
                            CredentialCache, CredEntry, load_identity,
                            request_service_ticket, save_identity)
@@ -156,6 +158,20 @@ def test_cache_file_roundtrip(logged_in, tmp_path):
     bytes.fromhex(content.strip())  # the single line is hex
 
 
+def test_cache_rewrite_replaces_the_file_whole(logged_in, tmp_path):
+    # a reader that opened the ccache before a rewrite still sees the old
+    # file in full, never a truncated or half-written one
+    path = str(tmp_path / "alice.ccache")
+    logged_in.agent.cache.save(path)
+    with open(path) as reader:
+        emptied = CredentialCache(Principal("alice", REALM))
+        emptied.save(path)
+        old = reader.read()
+    assert bytes.fromhex(old.strip()) == codec.encode(logged_in.agent.cache.to_file_struct())
+    assert is_empty(CredentialCache.load(path))
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
 def test_cache_file_errors(tmp_path):
     with pytest.raises(CcacheParseError):
         CredentialCache.load(str(tmp_path / "absent"))
@@ -172,6 +188,7 @@ def test_identity_file_roundtrip(realm, tmp_path):
     save_identity(realm.identity, path)
     loaded = load_identity(path, "hunter2")
     assert loaded == realm.identity
+    assert os.stat(path).st_mode & 0o077 == 0  # the private key is the owner's alone
 
 
 def test_identity_loaded_with_wrong_password_fails_at_kinit(realm, tmp_path):

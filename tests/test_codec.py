@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kerbpk import codec
 from kerbpk.client import CredentialCacheFile, CredEntry, ServiceCred
 from kerbpk.crypto import SealedBox, SymmetricKey
-from kerbpk.errors import (CodecError, FieldTooLarge, MalformedValue,
+from kerbpk.errors import (CodecError, DbParseError, FieldTooLarge, MalformedValue,
                            SchemaMismatch, TrailingGarbage, Truncated, UnknownTag)
 from kerbpk.messages import Authenticator, Principal, SealedTicket, Validity
 
@@ -57,6 +57,40 @@ def test_schema_id_of():
     assert codec.schema_id_of(payload) == codec.SchemaId.VALIDITY
     assert codec.schema_id_of(b"") is None
     assert codec.schema_id_of(b"\x7e\x00\x00\x00\x00") is None  # unregistered tag
+
+
+def test_body_ids_are_known_tags_without_a_schema():
+    # signed and digested request bodies are never decoded, yet a frame that
+    # carries one of their ids where another schema belongs is a mismatch
+    assert codec.SchemaId.TGS_REQ_BODY not in codec._by_id
+    assert codec.schema_id_of(bytes([codec.SchemaId.TGS_REQ_BODY])) == codec.SchemaId.TGS_REQ_BODY
+    with pytest.raises(SchemaMismatch, match="found 0x1a"):
+        codec.decode(tlv(codec.SchemaId.TGS_REQ_BODY, b""), codec.SchemaId.VALIDITY)
+
+
+# ---------------------------------------------------------------- record files
+
+def test_record_file_roundtrip_and_errors(tmp_path):
+    path = tmp_path / "pairs.txt"
+    codec.save_records(str(path), [Validity(1, 2), Validity(3, 4)])
+    assert path.read_text().splitlines() == [codec.encode(Validity(1, 2)).hex(),
+                                             codec.encode(Validity(3, 4)).hex()]
+    assert not list(tmp_path.glob("*.tmp.*"))  # atomic rewrite leaves no droppings
+    assert path.stat().st_mode & 0o077 == 0  # the records hold keys
+
+    def load(source=path):
+        return codec.load_records(str(source), codec.SchemaId.VALIDITY, DbParseError, "pairs")
+    assert load() == [Validity(1, 2), Validity(3, 4)]
+    with pytest.raises(DbParseError, match="exactly one pairs record, found 2"):
+        codec.load_record(str(path), codec.SchemaId.VALIDITY, DbParseError, "pairs")
+    path.write_text("\n" + codec.encode(Validity(1, 2)).hex() + "\n\nzz\n")
+    with pytest.raises(DbParseError, match=r"pairs\.txt:4"):
+        load()
+    path.write_bytes(b"\xff\n")  # not ASCII
+    with pytest.raises(DbParseError, match="cannot read pairs"):
+        load()
+    with pytest.raises(DbParseError, match="cannot read pairs"):
+        load(tmp_path / "absent")
 
 
 # ---------------------------------------------------------------- round-trips
@@ -274,4 +308,5 @@ def test_registration_requires_dataclass_init_fields_in_order():
             codec.register(Pair, 0x7C, fields)
     with pytest.raises(ValueError, match="not a dataclass"):
         codec.register(Plain, 0x7C, [("a", "u8")])
-    assert codec.schema_id_of(b"\x7c") is None  # nothing was registered
+    assert codec.schema_id_of(b"\x7c") is None
+    assert 0x7C not in codec._by_id  # nothing was registered

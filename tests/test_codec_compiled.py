@@ -4,9 +4,12 @@ For every registered schema, values from a real ``happy_path`` run and from
 hypothesis must encode to the same bytes and decode to equal objects, and every
 proper prefix and every single-bit flip of those encodings must end the same
 way under both codecs: the same decoded object, or the same exception class
-with the same message.
+with the same message.  The bytes a request's signature or digest covers must
+be the reference encoding of that request without its last field, under the
+body's own schema id.
 """
 
+import hashlib
 import string
 
 import pytest
@@ -15,7 +18,9 @@ from hypothesis import strategies as st
 
 import codec_reference as reference
 from kerbpk import codec
-from kerbpk.messages import Principal
+from kerbpk.messages import (ApRequest, AsRequest, Principal, TgsRequest,
+                             ap_request_digest, as_request_signable,
+                             tgs_request_digest)
 from kerbpk.scenario import load_scenario, run_scenario
 
 SCHEMA_IDS = sorted(codec._by_id)
@@ -112,3 +117,26 @@ def value_strategy(cls):
 def test_generated_values_match_reference(schema_id, data):
     cls = codec._by_id[schema_id].cls
     assert_same_as_reference(data.draw(value_strategy(cls)))
+
+
+def reference_body(req, body_id: int) -> bytes:
+    """The reference encoding of ``req`` with its last field dropped, tagged ``body_id``."""
+    fields = codec._by_type[type(req)].fields
+    name, kind, arg = fields[-1]
+    last = reference._field(len(fields), reference._encode_value(kind, arg, getattr(req, name)))
+    whole = reference.encode(req)
+    return reference._field(body_id, whole[reference._HEADER.size:len(whole) - len(last)])
+
+
+@pytest.mark.parametrize("cls,body_id,derive,hashed", [
+    (AsRequest, codec.SchemaId.AS_REQ_BODY, as_request_signable, False),
+    (TgsRequest, codec.SchemaId.TGS_REQ_BODY, tgs_request_digest, True),
+    (ApRequest, codec.SchemaId.AP_REQ_BODY, ap_request_digest, True),
+], ids=["AS", "TGS", "AP"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_request_bodies_match_reference(cls, body_id, derive, hashed, data):
+    req = data.draw(value_strategy(cls))
+    body = reference_body(req, body_id)
+    assert codec.encode_body(req, body_id) == body
+    assert derive(req) == (hashlib.sha256(body).digest() if hashed else body)

@@ -8,15 +8,15 @@ import pytest
 from conftest import NOW, REALM, initiator_factory
 from kerbpk import codec
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket,
-                           PolicyParseError, StateError, UnknownService)
+                           PolicyParseError, StateError, Timeout, UnknownService)
 from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             AppRequest, AppResponse, BackendSession,
                             GatewayClient, GatewayCore, GatewayPolicy,
                             GatewaySession, ProtectedAppSession, ResponseCache,
                             echo_handler)
 from kerbpk.messages import ErrorReply, Principal, ReplayCache
-from kerbpk.transport import (FrameClient, SimClock, SimNetwork, recv_frame,
-                              send_frame)
+from kerbpk.transport import (Drop, FrameClient, SimClock, SimNetwork,
+                              recv_frame, send_frame)
 
 
 # --------------------------------------------------------------------- policy
@@ -291,6 +291,22 @@ def test_fresh_channel_that_fails_is_not_retried(logged_in):
     assert isinstance(info.value.cause, ConnectionClosed)
     assert handshake_frames(net) == 2  # one handshake, no second attempt
     assert core.backend_hits == 0 and client._channel is None
+
+
+def test_lost_reply_to_a_post_on_a_reused_channel_is_not_resent(logged_in):
+    net, core, client, events = gateway_stack(logged_in)
+    assert client.fetch("/data/a").status == 200
+    hits, sent = core.backend_hits, len(net.transcript)
+    # the POST, the backend hop out and back, then the gateway's reply: lost
+    net.add_fault(Drop(sent + 4))
+    with pytest.raises(FetchError) as info:
+        client.fetch("/data/b", method="POST", body=b"pay once")
+    assert info.value.step == "channel"
+    assert isinstance(info.value.cause, Timeout)
+    assert net.transcript[-1].status == "dropped"
+    assert core.backend_hits == hits + 1  # the backend saw the POST exactly once
+    assert handshake_frames(net) == 2  # no second handshake
+    assert client._channel is None
 
 
 def test_fetch_without_a_ticket_names_the_failing_step(realm):

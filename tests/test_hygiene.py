@@ -1,0 +1,35 @@
+"""Source hygiene: every name a library module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "kerbpk"
+MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_import():
+    assert len(MODULES) >= 10  # the source tree was found
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
+        ["b (line 2)", "os (line 1)"]
+    assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []

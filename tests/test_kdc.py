@@ -29,7 +29,8 @@ def make_tgs_request(realm, entry, now, service_id="echo", *, auth=None,
                      digest=None, nonce2=b"\x11" * 8, options=0):
     """Hand-rolled ticket-granting request so tests can bend each field."""
     if digest is None:
-        digest = tgs_request_digest(options, service_id, HOUR, nonce2, entry.ticket)
+        digest = tgs_request_digest(
+            TgsRequest(options, service_id, HOUR, nonce2, entry.ticket, None))
     if auth is None:
         auth = Authenticator("alice", REALM, now)
     sealed = TgsAuthenticator(auth, digest)
@@ -84,11 +85,11 @@ def test_as_rejects_certificate_naming_someone_else(realm):
 
 
 def test_as_rejects_forged_signature(realm):
-    from kerbpk.messages import as_request_signable_of
+    from kerbpk.messages import as_request_signable
     rogue = realm.provider.generate_keypair()
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(
-        req, signature=realm.provider.sign(rogue.private_key, as_request_signable_of(req)))
+        req, signature=realm.provider.sign(rogue.private_key, as_request_signable(req)))
     with pytest.raises(SignatureInvalid):
         handle_as_request(realm.db, KdcConfig(), bad, NOW, realm.provider)
 
@@ -181,7 +182,8 @@ def test_tgs_rejects_wrong_structure_inside_authenticator(realm):
 
 def test_tgs_rejects_request_not_matching_sealed_digest(realm):
     entry = tgt_of(realm)
-    wrong = tgs_request_digest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket)
+    wrong = tgs_request_digest(
+        TgsRequest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket, None))
     req = make_tgs_request(realm, entry, NOW, digest=wrong)
     with pytest.raises(RequestDigestMismatch):
         handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
@@ -326,6 +328,13 @@ def test_db_load_requires_exactly_one_ticket_granting_record(realm, tmp_path):
 def test_db_load_missing_file(tmp_path):
     with pytest.raises(DbParseError):
         PrincipalDb.load(str(tmp_path / "absent.db"))
+
+
+def test_db_load_rejects_a_file_that_is_not_ascii(tmp_path):
+    path = tmp_path / "realm.db"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(DbParseError, match="cannot read principal db"):
+        PrincipalDb.load(str(path))
 
 
 def test_service_key_file_roundtrip(realm, tmp_path):

@@ -1,13 +1,19 @@
 """Protocol message helpers: time windows, replay cache, authenticator checks."""
 
+import hashlib
+
 import pytest
 
 from kerbpk import codec
+from kerbpk.crypto import SealedBox
 from kerbpk.errors import (MalformedName, PrincipalMismatch, ReplayDetected,
                            SkewExceeded, TicketExpired, TicketNotYetValid,
                            UnknownPrincipal, UnknownRemoteError)
-from kerbpk.messages import (Authenticator, ErrorReply, Principal, ReplayCache,
-                             Validity, decode_reply, validate_authenticator,
+from kerbpk.messages import (ApRequest, AsRequest, Authenticator, Certificate,
+                             ErrorReply, Principal, ReplayCache, SealedTicket,
+                             TgsRequest, Validity, ap_request_digest,
+                             as_request_signable, decode_reply,
+                             tgs_request_digest, validate_authenticator,
                              validate_times)
 
 SKEW = 300
@@ -33,6 +39,27 @@ def test_zero_skew_is_exact():
         validate_times(window, 9, 0)
     with pytest.raises(TicketExpired):
         validate_times(window, 21, 0)
+
+
+# ------------------------------------------------------------- request bodies
+
+def test_request_bodies_are_pinned():
+    # Signatures and sealed digests already issued cover these exact bytes.
+    alice = Principal("alice", "EXAMPLE")
+    validity = Validity(1_000_000, 1_028_800)
+    ticket = SealedTicket(Principal("krbtgt", "EXAMPLE"), SealedBox(b"\xa5" * 48, 1))
+    box = SealedBox(b"\x5a" * 40, 3)
+    as_req = AsRequest(0, alice, "krbtgt", validity, b"\x01" * 16,
+                       Certificate(alice, bytes(range(32)), 7), b"\x02" * 64)
+    signable = as_request_signable(as_req)
+    assert signable[:5] == bytes.fromhex("1c000000c9")  # AS_REQ_BODY, 201 bytes
+    assert hashlib.sha256(signable).hexdigest() == \
+        "2b9239304a5ceb2f0f1f84e6e170d007fcd6be0cf9334ca744dd6b4e5393e0f4"
+    tgs_req = TgsRequest(0, "echo", validity, b"\x03" * 16, ticket, box)
+    assert tgs_request_digest(tgs_req).hex() == \
+        "3d5dd19e23ca077ad79f3d324c0c5a729aecb584be44094e1f4ed435156332fc"
+    assert ap_request_digest(ApRequest(0, ticket, box)).hex() == \
+        "3c656e4a609cde23de4d0eccd79c1875ca53751ffa6bf988f5f33bd7d49ef1f2"
 
 
 # --------------------------------------------------------------- replay cache
