@@ -46,15 +46,7 @@ from .gateway import (
     SERVED_CACHE,
     echo_handler,
 )
-from .gss import (
-    MECHANISM,
-    ContextInitiator,
-    CredentialUsage,
-    MechanismName,
-    NameType,
-    ReqFlags,
-    acquire_credential,
-)
+from .gss import initiator_for
 from .kdc import (
     DEFAULT_AS_PORT,
     DEFAULT_TGS_PORT,
@@ -68,9 +60,9 @@ from .kdc import (
     load_service_key,
     save_service_key,
 )
-from .messages import Principal, ReplayCache, Validity, decode_reply
+from .messages import Principal, ReplayCache, Validity
 from .scenario import load_scenario, parse_scenario, run_scenario
-from .transport import FrameClient, ThreadedFrameServer
+from .transport import FrameClient, ThreadedFrameServer, call
 
 _KIND_NAMES = {int(RecordKind.USER): "user", int(RecordKind.SERVICE): "service",
                int(RecordKind.TGS_SERVICE): "tgs"}
@@ -109,12 +101,10 @@ def _crypto_args(parser: argparse.ArgumentParser) -> None:
                         help="deterministic seed, toy provider only")
 
 
-def _call(host: str, port: int, request_payload: bytes, expected: codec.SchemaId,
-          timeout: float = 5.0):
-    conn = FrameClient(host, port, timeout=timeout)
+def _call(host: str, port: int, request, expected: codec.SchemaId):
+    conn = FrameClient(host, port)
     try:
-        conn.send(request_payload)
-        return decode_reply(conn.recv(), expected)
+        return call(conn, request, expected)
     finally:
         conn.close()
 
@@ -198,8 +188,7 @@ def cmd_client_kinit(args) -> int:
     now = _now()
 
     def send_as(request):
-        return _call(args.as_host, args.as_port, codec.encode(request),
-                     codec.SchemaId.AS_REPLY)
+        return _call(args.as_host, args.as_port, request, codec.SchemaId.AS_REPLY)
 
     entry = agent.kinit(send_as, now, tgs_id=args.tgs_name,
                         requested_validity=Validity(now, now + args.lifetime))
@@ -211,8 +200,7 @@ def cmd_client_kinit(args) -> int:
 
 def _tgs_sender(args):
     def send_tgs(request):
-        return _call(args.tgs_host, args.tgs_port, codec.encode(request),
-                     codec.SchemaId.TGS_REPLY)
+        return _call(args.tgs_host, args.tgs_port, request, codec.SchemaId.TGS_REPLY)
     return send_tgs
 
 
@@ -231,7 +219,7 @@ def cmd_client_fetch(args) -> int:
     provider = _provider_of(args)
 
     def connect():
-        return FrameClient(args.gateway_host, args.gateway_port, timeout=5.0)
+        return FrameClient(args.gateway_host, args.gateway_port)
 
     if args.plain:
         client = GatewayClient(connect, None, _now)
@@ -254,16 +242,9 @@ def cmd_client_fetch(args) -> int:
                 cache.save(path)
             return entry.ticket, entry.key
 
-        def make_initiator(now: int) -> ContextInitiator:
-            cred = acquire_credential(
-                MechanismName(cache.client, NameType.PRINCIPAL_NAME, MECHANISM),
-                CredentialUsage.INITIATE, cache)
-            target = MechanismName(Principal(args.service, cache.client.realm),
-                                   NameType.PRINCIPAL_NAME, MECHANISM)
-            return ContextInitiator(cred, target, ReqFlags(), provider,
-                                    ticket_source=ticket_source)
-
-        client = GatewayClient(connect, make_initiator, _now)
+        client = GatewayClient(
+            connect, lambda now: initiator_for(cache, args.service, provider, ticket_source),
+            _now)
         try:
             response = client.fetch(args.resource, args.method, args.body.encode())
         finally:
@@ -316,8 +297,7 @@ def cmd_gateway(args) -> int:
     backends = []
     for spec in args.backend or []:
         prefix, (host, port) = _parse_backend(spec)
-        backends.append((prefix, lambda host=host, port=port: FrameClient(host, port,
-                                                                          timeout=5.0)))
+        backends.append((prefix, lambda host=host, port=port: FrameClient(host, port)))
     cache = ResponseCache(args.cache_capacity) if args.cache_capacity > 0 else None
     core = GatewayCore(policy, cache, backends)
     replay = ReplayCache()

@@ -29,6 +29,7 @@ from .errors import (
     WrongPassword,
 )
 from .messages import (
+    CLOCK_SKEW,
     AsEncPart,
     AsReply,
     AsRequest,
@@ -118,7 +119,7 @@ codec.register(IdentityFile, codec.SchemaId.IDENTITY_FILE, [
 class CredentialCache:
     """TGT plus per-service credentials, evicting entries past till + skew."""
 
-    def __init__(self, client: Principal, skew: int = 300):
+    def __init__(self, client: Principal, skew: int = CLOCK_SKEW):
         self.client = client
         self.skew = skew
         self._tgt: Optional[CredEntry] = None
@@ -172,10 +173,10 @@ class CredentialCache:
         codec.save_records(path, [self.to_file_struct()])
 
     @classmethod
-    def load(cls, path: str, skew: int = 300) -> "CredentialCache":
+    def load(cls, path: str) -> "CredentialCache":
         parsed: CredentialCacheFile = codec.load_record(
             path, codec.SchemaId.CREDENTIAL_CACHE, CcacheParseError, "credential cache")
-        cache = cls(parsed.client, skew)
+        cache = cls(parsed.client)
         cache._tgt = parsed.tgt
         cache._services = {sc.service_id: sc.entry for sc in parsed.services}
         return cache
@@ -185,7 +186,7 @@ class ClientAgent:
     """Drives the two KDC exchanges and maintains the credential cache."""
 
     def __init__(self, identity: ClientIdentity, provider: CryptoProvider,
-                 cache: Optional[CredentialCache] = None, skew: int = 300):
+                 cache: Optional[CredentialCache] = None, skew: int = CLOCK_SKEW):
         self.identity = identity
         self.provider = provider
         self.skew = skew

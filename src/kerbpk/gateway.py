@@ -40,7 +40,8 @@ from .gss import (
     SecurityContext,
     acquire_credential,
 )
-from .messages import ErrorReply, Principal, ReplayCache, decode_reply
+from .messages import Principal, ReplayCache, decode_reply, error_reply
+from .transport import call
 
 SERVED_BACKEND = 1
 SERVED_CACHE = 2
@@ -171,9 +172,7 @@ class GatewayCore:
         except (BackendUnreachable, ConnectionClosed, OSError) as exc:
             return AppResponse(502, f"backend unreachable: {exc}".encode(), SERVED_BACKEND)
         try:
-            conn.send(codec.encode(request))
-            payload = conn.recv()
-            response: AppResponse = codec.decode(payload, codec.SchemaId.APP_RESPONSE)
+            response: AppResponse = call(conn, request, codec.SchemaId.APP_RESPONSE)
         except (KerbPkError, OSError) as exc:
             return AppResponse(502, f"backend failed: {exc}".encode(), SERVED_BACKEND)
         finally:
@@ -198,7 +197,7 @@ class BackendSession:
             request = codec.decode(payload, codec.SchemaId.APP_REQUEST)
             response = self.handler(request)
         except KerbPkError as exc:
-            return [codec.encode(ErrorReply(exc.name, str(exc)))], True
+            return [error_reply(exc)], True
         return [codec.encode(response)], False
 
 
@@ -212,21 +211,19 @@ class ProtectedAppSession:
     def __init__(self, service: Principal, key: SymmetricKey, provider: CryptoProvider,
                  replay_cache: ReplayCache,
                  handler: Callable[[AppRequest], AppResponse] = echo_handler,
-                 skew: int = 300,
                  on_event: Optional[Callable[[str, str], None]] = None):
         self.service = service
         self.key = key
         self.provider = provider
         self.replay_cache = replay_cache
         self.handler = handler
-        self.skew = skew
         self.on_event = on_event
         self.context: Optional[SecurityContext] = None
 
     def _error(self, exc: KerbPkError) -> tuple[list[bytes], bool]:
         if self.on_event is not None:
             self.on_event(self.service.name, exc.name)
-        return [codec.encode(ErrorReply(exc.name, str(exc)))], True
+        return [error_reply(exc)], True
 
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         schema = codec.schema_id_of(payload)
@@ -234,8 +231,7 @@ class ProtectedAppSession:
             cred = acquire_credential(
                 MechanismName(self.service, NameType.PRINCIPAL_NAME, MECHANISM),
                 CredentialUsage.ACCEPT, self.key)
-            acceptor = ContextAcceptor(cred, self.provider,
-                                       replay_cache=self.replay_cache, skew=self.skew)
+            acceptor = ContextAcceptor(cred, self.provider, replay_cache=self.replay_cache)
             try:
                 token = codec.decode(payload, codec.SchemaId.CONTEXT_TOKEN)
                 reply, _ = acceptor.step(token, now)
@@ -267,19 +263,18 @@ class GatewaySession:
     """
 
     def __init__(self, core: GatewayCore, service: Principal, key: SymmetricKey,
-                 provider: CryptoProvider, replay_cache: ReplayCache, skew: int = 300,
+                 provider: CryptoProvider, replay_cache: ReplayCache,
                  on_event: Optional[Callable[[str, str], None]] = None):
         self.core = core
         self._protected = ProtectedAppSession(service, key, provider, replay_cache,
-                                              handler=core.handle, skew=skew,
-                                              on_event=on_event)
+                                              handler=core.handle, on_event=on_event)
 
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         if codec.schema_id_of(payload) == codec.SchemaId.APP_REQUEST:
             try:
                 request = codec.decode(payload, codec.SchemaId.APP_REQUEST)
             except KerbPkError as exc:
-                return [codec.encode(ErrorReply(exc.name, str(exc)))], True
+                return [error_reply(exc)], True
             if self.core.policy.decision(request.resource) == PROTECT:
                 return [codec.encode(AppResponse(
                     401, b"resource requires an authenticated context",
@@ -295,24 +290,26 @@ class SecureChannel:
         self.conn = conn
         self.context = context
 
-    def call(self, request: AppRequest, timeout: int = 30) -> AppResponse:
-        wrapped = self.context.wrap(codec.encode(request))
-        self.conn.send(codec.encode(wrapped))
-        reply = decode_reply(self.conn.recv(timeout), codec.SchemaId.WRAP_TOKEN)
-        plain = self.context.unwrap(reply)
-        return codec.decode(plain, codec.SchemaId.APP_RESPONSE)
+    def send(self, request: AppRequest) -> None:
+        self.conn.send(codec.encode(self.context.wrap(codec.encode(request))))
+
+    def receive(self) -> AppResponse:
+        reply = decode_reply(self.conn.recv(), codec.SchemaId.WRAP_TOKEN)
+        return codec.decode(self.context.unwrap(reply), codec.SchemaId.APP_RESPONSE)
+
+    def call(self, request: AppRequest) -> AppResponse:
+        self.send(request)
+        return self.receive()
 
     def close(self) -> None:
         self.conn.close()
 
 
-def open_channel(initiator: ContextInitiator, conn, now_fn: Callable[[], int],
-                 timeout: int = 30) -> SecureChannel:
+def open_channel(initiator: ContextInitiator, conn,
+                 now_fn: Callable[[], int]) -> SecureChannel:
     """Run the two handshake legs over an open connection."""
     token, _ = initiator.step(None, now_fn())
-    conn.send(codec.encode(token))
-    reply = decode_reply(conn.recv(timeout), codec.SchemaId.CONTEXT_TOKEN)
-    initiator.step(reply, now_fn())
+    initiator.step(call(conn, token, codec.SchemaId.CONTEXT_TOKEN), now_fn())
     return SecureChannel(conn, initiator.context)
 
 
@@ -327,18 +324,17 @@ class GatewayClient:
 
     def __init__(self, connect: Callable[[], object],
                  make_initiator: Callable[[int], ContextInitiator],
-                 now_fn: Callable[[], int], timeout: int = 30):
+                 now_fn: Callable[[], int]):
         self.connect = connect
         self.make_initiator = make_initiator
         self.now_fn = now_fn
-        self.timeout = timeout
         self._channel: Optional[SecureChannel] = None
 
     def _open(self) -> SecureChannel:
         initiator = self.make_initiator(self.now_fn())
         conn = self.connect()
         try:
-            return open_channel(initiator, conn, self.now_fn, self.timeout)
+            return open_channel(initiator, conn, self.now_fn)
         except KerbPkError:
             conn.close()
             raise
@@ -357,8 +353,7 @@ class GatewayClient:
                     body: bytes = b"") -> AppResponse:
         conn = self.connect()
         try:
-            conn.send(codec.encode(AppRequest(method, resource, body)))
-            return decode_reply(conn.recv(self.timeout), codec.SchemaId.APP_RESPONSE)
+            return call(conn, AppRequest(method, resource, body), codec.SchemaId.APP_RESPONSE)
         finally:
             conn.close()
 
@@ -375,7 +370,7 @@ class GatewayClient:
                 except KerbPkError as exc:
                     raise self._as_fetch_error("handshake", exc) from exc
             try:
-                return self._channel.call(request, self.timeout)
+                return self._channel.call(request)
             except KerbPkError as exc:
                 self.close()
                 if fresh or method != "GET":

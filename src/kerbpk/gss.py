@@ -40,6 +40,7 @@ from .errors import (
     WrongDirection,
 )
 from .messages import (
+    CLOCK_SKEW,
     ApEncPart,
     ApReply,
     ApRequest,
@@ -292,17 +293,26 @@ class ContextInitiator:
         raise StateError(f"initiator stepped in state {ctx.state.value}")
 
 
+def initiator_for(cache, service: str, provider: CryptoProvider,
+                  ticket_source: Callable) -> ContextInitiator:
+    """Initiator for the cache's client toward ``service`` in the client's realm."""
+    cred = acquire_credential(MechanismName(cache.client, NameType.PRINCIPAL_NAME, MECHANISM),
+                              CredentialUsage.INITIATE, cache)
+    target = MechanismName(Principal(service, cache.client.realm),
+                           NameType.PRINCIPAL_NAME, MECHANISM)
+    return ContextInitiator(cred, target, ReqFlags(), provider, ticket_source)
+
+
 class ContextAcceptor:
     """Service half; validates leg 1 and answers with the sealed echo."""
 
     def __init__(self, cred: ContextCredential, provider: CryptoProvider,
-                 replay_cache: Optional[ReplayCache] = None, skew: int = 300):
+                 replay_cache: Optional[ReplayCache] = None):
         if cred.usage != CredentialUsage.ACCEPT:
             raise UsageViolation("acceptor needs an Accept credential")
         self.cred = cred
         self.provider = provider
-        self.replay_cache = replay_cache if replay_cache is not None else ReplayCache(2 * skew)
-        self.skew = skew
+        self.replay_cache = replay_cache if replay_cache is not None else ReplayCache()
         self.context = SecurityContext(CredentialUsage.ACCEPT, provider)
 
     def step(self, input_token: ContextToken, now: int) -> tuple[Optional[ContextToken], ContextState]:
@@ -319,7 +329,7 @@ class ContextAcceptor:
             except IntegrityError as exc:
                 raise TokenIntegrityError(f"ticket does not open under this service key: {exc}") from None
             body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
-            validate_times(body.validity, now, self.skew)
+            validate_times(body.validity, now, CLOCK_SKEW)
             try:
                 auth_bytes = self.provider.open(body.session_key, request.authenticator,
                                                 SealLabel.AUTHENTICATOR)
@@ -333,7 +343,7 @@ class ContextAcceptor:
                 raise RequiredFlagMissing("peer did not assert all mandatory context flags")
             validate_authenticator(sealed.authenticator,
                                    Principal(body.client_id, body.client_realm),
-                                   now, self.skew, self.replay_cache,
+                                   now, CLOCK_SKEW, self.replay_cache,
                                    hashlib.sha256(request.authenticator.ciphertext).digest())
         except Exception:
             ctx.state = ContextState.FAILED

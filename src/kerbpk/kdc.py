@@ -39,11 +39,11 @@ from .errors import (
     UnknownService,
 )
 from .messages import (
+    CLOCK_SKEW,
     AsEncPart,
     AsReply,
     AsRequest,
     Certificate,
-    ErrorReply,
     FLAG_INITIAL,
     Principal,
     ReplayCache,
@@ -55,6 +55,7 @@ from .messages import (
     TicketBody,
     Validity,
     as_request_signable,
+    error_reply,
     tgs_request_digest,
     validate_authenticator,
     validate_times,
@@ -112,9 +113,6 @@ def load_service_key(path: str) -> ServiceKeyFile:
 @dataclass
 class KdcConfig:
     max_ticket_lifetime: int = 28800
-    clock_skew: int = 300
-    replay_window: int = 600  # 2 x clock_skew
-    replay_capacity: int = 4096
     enforce_address: bool = False
 
 
@@ -196,6 +194,17 @@ class PrincipalDb:
         return db
 
 
+def _grant(requested: Validity, now: int, latest: int) -> Validity:
+    """The window to issue: from now until the requested end, but no later
+    than ``latest``.  An inverted request or an empty grant is refused."""
+    if requested.from_time >= requested.till:
+        raise BadValidityWindow(f"from {requested.from_time} >= till {requested.till}")
+    granted = Validity(now, min(requested.till, latest))
+    if granted.till <= now:
+        raise BadValidityWindow(f"nothing left to grant: till {granted.till}, now {now}")
+    return granted
+
+
 def handle_as_request(db: PrincipalDb, config: KdcConfig, req: AsRequest, now: int,
                       provider: CryptoProvider, client_address: str = "") -> AsReply:
     """Initial authentication: certificate check, signature check, TGT issue."""
@@ -212,15 +221,12 @@ def handle_as_request(db: PrincipalDb, config: KdcConfig, req: AsRequest, now: i
         raise CertificateMismatch("certificate subject does not name the requesting client")
     if not provider.verify(record.certificate.public_key, as_request_signable(req), req.signature):
         raise SignatureInvalid(f"request signature does not verify for {req.client.name}")
-    if req.requested_validity.from_time >= req.requested_validity.till:
-        raise BadValidityWindow(
-            f"from {req.requested_validity.from_time} >= till {req.requested_validity.till}")
+    granted = _grant(req.requested_validity, now, now + config.max_ticket_lifetime)
     tgs = db.lookup(req.tgs_id)
     if tgs is None or tgs.kind != int(RecordKind.TGS_SERVICE):
         raise UnknownPrincipal(f"no ticket-granting service named {req.tgs_id}")
 
     session_key = provider.random_session_key()
-    granted = Validity(now, min(req.requested_validity.till, now + config.max_ticket_lifetime))
     body = TicketBody(FLAG_INITIAL, session_key, req.client.realm, req.client.name,
                       client_address, granted)
     ticket = SealedTicket(tgs.principal,
@@ -241,7 +247,7 @@ def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now:
     except IntegrityError as exc:
         raise TicketIntegrityError(str(exc)) from None
     body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
-    validate_times(body.validity, now, config.clock_skew)
+    validate_times(body.validity, now, CLOCK_SKEW)
     try:
         auth_bytes = provider.open(body.session_key, req.authenticator, SealLabel.AUTHENTICATOR)
     except IntegrityError as exc:
@@ -253,7 +259,7 @@ def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now:
     if sealed.request_digest != tgs_request_digest(req):
         raise RequestDigestMismatch("request fields do not match the sealed digest")
     validate_authenticator(sealed.authenticator, Principal(body.client_id, body.client_realm),
-                           now, config.clock_skew, replay_cache,
+                           now, CLOCK_SKEW, replay_cache,
                            hashlib.sha256(req.authenticator.ciphertext).digest())
     if config.enforce_address and body.client_address and body.client_address != client_address:
         raise AddressMismatch(f"ticket bound to {body.client_address}, request from {client_address}")
@@ -261,8 +267,10 @@ def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now:
     if service is None or service.kind != int(RecordKind.SERVICE):
         raise UnknownService(f"no service named {req.service_id}")
 
+    # a service ticket never outlives the ticket-granting ticket (RFC 4120 3.3.3)
+    granted = _grant(req.requested_validity, now,
+                     min(now + config.max_ticket_lifetime, body.validity.till))
     session_key = provider.random_session_key()
-    granted = Validity(now, min(req.requested_validity.till, now + config.max_ticket_lifetime))
     service_body = TicketBody(0, session_key, body.client_realm, body.client_id,
                               body.client_address, granted)
     ticket = SealedTicket(service.principal,
@@ -285,14 +293,10 @@ class KdcService:
     db: PrincipalDb
     config: KdcConfig
     provider: CryptoProvider
-    replay_cache: ReplayCache = field(default=None)  # type: ignore[assignment]
+    replay_cache: ReplayCache = field(default_factory=ReplayCache)
     as_requests: int = 0
     tgs_requests: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __post_init__(self):
-        if self.replay_cache is None:
-            self.replay_cache = ReplayCache(self.config.replay_window, self.config.replay_capacity)
 
     @property
     def request_count(self) -> int:
@@ -336,5 +340,5 @@ class KdcFrameSession:
         except KerbPkError as exc:
             if self.on_event:
                 self.on_event(f"kdc-{self.role}", exc.name)
-            return [codec.encode(ErrorReply(exc.name, str(exc)))], False
+            return [error_reply(exc)], False
         return [codec.encode(reply)], False

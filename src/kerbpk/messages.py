@@ -23,6 +23,7 @@ from typing import Optional
 from . import codec
 from .crypto import SealedBox, SymmetricKey
 from .errors import (
+    KerbPkError,
     MalformedName,
     PrincipalMismatch,
     ReplayDetected,
@@ -34,6 +35,9 @@ from .errors import (
 
 #: TicketBody.flags bit set only by the authentication server on fresh TGTs.
 FLAG_INITIAL = 0x1
+
+#: Realm-wide clock-skew allowance, in seconds, for every time check.
+CLOCK_SKEW = 300
 
 _NAME_OK = frozenset(chr(c) for c in range(0x21, 0x7F))
 
@@ -283,6 +287,11 @@ def decode_reply(payload: bytes, expected: codec.SchemaId):
     return codec.decode(payload, expected)
 
 
+def error_reply(exc: KerbPkError) -> bytes:
+    """The encoded ErrorReply that reports ``exc`` to the peer."""
+    return codec.encode(ErrorReply(exc.name, str(exc)))
+
+
 def as_request_signable(req: AsRequest) -> bytes:
     """Canonical bytes the initial-auth signature covers: all but the signature."""
     return codec.encode_body(req, codec.SchemaId.AS_REQ_BODY)
@@ -313,7 +322,7 @@ class ReplayCache:
     oldest inserted goes first.  Thread-safe.
     """
 
-    def __init__(self, window: int = 600, capacity: int = 4096):
+    def __init__(self, window: int = 2 * CLOCK_SKEW, capacity: int = 4096):
         self.window = window
         self.capacity = capacity
         self._seen: OrderedDict[tuple, int] = OrderedDict()

@@ -42,15 +42,7 @@ from .gateway import (
     echo_handler,
     open_channel,
 )
-from .gss import (
-    MECHANISM,
-    ContextInitiator,
-    CredentialUsage,
-    MechanismName,
-    NameType,
-    ReqFlags,
-    acquire_credential,
-)
+from .gss import initiator_for
 from .kdc import (
     KdcConfig,
     KdcFrameSession,
@@ -65,7 +57,6 @@ from .messages import (
     ReplayCache,
     Validity,
     as_request_signable,
-    decode_reply,
 )
 from .transport import (
     Fault,
@@ -73,6 +64,7 @@ from .transport import (
     SimClock,
     SimNetwork,
     ThreadedFrameServer,
+    call,
     parse_fault,
 )
 
@@ -264,8 +256,8 @@ class _CountingConn:
         self._conn.send(payload)
         self._runner.frames += 1
 
-    def recv(self, timeout=None):
-        payload = self._conn.recv(self._runner.recv_timeout if timeout is None else timeout)
+    def recv(self):
+        payload = self._conn.recv()
         self._runner.frames += 1
         return payload
 
@@ -292,7 +284,6 @@ class ScenarioRunner:
         self.kdc = KdcService(self.db, KdcConfig(), self.provider)
         self.frames = 0
         self.handshake_legs = 0
-        self.recv_timeout: float = 30
         self.step_results: list[StepResult] = []
         self.events: list[EventRecord] = []
         self._step_index = 0
@@ -315,7 +306,6 @@ class ScenarioRunner:
             for address, factory in factories.items():
                 self._network.register(address, factory)
         else:
-            self.recv_timeout = 5.0
             for address, factory in factories.items():
                 server = ThreadedFrameServer(factory, now_fn=self.clock.now).start()
                 self._servers.append(server)
@@ -369,8 +359,7 @@ class ScenarioRunner:
     def _connect(self, address: str, label: str) -> _CountingConn:
         if self._network is not None:
             return _CountingConn(self._network.connect(address, label), self)
-        return _CountingConn(FrameClient("127.0.0.1", self._ports[address],
-                                         timeout=self.recv_timeout), self)
+        return _CountingConn(FrameClient("127.0.0.1", self._ports[address]), self)
 
     # -- step execution ------------------------------------------------------
 
@@ -428,9 +417,7 @@ class ScenarioRunner:
                 rogue.private_key, as_request_signable(request)))
         conn = self._connect("as", f"{user}<->as")
         try:
-            conn.send(codec.encode(request))
-            reply = decode_reply(conn.recv(), codec.SchemaId.AS_REPLY)
-            agent.process_as_reply(reply, request.nonce1)
+            agent.process_as_reply(call(conn, request, codec.SchemaId.AS_REPLY), request.nonce1)
             outcome, error = "ok", None
         except KerbPkError as exc:
             outcome, error = "error", exc.name
@@ -444,8 +431,7 @@ class ScenarioRunner:
         def send(request):
             conn = self._connect("tgs", f"{user}<->tgs")
             try:
-                conn.send(codec.encode(request))
-                return decode_reply(conn.recv(), codec.SchemaId.TGS_REPLY)
+                return call(conn, request, codec.SchemaId.TGS_REPLY)
             finally:
                 conn.close()
         return send
@@ -458,13 +444,7 @@ class ScenarioRunner:
 
     def _step_handshake(self, step: Step) -> StepResult:
         user, service = step.args
-        identity = self._identity(user)
         cache = self._cache(user)
-        cred = acquire_credential(
-            MechanismName(identity.principal, NameType.PRINCIPAL_NAME, MECHANISM),
-            CredentialUsage.INITIATE, cache)
-        target = MechanismName(Principal(service, self.script.realm),
-                               NameType.PRINCIPAL_NAME, MECHANISM)
 
         def present_anyway(target_principal: Principal, now: int):
             # hand over whatever is cached; expiry is the server's call
@@ -473,8 +453,7 @@ class ScenarioRunner:
                 raise NoTicket(f"no cached service ticket for {target_principal.name}")
             return entry.ticket, entry.key
 
-        initiator = ContextInitiator(cred, target, ReqFlags(), self.provider,
-                                     ticket_source=present_anyway)
+        initiator = initiator_for(cache, service, self.provider, present_anyway)
         conn = self._connect(f"app:{service}", f"{user}<->{service}")
         try:
             channel = open_channel(initiator, conn, self.clock.now)
@@ -514,16 +493,12 @@ class ScenarioRunner:
     def _step_pipeline(self, step: Step) -> StepResult:
         user, service, first, second = step.args
         channel = self._channel(user, service)
-        ctx, conn = channel.context, channel.conn
         for text in (first, second):
-            conn.send(codec.encode(ctx.wrap(codec.encode(
-                AppRequest("POST", "/echo", text.encode())))))
+            channel.send(AppRequest("POST", "/echo", text.encode()))
         replies = 0
         try:
             for text in (first, second):
-                token = decode_reply(conn.recv(), codec.SchemaId.WRAP_TOKEN)
-                body = ctx.unwrap(token)
-                response = codec.decode(body, codec.SchemaId.APP_RESPONSE)
+                response = channel.receive()
                 if response.body != text.encode():
                     raise StateError("pipelined echo came back reordered")
                 replies += 1

@@ -11,7 +11,8 @@ Time in the simulator is a logical tick counter shared by every endpoint, so
 runs are reproducible; the TCP server, a bounded set of reused worker threads,
 uses the real clock and keeps the same session interface.  A session object
 consumes one request payload at a time via ``feed(payload, now) -> (replies,
-close)``; both transports reach it through ``serve_frame``.
+close)``; both transports reach it through ``serve_frame``, and a client makes
+each request/reply step with ``call``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     ScenarioParseError,
     Timeout,
 )
-from .messages import ErrorReply
+from .messages import decode_reply, error_reply
 
 MAX_FRAME = 1 << 20
 DEFAULT_RECV_TIMEOUT = 30   # also the TCP server's idle timeout, in seconds
@@ -71,8 +72,15 @@ def serve_frame(session, wire: bytes, now: int) -> tuple[list[bytes], bool]:
     try:
         payload = unpack_frame(wire)
     except (FrameError, FrameTooLarge) as exc:
-        return [codec.encode(ErrorReply(exc.name, str(exc)))], True
+        return [error_reply(exc)], True
     return session.feed(payload, now)
+
+
+def call(conn, request, expected: codec.SchemaId):
+    """One client step: send ``request``, then decode the reply as
+    ``expected``; a transported ErrorReply raises its named error."""
+    conn.send(codec.encode(request))
+    return decode_reply(conn.recv(), expected)
 
 
 def _take_wire(buf: bytearray) -> Optional[bytes]:
@@ -92,30 +100,6 @@ def _take_wire(buf: bytearray) -> Optional[bytes]:
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(pack_frame(payload))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except socket.timeout:
-            raise Timeout("timed out waiting for frame data") from None
-        if not chunk:
-            raise ConnectionClosed("peer closed the connection mid-frame"
-                                   if buf else "peer closed the connection")
-        buf.extend(chunk)
-    return bytes(buf)
-
-
-def recv_frame(sock: socket.socket, timeout: Optional[float] = None) -> bytes:
-    if timeout is not None:
-        sock.settimeout(timeout)
-    header = _recv_exact(sock, _LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise FrameTooLarge(f"frame header claims {length} bytes")
-    return _recv_exact(sock, length)
 
 
 class SimClock:
@@ -489,11 +473,16 @@ class ThreadedFrameServer:
 
 
 class FrameClient:
-    """Blocking client for the threaded server; mirrors SimConnection."""
+    """Blocking client for the threaded server; mirrors SimConnection.
+
+    Frames are cut from a receive buffer, as the server cuts them, so bytes
+    read past the end of one frame stay for the next ``recv``.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self.timeout = timeout
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._buf = bytearray()
 
     def send(self, payload: bytes) -> None:
         try:
@@ -502,10 +491,19 @@ class FrameClient:
             raise ConnectionClosed("peer closed the connection") from None
 
     def recv(self, timeout: Optional[float] = None) -> bytes:
-        try:
-            return recv_frame(self._sock, timeout if timeout is not None else self.timeout)
-        except ConnectionResetError:
-            raise ConnectionClosed("peer reset the connection") from None
+        self._sock.settimeout(self.timeout if timeout is None else timeout)
+        while (wire := _take_wire(self._buf)) is None:
+            try:
+                chunk = self._sock.recv(_RECV_CHUNK)
+            except socket.timeout:
+                raise Timeout("timed out waiting for frame data") from None
+            except ConnectionResetError:
+                raise ConnectionClosed("peer reset the connection") from None
+            if not chunk:
+                raise ConnectionClosed("peer closed the connection mid-frame"
+                                       if self._buf else "peer closed the connection")
+            self._buf += chunk
+        return unpack_frame(wire)
 
     def close(self) -> None:
         try:

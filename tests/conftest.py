@@ -1,13 +1,14 @@
 """Shared fixtures: a one-user, one-service realm with an in-process KDC."""
 
+import struct
+
 import pytest
 
 from kerbpk import codec
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import get_provider
-from kerbpk.errors import NoTicket
-from kerbpk.gss import (MECHANISM, ContextInitiator, CredentialUsage,
-                        MechanismName, NameType, ReqFlags, acquire_credential)
+from kerbpk.errors import ConnectionClosed, NoTicket
+from kerbpk.gss import initiator_for
 from kerbpk.kdc import KdcConfig, KdcService, PrincipalDb
 from kerbpk.messages import Principal
 
@@ -67,11 +68,24 @@ def cache_ticket_source(cache):
 
 def initiator_factory(realm):
     """Builds alice's initiator for "echo" from her cached tickets alone."""
-    def make_initiator(now):
-        cred = acquire_credential(
-            MechanismName(Principal("alice", REALM), NameType.PRINCIPAL_NAME, MECHANISM),
-            CredentialUsage.INITIATE, realm.agent.cache)
-        target = MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
-        return ContextInitiator(cred, target, ReqFlags(), realm.provider,
-                                ticket_source=cache_ticket_source(realm.agent.cache))
-    return make_initiator
+    cache = realm.agent.cache
+    return lambda now: initiator_for(cache, "echo", realm.provider,
+                                     cache_ticket_source(cache))
+
+
+def recv_frame(sock, timeout=None):
+    """Read one frame's payload off a raw socket, for tests that play a peer."""
+    if timeout is not None:
+        sock.settimeout(timeout)
+
+    def exact(n):
+        data = b""
+        while len(data) < n:
+            chunk = sock.recv(n - len(data))
+            if not chunk:
+                raise ConnectionClosed("peer closed the connection")
+            data += chunk
+        return data
+
+    (length,) = struct.unpack(">I", exact(4))
+    return exact(length)

@@ -2,10 +2,11 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
-from conftest import NOW, REALM, initiator_factory
+from conftest import NOW, REALM, initiator_factory, recv_frame
 from kerbpk import codec
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket,
                            PolicyParseError, StateError, Timeout, UnknownService)
@@ -15,8 +16,7 @@ from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             GatewaySession, ProtectedAppSession, ResponseCache,
                             echo_handler)
 from kerbpk.messages import ErrorReply, Principal, ReplayCache
-from kerbpk.transport import (Drop, FrameClient, SimClock, SimNetwork,
-                              recv_frame, send_frame)
+from kerbpk.transport import Drop, FrameClient, SimClock, SimNetwork, send_frame
 
 
 # --------------------------------------------------------------------- policy
@@ -132,6 +132,14 @@ def test_core_answers_502_when_the_backend_misbehaves():
     assert response.status == 502
     assert b"backend failed" in response.body
 
+    def refuse(request):
+        raise UnknownService(f"nothing at {request.resource}")
+
+    # a backend's ErrorReply reaches the 502 with its own detail
+    net.register("backend", lambda: BackendSession(refuse))
+    response = core.handle(AppRequest("GET", "/data", b""))
+    assert (response.status, response.body) == (502, b"backend failed: nothing at /data")
+
 
 # ------------------------------------------------------------------- sessions
 
@@ -207,6 +215,17 @@ def test_plain_fetch_of_protected_resource_is_401(logged_in):
     response = client.fetch_plain("/data/secret")
     assert response.status == 401
     assert core.backend_hits == 0  # never even consulted the backend
+
+
+def test_plain_fetch_waits_only_as_long_as_its_connection():
+    # the listener completes the connect from its backlog and never answers
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = GatewayClient(lambda: FrameClient(*listener.getsockname(), timeout=0.3),
+                               None, lambda: NOW)
+        started = time.monotonic()
+        with pytest.raises(Timeout):
+            client.fetch_plain("/public/page")
+        assert time.monotonic() - started < 3.0
 
 
 def test_authenticated_fetch_reaches_the_backend(logged_in):

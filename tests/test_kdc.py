@@ -26,16 +26,16 @@ HOUR = Validity(NOW, NOW + 3600)
 
 
 def make_tgs_request(realm, entry, now, service_id="echo", *, auth=None,
-                     digest=None, nonce2=b"\x11" * 8, options=0):
+                     digest=None, nonce2=b"\x11" * 8, options=0, validity=HOUR):
     """Hand-rolled ticket-granting request so tests can bend each field."""
     if digest is None:
         digest = tgs_request_digest(
-            TgsRequest(options, service_id, HOUR, nonce2, entry.ticket, None))
+            TgsRequest(options, service_id, validity, nonce2, entry.ticket, None))
     if auth is None:
         auth = Authenticator("alice", REALM, now)
     sealed = TgsAuthenticator(auth, digest)
     box = realm.provider.seal(entry.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
-    return TgsRequest(options, service_id, HOUR, nonce2, entry.ticket, box)
+    return TgsRequest(options, service_id, validity, nonce2, entry.ticket, box)
 
 
 # -------------------------------------------------------------- initial auth
@@ -244,6 +244,30 @@ def test_tgs_issues_service_ticket(realm):
     assert (body.client_id, body.client_realm) == ("alice", REALM)
     assert body.flags == 0  # not an initial-auth ticket
     assert body.session_key != entry.key  # fresh key per service leg
+
+
+def test_tgs_never_grants_past_the_tgt(realm):
+    entry = realm.agent.kinit(realm.send_as, NOW, requested_validity=Validity(NOW, NOW + 600))
+    assert entry.validity.till == NOW + 600
+    now = NOW + 100
+    req = make_tgs_request(realm, entry, now, validity=Validity(now, now + 3600))
+    reply = handle_tgs_request(realm.db, KdcConfig(), req, now, ReplayCache(), realm.provider)
+    body = codec.decode(
+        realm.provider.open(realm.service.long_term_key, reply.ticket.box, SealLabel.TICKET),
+        codec.SchemaId.TICKET_BODY)
+    assert body.validity == Validity(now, NOW + 600)  # capped at the TGT's end
+    # past the TGT's end but inside the skew window, nothing is left to grant
+    late = NOW + 600 + 299
+    req = make_tgs_request(realm, entry, late, validity=Validity(late, late + 3600))
+    with pytest.raises(BadValidityWindow):
+        handle_tgs_request(realm.db, KdcConfig(), req, late, ReplayCache(), realm.provider)
+
+
+def test_tgs_rejects_inverted_validity_window(realm):
+    entry = tgt_of(realm)
+    req = make_tgs_request(realm, entry, NOW, validity=Validity(NOW, NOW - 5000))
+    with pytest.raises(BadValidityWindow):
+        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_enforces_ticket_address_binding(toy):

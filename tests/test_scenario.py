@@ -99,13 +99,33 @@ def test_runs_are_seed_deterministic():
     assert first == second
 
 
+# errors, a pipeline, and a ticket that expires mid-run, over both transports
+MIXED = """\
+realm EXAMPLE
+user alice hunter2
+service echo
+
+step kinit alice hunter2
+step kinit alice wrong-guess
+step ticket alice echo
+step handshake alice echo
+step send alice echo hello-world
+step pipeline alice echo first second
+step advance 29200
+step handshake alice echo
+"""
+
+
 def test_sim_and_tcp_agree_on_fault_free_scripts():
-    sim = run_scenario(HAPPY, seed=4, transport="sim")
-    tcp = run_scenario(HAPPY, seed=4, transport="tcp")
-    assert tcp.ok
-    assert (sim.frames, sim.kdc_requests, sim.handshake_legs) == \
-        (tcp.frames, tcp.kdc_requests, tcp.handshake_legs)
-    assert [s.outcome for s in sim.steps] == [s.outcome for s in tcp.steps]
+    for script, clean in ((HAPPY, True), (MIXED, False)):
+        sim = run_scenario(script, seed=4, transport="sim")
+        tcp = run_scenario(script, seed=4, transport="tcp")
+        assert tcp.ok is clean
+        assert (sim.frames, sim.kdc_requests, sim.handshake_legs) == \
+            (tcp.frames, tcp.kdc_requests, tcp.handshake_legs)
+        assert [s.outcome for s in sim.steps] == [s.outcome for s in tcp.steps]
+        # every line but the first, which names the transport
+        assert sim.render().splitlines()[1:] == tcp.render().splitlines()[1:]
 
 
 def test_tcp_transport_rejects_wire_faults():

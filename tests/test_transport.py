@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import recv_frame
 from kerbpk import codec, transport
 from kerbpk.errors import (ConnectionClosed, FrameError, FrameTooLarge,
                            ScenarioParseError, Timeout)
@@ -15,8 +16,7 @@ from kerbpk.messages import ErrorReply
 from kerbpk.transport import (MAX_FRAME, SIM_CLOCK_START, Delay, Drop,
                               Duplicate, FlipBit, FrameClient, SimClock,
                               SimNetwork, Swap, ThreadedFrameServer,
-                              pack_frame, parse_fault, recv_frame,
-                              unpack_frame)
+                              pack_frame, parse_fault, unpack_frame)
 
 
 class EchoSession:
@@ -276,6 +276,46 @@ def test_tcp_oversize_send_fails_client_side(tcp_server):
             client.send(b"x" * (MAX_FRAME + 1))
     finally:
         client.close()
+
+
+PAUSE, CLOSE = "pause", "close"
+
+
+@pytest.mark.parametrize("writes,expected", [
+    ([pack_frame(b"one") + pack_frame(b"two")], [b"one", b"two"]),
+    ([pack_frame(b"split")[:2], PAUSE, pack_frame(b"split")[2:]], [b"split"]),
+    ([struct.pack(">I", MAX_FRAME + 1)],
+     FrameTooLarge(f"frame header claims {MAX_FRAME + 1} bytes")),
+    ([pack_frame(b"half a frame")[:9], CLOSE],
+     ConnectionClosed("peer closed the connection mid-frame")),
+], ids=["two-frames-one-write", "split-header", "oversize-header", "close-mid-frame"])
+def test_client_cuts_frames_from_raw_writes(writes, expected):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = FrameClient(*listener.getsockname(), timeout=2.0)
+        conn, _ = listener.accept()
+
+        def write():
+            for item in writes:
+                if item == PAUSE:
+                    time.sleep(0.2)  # the client reads the first part alone
+                elif item == CLOSE:
+                    conn.close()
+                else:
+                    conn.sendall(item)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected), match=str(expected)):
+                    client.recv()
+            else:
+                assert [client.recv() for _ in expected] == expected
+        finally:
+            writer.join(timeout=5.0)
+            client.close()
+            conn.close()
+        assert not writer.is_alive()
 
 
 def test_client_sees_a_reset_as_connection_closed():
