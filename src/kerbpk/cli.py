@@ -44,6 +44,7 @@ from .gateway import (
     ProtectedAppSession,
     ResponseCache,
     SERVED_CACHE,
+    backend_connector,
     echo_handler,
 )
 from .gss import initiator_for
@@ -297,17 +298,19 @@ def cmd_gateway(args) -> int:
     backends = []
     for spec in args.backend or []:
         prefix, (host, port) = _parse_backend(spec)
-        backends.append((prefix, lambda host=host, port=port: FrameClient(host, port)))
+        backends.append((prefix, backend_connector(host, port)))
     cache = ResponseCache(args.cache_capacity) if args.cache_capacity > 0 else None
     core = GatewayCore(policy, cache, backends)
     replay = ReplayCache()
     server = ThreadedFrameServer(
         lambda: GatewaySession(core, keyfile.principal, keyfile.key, provider, replay),
         now_fn=_now, port=args.port).start()
-    return _serve([server],
-                  f"gateway listening name={keyfile.principal.name}"
-                  f"@{keyfile.principal.realm} port={server.port} "
-                  f"backends={len(backends)}")
+    status = _serve([server],
+                    f"gateway listening name={keyfile.principal.name}"
+                    f"@{keyfile.principal.realm} port={server.port} "
+                    f"backends={len(backends)}")
+    core.close()
+    return status
 
 
 # -- scenario / db -----------------------------------------------------------

@@ -41,7 +41,7 @@ from .gss import (
     acquire_credential,
 )
 from .messages import Principal, ReplayCache, decode_reply, error_reply
-from .transport import call
+from .transport import FrameClient, call
 
 SERVED_BACKEND = 1
 SERVED_CACHE = 2
@@ -50,6 +50,9 @@ PROTECT = "protect"
 BYPASS = "bypass"
 
 DEFAULT_CACHE_CAPACITY = 16
+# Below FrameClient's default 5 s, so a client hears the gateway's 502 for a
+# backend that never answers before it gives up itself.
+BACKEND_TIMEOUT = 2.0
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,20 @@ class ResponseCache:
         return len(self._entries)
 
 
+def backend_connector(host: str, port: int) -> Callable[[], FrameClient]:
+    """Connector for a plain TCP backend, waiting ``BACKEND_TIMEOUT`` per reply."""
+    return lambda: FrameClient(host, port, timeout=BACKEND_TIMEOUT)
+
+
 @dataclass
 class GatewayCore:
-    """Request routing shared by the plain and the protected entry points."""
+    """Request routing shared by the plain and the protected entry points.
+
+    Backend connections are kept alive: a connection that answered goes back
+    to its backend's idle list, and the next miss reuses it unless the backend
+    has closed it meanwhile.  The idle lists never hold more connections than
+    the peak number of concurrent ``handle`` calls.
+    """
 
     policy: GatewayPolicy
     cache: Optional[ResponseCache]  # None disables caching entirely
@@ -153,12 +167,25 @@ class GatewayCore:
     backend_hits: int = 0
     cache_hits: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _idle: dict[Callable[[], object], list] = field(default_factory=dict, repr=False)
 
-    def _connect(self, resource: str):
+    def _connector(self, resource: str) -> Callable[[], object]:
         for prefix, connector in self.backends:
             if resource.startswith(prefix):
-                return connector()
+                return connector
         raise BackendUnreachable(f"no backend serves {resource!r}")
+
+    def _reuse(self, connector: Callable[[], object]):
+        """An idle connection to this backend that is still fit, or None."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(connector)
+                if not idle:
+                    return None
+                conn = idle.pop()
+            if not conn.peer_closed():
+                return conn
+            conn.close()
 
     def handle(self, request: AppRequest) -> AppResponse:
         cached = (self.cache.get(request.method, request.resource)
@@ -168,20 +195,46 @@ class GatewayCore:
                 self.cache_hits += 1
             return AppResponse(cached.status, cached.body, SERVED_CACHE)
         try:
-            conn = self._connect(request.resource)
-        except (BackendUnreachable, ConnectionClosed, OSError) as exc:
+            connector = self._connector(request.resource)
+        except BackendUnreachable as exc:
             return AppResponse(502, f"backend unreachable: {exc}".encode(), SERVED_BACKEND)
-        try:
-            response: AppResponse = call(conn, request, codec.SchemaId.APP_RESPONSE)
-        except (KerbPkError, OSError) as exc:
-            return AppResponse(502, f"backend failed: {exc}".encode(), SERVED_BACKEND)
-        finally:
-            conn.close()
+        conn = self._reuse(connector)
+        while True:
+            reused = conn is not None
+            if not reused:
+                try:
+                    conn = connector()
+                except (ConnectionClosed, OSError) as exc:
+                    return AppResponse(502, f"backend unreachable: {exc}".encode(),
+                                       SERVED_BACKEND)
+            try:
+                response: AppResponse = call(conn, request, codec.SchemaId.APP_RESPONSE)
+                break
+            except (KerbPkError, OSError) as exc:
+                conn.close()
+                # A reused connection may have died while idle.  Only a GET is
+                # sent again, once, on a fresh connection: any other request
+                # may already have reached the backend, and a timeout means a
+                # slow backend, not a gone one.
+                lost = (isinstance(exc, (ConnectionClosed, OSError))
+                        and not isinstance(exc, TimeoutError))
+                if not (reused and lost and request.method == "GET"):
+                    return AppResponse(502, f"backend failed: {exc}".encode(), SERVED_BACKEND)
+                conn = None
         with self._lock:
+            self._idle.setdefault(connector, []).append(conn)
             self.backend_hits += 1
         if self.cache is not None:
             self.cache.put(request.method, request.resource, response)
         return response
+
+    def close(self) -> None:
+        """Close every idle backend connection."""
+        with self._lock:
+            idle = [conn for conns in self._idle.values() for conn in conns]
+            self._idle.clear()
+        for conn in idle:
+            conn.close()
 
 
 class BackendSession:

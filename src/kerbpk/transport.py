@@ -17,6 +17,7 @@ each request/reply step with ``call``.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import threading
@@ -37,6 +38,7 @@ from .messages import decode_reply, error_reply
 
 MAX_FRAME = 1 << 20
 DEFAULT_RECV_TIMEOUT = 30   # also the TCP server's idle timeout, in seconds
+FRAME_DEADLINE = 10         # seconds the TCP server waits from a frame's first byte to its last
 MAX_CONNECTIONS = 64        # TCP server workers, and its listen backlog
 SIM_CLOCK_START = 1_000_000
 
@@ -221,6 +223,11 @@ class SimConnection:
         wire = self.network._await_frame(self, timeout)
         return unpack_frame(wire)
 
+    def peer_closed(self) -> bool:
+        """True when this idle connection is unfit for reuse: the server side
+        closed it, or a reply nobody asked for waits in the inbox."""
+        return self.server_closed or bool(self.inbox)
+
     def close(self) -> None:
         self.client_closed = True
         self.network._forget(self)
@@ -230,7 +237,7 @@ class SimNetwork:
     """Deterministic lockstep switch between client steps and server sessions.
 
     ``connect`` instantiates a fresh session from the factory registered for
-    the address, mirroring one TCP connection per exchange.  Sends run the
+    the address, mirroring a new TCP connection.  Sends run the
     whole request/reply cycle synchronously unless a fault holds a frame back.
     """
 
@@ -375,8 +382,10 @@ class ThreadedFrameServer:
     grows to the peak number of concurrent connections, at most
     ``MAX_CONNECTIONS``; later connections wait in the listen backlog.  A
     connection that sends nothing for ``DEFAULT_RECV_TIMEOUT`` seconds is
-    closed.  A partial frame stays in the buffer across reads, so a slow
-    peer cannot desynchronise the framing.
+    closed, and so is one that takes longer than ``FRAME_DEADLINE`` seconds
+    from a frame's first byte to its last, so a peer that trickles bytes
+    cannot keep a worker.  A partial frame stays in the buffer across reads,
+    so a slow peer cannot desynchronise the framing.
     """
 
     def __init__(self, session_factory: Callable[[], object],
@@ -434,19 +443,28 @@ class ThreadedFrameServer:
 
     def _serve(self, conn: socket.socket) -> None:
         session = self.session_factory()
-        conn.settimeout(DEFAULT_RECV_TIMEOUT)
         buf = bytearray()
+        deadline = None     # set while buf holds part of a frame
         while True:
             wire = _take_wire(buf)
             if wire is None:
+                wait = DEFAULT_RECV_TIMEOUT
+                if buf:
+                    if deadline is None:
+                        deadline = time.monotonic() + FRAME_DEADLINE
+                    wait = min(wait, deadline - time.monotonic())
+                    if wait <= 0:
+                        return
+                conn.settimeout(wait)
                 try:
                     chunk = conn.recv(_RECV_CHUNK)
                 except OSError:
-                    return  # idle timeout, reset, or stop()
+                    return  # idle timeout, frame deadline, reset, or stop()
                 if not chunk:
                     return
                 buf += chunk
                 continue
+            deadline = None
             replies, close = serve_frame(session, wire, self.now_fn())
             try:
                 for reply in replies:
@@ -504,6 +522,16 @@ class FrameClient:
                                        if self._buf else "peer closed the connection")
             self._buf += chunk
         return unpack_frame(wire)
+
+    def peer_closed(self) -> bool:
+        """True when this idle connection is unfit for reuse: the peer closed
+        or reset it, or sent bytes nobody asked for.  The zero-timeout poll
+        sends nothing and, unlike ``select.select``, takes any descriptor."""
+        if self._buf:
+            return True
+        poller = select.poll()
+        poller.register(self._sock, select.POLLIN)
+        return bool(poller.poll(0))
 
     def close(self) -> None:
         try:

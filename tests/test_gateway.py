@@ -1,13 +1,14 @@
 """Caching gateway: policy, LRU cache, routing, and the protected front door."""
 
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from conftest import NOW, REALM, initiator_factory, recv_frame
-from kerbpk import codec
+from kerbpk import codec, gateway, transport
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket,
                            PolicyParseError, StateError, Timeout, UnknownService)
 from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
@@ -16,7 +17,8 @@ from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             GatewaySession, ProtectedAppSession, ResponseCache,
                             echo_handler)
 from kerbpk.messages import ErrorReply, Principal, ReplayCache
-from kerbpk.transport import Drop, FrameClient, SimClock, SimNetwork, send_frame
+from kerbpk.transport import (Drop, Duplicate, FrameClient, SimClock, SimNetwork,
+                              ThreadedFrameServer, send_frame)
 
 
 # --------------------------------------------------------------------- policy
@@ -356,3 +358,212 @@ def test_cache_eviction_under_capacity_pressure(logged_in):
     assert core.backend_hits == 4
     client.fetch("/data/c")  # still resident
     assert (core.backend_hits, core.cache_hits) == (4, 1)
+
+
+# ------------------------------------------------------- backend keep-alive
+
+class TcpBackend:
+    """A real backend server and a connector that keeps every connection it
+    makes, so a test can count them."""
+
+    def __init__(self, session_factory, timeout):
+        self.server = ThreadedFrameServer(session_factory).start()
+        self.timeout = timeout
+        self.made: list[FrameClient] = []
+
+    def connect(self) -> FrameClient:
+        conn = FrameClient(self.server.host, self.server.port, timeout=self.timeout)
+        self.made.append(conn)
+        return conn
+
+
+@pytest.fixture
+def tcp_backend():
+    started = []
+
+    def start(session_factory=BackendSession, timeout=5.0):
+        started.append(TcpBackend(session_factory, timeout))
+        return started[-1]
+
+    yield start
+    for backend in started:
+        backend.server.stop()
+
+
+class FailsOnSecondRequest:
+    """Answers a connection's first request.  On its second it hangs up, or,
+    with ``close=False``, stays silent."""
+
+    def __init__(self, seen, close=True):
+        self.seen = seen
+        self.close = close
+        self.answered = False
+
+    def feed(self, payload, now):
+        self.seen.append(codec.decode(payload, codec.SchemaId.APP_REQUEST).method)
+        if self.answered:
+            return [], self.close
+        self.answered = True
+        return BackendSession().feed(payload, now)
+
+
+def test_misses_reuse_one_backend_connection(tcp_backend):
+    backend = tcp_backend()
+    core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
+    try:
+        for i in range(20):
+            response = core.handle(AppRequest("GET", "/data", b"%d" % i))
+            assert (response.status, response.body) == (200, b"%d" % i)
+    finally:
+        core.close()
+    assert core.backend_hits == 20
+    assert len(backend.made) == 1
+
+
+def test_idle_connection_closed_by_the_backend_is_not_reused(monkeypatch, tcp_backend):
+    monkeypatch.setattr(transport, "DEFAULT_RECV_TIMEOUT", 0.3)
+    backend = tcp_backend()
+    core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
+    try:
+        assert core.handle(AppRequest("GET", "/data", b"")).status == 200
+        time.sleep(0.6)  # past the backend's idle timeout: it has hung up
+        hits = core.backend_hits
+        response = core.handle(AppRequest("POST", "/data", b"pay once"))
+        assert (response.status, response.body) == (200, b"pay once")
+        assert core.backend_hits == hits + 1
+        assert len(backend.made) == 2
+    finally:
+        core.close()
+
+
+def test_only_a_get_is_retried_when_a_pooled_connection_drops(tcp_backend):
+    seen = []
+    backend = tcp_backend(lambda: FailsOnSecondRequest(seen))
+    core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
+    try:
+        assert core.handle(AppRequest("GET", "/data", b"1")).status == 200
+        response = core.handle(AppRequest("GET", "/data", b"2"))
+        assert (response.status, response.body) == (200, b"2")  # once more, fresh
+        assert len(backend.made) == 2
+        # the fresh connection's next request is dropped in the same way
+        response = core.handle(AppRequest("POST", "/data", b"pay once"))
+        assert response.status == 502 and response.body.startswith(b"backend failed")
+        assert len(backend.made) == 2
+    finally:
+        core.close()
+    assert seen == ["GET", "GET", "GET", "POST"]  # the backend saw the POST once
+
+
+def test_pooled_connection_that_times_out_is_not_retried(tcp_backend):
+    seen = []
+    backend = tcp_backend(lambda: FailsOnSecondRequest(seen, close=False), timeout=0.3)
+    core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
+    try:
+        assert core.handle(AppRequest("GET", "/data", b"1")).status == 200
+        response = core.handle(AppRequest("GET", "/data", b"2"))
+        assert response.status == 502 and response.body.startswith(b"backend failed")
+    finally:
+        core.close()
+    assert seen == ["GET", "GET"]
+    assert len(backend.made) == 1
+
+
+def test_concurrent_misses_each_get_their_own_reply(tcp_backend):
+    backend = tcp_backend()
+    core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
+    errors = []
+
+    def client_loop(n):
+        try:
+            for i in range(50):
+                body = b"%d.%d" % (n, i)
+                response = core.handle(AppRequest("GET", "/data", body))
+                assert (response.status, response.body) == (200, body)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client_loop, args=(n,)) for n in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        core.close()
+    assert not any(thread.is_alive() for thread in clients)
+    assert errors == []
+    assert core.backend_hits == 400
+    # a connection is made only when every earlier one is busy
+    assert 1 <= len(backend.made) <= 8
+
+
+def test_close_leaves_no_backend_connection_open(tcp_backend):
+    both_arrived = threading.Barrier(2, timeout=5.0)
+
+    def wait_for_the_other(request):
+        both_arrived.wait()
+        return echo_handler(request)
+
+    backend = tcp_backend(lambda: BackendSession(wait_for_the_other))
+    core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
+    clients = [threading.Thread(target=core.handle, args=(AppRequest("GET", "/data", b""),))
+               for _ in range(2)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in clients)
+    assert core.backend_hits == 2 and len(backend.made) == 2
+    core.close()
+    deadline = time.monotonic() + 2.0
+    while backend.server._conns and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not backend.server._conns  # the backend saw both connections end
+
+
+def test_pooled_sim_connection_with_a_stray_reply_is_replaced():
+    net, connector = sim_backend()
+    core = GatewayCore(GatewayPolicy(), None, [("/", connector)])
+    net.add_fault(Duplicate(1))  # the backend answers the first request twice
+    assert core.handle(AppRequest("GET", "/a", b"first")).body == b"first"
+    assert core.handle(AppRequest("POST", "/b", b"second")).body == b"second"
+
+
+def test_pooled_sim_connection_the_backend_closed_is_replaced():
+    class AnswerThenHangUp(BackendSession):
+        def feed(self, payload, now):
+            replies, _ = super().feed(payload, now)
+            return replies, True
+
+    net = SimNetwork(SimClock())
+    net.register("backend", AnswerThenHangUp)
+    core = GatewayCore(GatewayPolicy(), None,
+                       [("/", lambda: net.connect("backend", "gw/backend", internal=True))])
+    for body in (b"first", b"second"):
+        response = core.handle(AppRequest("POST", "/data", body))
+        assert (response.status, response.body) == (200, body)
+    assert all(record.status == "delivered" for record in net.transcript)
+
+
+def test_client_hears_the_502_for_a_silent_backend(monkeypatch, logged_in):
+    monkeypatch.setattr(gateway, "BACKEND_TIMEOUT", 0.3)
+    # the listener completes each connect from its backlog and never answers
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), ResponseCache(4),
+                           [("/", gateway.backend_connector(*silent.getsockname()))])
+        server = ThreadedFrameServer(lambda: GatewaySession(
+            core, Principal("echo", REALM), logged_in.service.long_term_key,
+            logged_in.provider, ReplayCache())).start()
+        client = GatewayClient(lambda: FrameClient(server.host, server.port, timeout=1.0),
+                               None, lambda: NOW)
+        try:
+            for _ in range(3):
+                response = client.fetch_plain("/public/page")
+                assert response.status == 502
+                assert response.body.startswith(b"backend failed")
+        finally:
+            server.stop()
+            core.close()

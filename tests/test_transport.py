@@ -337,6 +337,43 @@ def test_client_sees_a_reset_as_connection_closed():
                 client.close()
 
 
+@pytest.mark.parametrize("peer_does,unfit", [
+    (lambda conn, client: None, False),
+    (lambda conn, client: conn.sendall(b"\x00"), True),  # a byte nobody asked for
+    (lambda conn, client: conn.close(), True),
+    # a second reply waits in the client's buffer
+    (lambda conn, client: (conn.sendall(pack_frame(b"one") + pack_frame(b"two")),
+                           client.recv()), True),
+])
+def test_client_sees_whether_an_idle_connection_is_fit_for_reuse(peer_does, unfit):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = FrameClient(*listener.getsockname())
+        conn, _ = listener.accept()
+        try:
+            peer_does(conn, client)
+            time.sleep(0.05)
+            deadline = time.monotonic() + 2.0
+            while client.peer_closed() != unfit and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.peer_closed() == unfit
+        finally:
+            client.close()
+            conn.close()
+
+
+def test_sim_connection_sees_whether_it_is_fit_for_reuse():
+    net = simnet()
+    conn = net.connect("svc", "c")
+    conn.send(b"hi")
+    assert conn.recv() == b"echo:hi" and not conn.peer_closed()
+    net.add_fault(Duplicate(3))
+    conn.send(b"twice")
+    assert conn.recv() == b"echo:twice" and conn.peer_closed()  # one more waits
+    closing = net.connect("svc", "d")
+    closing.send(b"please-close")
+    assert closing.recv() == b"bye" and closing.peer_closed()
+
+
 # -------------------------------------------------------------- server bounds
 
 @pytest.fixture
@@ -442,6 +479,42 @@ def test_tcp_connections_past_the_cap_wait_for_a_free_worker(monkeypatch):
         for client in clients:
             client.close()
         server.stop()
+
+
+def test_tcp_trickling_peer_is_closed_at_the_frame_deadline(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(transport, "FRAME_DEADLINE", 0.5)
+    server = ThreadedFrameServer(EchoSession).start()
+    slow = socket.create_connection((server.host, server.port), timeout=5.0)
+    stop = threading.Event()
+
+    def trickle():
+        # one byte every 50 ms: no read waits long, but the frame never ends
+        try:
+            for byte in pack_frame(b"x" * 1000):
+                if stop.is_set():
+                    return
+                slow.sendall(bytes([byte]))
+                time.sleep(0.05)
+        except OSError:
+            pass  # the server has closed the connection
+
+    started = time.monotonic()
+    trickler = threading.Thread(target=trickle)
+    trickler.start()
+    client = FrameClient(server.host, server.port)  # waits behind the trickler
+    try:
+        client.send(b"prompt")
+        assert read_to_end(slow) == b""
+        assert 0.4 < time.monotonic() - started < 2.0
+        assert client.recv(timeout=2.0) == b"echo:prompt"
+    finally:
+        stop.set()
+        trickler.join(timeout=5.0)
+        client.close()
+        slow.close()
+        server.stop()
+    assert not trickler.is_alive()
 
 
 def test_tcp_stop_closes_idle_connections_promptly():
