@@ -482,6 +482,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KeyboardInterrupt:
         return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

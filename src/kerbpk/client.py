@@ -156,11 +156,6 @@ class CredentialCache:
         with self._lock:
             return self._services.get(service_id)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._tgt = None
-            self._services.clear()
-
     # --- single-line hex file form ---
 
     def to_file_struct(self) -> CredentialCacheFile:

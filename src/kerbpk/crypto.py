@@ -95,7 +95,12 @@ codec.register(SealedBox, codec.SchemaId.SEALED_BOX, [
 
 
 class CryptoProvider:
-    """Shared checks; concrete providers fill in the primitives."""
+    """The key and label checks both providers share.
+
+    Each provider supplies ``derive_key_from_password``, ``seal``, ``open``,
+    ``sign``, ``verify``, ``pk_encrypt``, ``pk_decrypt``,
+    ``random_session_key``, ``random_nonce`` and ``generate_keypair``.
+    """
 
     provider_id = "abstract"
     key_length = KEY_LENGTH
@@ -112,36 +117,6 @@ class CryptoProvider:
 
     def _check_label(self, label: int) -> int:
         return int(SealLabel(label))
-
-    def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
-        raise NotImplementedError
-
-    def seal(self, key: SymmetricKey, plaintext: bytes, label: int) -> SealedBox:
-        raise NotImplementedError
-
-    def open(self, key: SymmetricKey, box: SealedBox, label: int) -> bytes:
-        raise NotImplementedError
-
-    def sign(self, private_key: bytes, message: bytes) -> bytes:
-        raise NotImplementedError
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        raise NotImplementedError
-
-    def pk_encrypt(self, public_key: bytes, payload: bytes) -> bytes:
-        raise NotImplementedError
-
-    def pk_decrypt(self, private_key: bytes, ciphertext: bytes) -> bytes:
-        raise NotImplementedError
-
-    def random_session_key(self) -> SymmetricKey:
-        raise NotImplementedError
-
-    def random_nonce(self) -> bytes:
-        raise NotImplementedError
-
-    def generate_keypair(self) -> KeyPair:
-        raise NotImplementedError
 
 
 def _sha(*parts: bytes) -> bytes:

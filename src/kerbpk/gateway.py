@@ -412,6 +412,10 @@ class GatewayClient:
 
     def fetch(self, resource: str, method: str = "GET", body: bytes = b"") -> AppResponse:
         request = AppRequest(method, resource, body)
+        # A channel the gateway closed while it sat idle is replaced before
+        # anything is sent on it.
+        if self._channel is not None and self._channel.conn.peer_closed():
+            self.close()
         # A failed call closes the channel, so the next pass opens a fresh one.
         # Only a GET on a reused channel is retried: any other request may
         # already have reached the backend.

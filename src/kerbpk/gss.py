@@ -304,15 +304,19 @@ def initiator_for(cache, service: str, provider: CryptoProvider,
 
 
 class ContextAcceptor:
-    """Service half; validates leg 1 and answers with the sealed echo."""
+    """Service half; validates leg 1 and answers with the sealed echo.
+
+    ``replay_cache`` is the service's own, shared by every connection it
+    accepts, so a first leg replayed on another connection is caught.
+    """
 
     def __init__(self, cred: ContextCredential, provider: CryptoProvider,
-                 replay_cache: Optional[ReplayCache] = None):
+                 replay_cache: ReplayCache):
         if cred.usage != CredentialUsage.ACCEPT:
             raise UsageViolation("acceptor needs an Accept credential")
         self.cred = cred
         self.provider = provider
-        self.replay_cache = replay_cache if replay_cache is not None else ReplayCache()
+        self.replay_cache = replay_cache
         self.context = SecurityContext(CredentialUsage.ACCEPT, provider)
 
     def step(self, input_token: ContextToken, now: int) -> tuple[Optional[ContextToken], ContextState]:

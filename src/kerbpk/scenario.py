@@ -394,9 +394,7 @@ class ScenarioRunner:
             return params
         if step.kind in ("ticket", "handshake", "send", "pipeline"):
             return {"user": step.args[0], "service": step.args[1]}
-        if step.kind == "advance":
-            return {"ticks": str(step.args[0])}
-        return {}
+        return {"ticks": str(step.args[0])}  # advance
 
     def _step_kinit(self, step: Step) -> StepResult:
         user, password = step.args[0], step.args[1]

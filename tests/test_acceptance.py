@@ -162,9 +162,10 @@ def gateway_stack(logged_in, cache):
     net.register("backend", lambda: BackendSession(echo_handler))
     core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), cache,
                        [("/", lambda: net.connect("backend", "gw/backend", internal=True))])
+    replay = ReplayCache()  # one per endpoint, shared by its connections
     net.register("gw", lambda: GatewaySession(
         core, Principal("echo", REALM), logged_in.service.long_term_key,
-        logged_in.provider, ReplayCache()))
+        logged_in.provider, replay))
     client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
                            initiator_factory(logged_in), net.clock.now)
     return net, core, client

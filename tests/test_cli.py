@@ -1,14 +1,32 @@
-"""End-to-end command line runs against real sockets, via subprocess."""
+"""The command line against real sockets, run in this process through ``cli.main``.
 
+Servers start through their own ``cmd_*`` functions; only ``cli._serve``, which
+would block until interrupted, is replaced by one that holds until the module's
+tests are done.  Three tests start a child process: the ``python -m kerbpk``
+entry point, a server's banner and shutdown, and a usage error's exit status.
+"""
+
+import contextlib
+import io
 import json
 import os
+import queue
 import selectors
+import signal
+import socket
 import subprocess
 import sys
+import threading
+from typing import NamedTuple
 
 import pytest
 
 import kerbpk
+from kerbpk import cli, codec
+from kerbpk.client import CredentialCache
+from kerbpk.gateway import AppRequest, BackendSession
+from kerbpk.messages import Principal
+from kerbpk.transport import FrameClient, ThreadedFrameServer, call
 
 # Children run in a temporary directory, so a relative PYTHONPATH such as
 # "src" would not find the package; put its absolute source root first.
@@ -17,79 +35,107 @@ CHILD_PYTHONPATH = os.pathsep.join(
     [SRC_DIR] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
-def run_cli(args, env, cwd):
-    return subprocess.run([sys.executable, "-m", "kerbpk", *args],
-                          capture_output=True, text=True, env=env, cwd=str(cwd),
-                          timeout=120)
+class Result(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
 
 
-def read_banner(proc, timeout=15.0):
-    """First stdout line of a server process, parsed as key=value pairs."""
-    sel = selectors.DefaultSelector()
-    sel.register(proc.stdout, selectors.EVENT_READ)
-    if not sel.select(timeout):
-        proc.terminate()
-        raise AssertionError("server printed no banner in time")
-    line = proc.stdout.readline()
-    assert line, "server exited before printing its banner"
+def run_cli(*args) -> Result:
+    """``kerbpk ARGS`` in this process; a usage error's SystemExit gives its status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue())
+
+
+def run_child(*args, cwd) -> Result:
+    proc = subprocess.run([sys.executable, "-m", "kerbpk", *args],
+                          capture_output=True, text=True, cwd=str(cwd), timeout=120,
+                          env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+    return Result(proc.returncode, proc.stdout, proc.stderr)
+
+
+def banner_fields(line: str) -> dict:
     return dict(part.split("=", 1) for part in line.split() if "=" in part)
 
 
+def unused_port() -> int:
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        return sock.getsockname()[1]
+
+
 class Stack:
-    """A registered realm plus live kdc, backend, and gateway processes."""
+    """A registered realm plus kdc, backend, gateway and protected echo servers,
+    each started by its own command on a thread of this process.  The echo
+    service uses the gateway's key, so the realm keeps three principals."""
 
     def __init__(self, root):
         self.root = root
-        self.env = dict(os.environ,
-                        PYTHONPATH=CHILD_PYTHONPATH,
-                        KERBPK_DB=str(root / "realm.db"),
-                        KERBPK_CCACHE=str(root / "alice.ccache"),
-                        KERBPK_REALM="EXAMPLE")
-        self.procs = []
+        self.banners: queue.Queue = queue.Queue()
+        self.stop = threading.Event()
+        self.threads: list[threading.Thread] = []
 
     def cli(self, *args):
-        return run_cli(list(args), self.env, self.root)
+        return run_cli(*args)
+
+    def hold(self, servers, banner):
+        """Stands in for ``cli._serve``: serve until the module is done."""
+        self.banners.put(banner)
+        self.stop.wait()
+        for server in servers:
+            server.stop()
+        return 0
 
     def serve(self, *args):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "kerbpk", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            bufsize=1, env=self.env, cwd=str(self.root))
-        self.procs.append(proc)
-        return read_banner(proc)
+        thread = threading.Thread(target=cli.main, args=(list(args),), daemon=True)
+        thread.start()
+        self.threads.append(thread)
+        return banner_fields(self.banners.get(timeout=15))
 
 
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-stack")
     s = Stack(root)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("KERBPK_DB", str(root / "realm.db"))
+        mp.setenv("KERBPK_CCACHE", str(root / "alice.ccache"))
+        mp.setenv("KERBPK_REALM", "EXAMPLE")
 
-    s.registered_user = s.cli("kdc", "register-user", "alice",
-                              "--password", "hunter2",
-                              "--identity-out", str(root / "alice.id"))
-    s.registered_service = s.cli("kdc", "register-service", "gateway",
-                                 "--keytab-out", str(root / "gateway.keytab"))
-    assert s.registered_user.returncode == 0, s.registered_user.stderr
-    assert s.registered_service.returncode == 0, s.registered_service.stderr
+        s.registered_user = s.cli("kdc", "register-user", "alice",
+                                  "--password", "hunter2",
+                                  "--identity-out", str(root / "alice.id"))
+        s.registered_service = s.cli("kdc", "register-service", "gateway",
+                                     "--keytab-out", str(root / "gateway.keytab"))
+        assert s.registered_user.returncode == 0, s.registered_user.stderr
+        assert s.registered_service.returncode == 0, s.registered_service.stderr
 
-    (root / "policy.txt").write_text("bypass /public\n")
-    kdc = s.serve("kdc", "serve", "--as-port", "0", "--tgs-port", "0")
-    backend = s.serve("service", "serve-echo", "--plain", "--port", "0")
-    gateway = s.serve("gateway", "--policy", str(root / "policy.txt"),
-                      "--keytab", str(root / "gateway.keytab"), "--port", "0",
-                      "--backend", f"/=127.0.0.1:{backend['port']}")
-    s.as_port, s.tgs_port = kdc["as_port"], kdc["tgs_port"]
-    s.gateway_port = gateway["port"]
+        (root / "policy.txt").write_text("bypass /public\n")
+        with pytest.MonkeyPatch.context() as serving:
+            serving.setattr(cli, "_serve", s.hold)
+            kdc = s.serve("kdc", "serve", "--as-port", "0", "--tgs-port", "0")
+            backend = s.serve("service", "serve-echo", "--plain", "--port", "0")
+            gateway = s.serve("gateway", "--policy", str(root / "policy.txt"),
+                              "--keytab", str(root / "gateway.keytab"), "--port", "0",
+                              "--backend", f"/=127.0.0.1:{backend['port']}")
+            s.protected = s.serve("service", "serve-echo",
+                                  "--keytab", str(root / "gateway.keytab"), "--port", "0")
+        s.as_port, s.tgs_port = kdc["as_port"], kdc["tgs_port"]
+        s.gateway_port = gateway["port"]
 
-    s.kinit = s.cli("client", "kinit", "--identity", str(root / "alice.id"),
-                    "--password", "hunter2", "--as-port", s.as_port)
-    s.ticket = s.cli("client", "get-ticket", "gateway",
-                     "--tgs-port", s.tgs_port)
-    yield s
-    for proc in s.procs:
-        proc.terminate()
-    for proc in s.procs:
-        proc.wait(timeout=10)
+        s.kinit = s.cli("client", "kinit", "--identity", str(root / "alice.id"),
+                        "--password", "hunter2", "--as-port", s.as_port)
+        s.ticket = s.cli("client", "get-ticket", "gateway",
+                         "--tgs-port", s.tgs_port)
+        yield s
+        s.stop.set()
+        for thread in s.threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in s.threads)
 
 
 def fetch(stack, *extra):
@@ -158,6 +204,68 @@ def test_fetch_json_output(stack):
     assert data == {"status": 200, "served_from": "backend", "body": "x"}
 
 
+def test_fetch_without_a_service_ticket_gets_and_saves_one(stack):
+    assert (stack.protected["name"], stack.protected["mode"]) == ("gateway@EXAMPLE", "protected")
+    ccache = str(stack.root / "tgt-only.ccache")
+    kinit = stack.cli("client", "kinit", "--identity", str(stack.root / "alice.id"),
+                      "--password", "hunter2", "--as-port", stack.as_port, "--ccache", ccache)
+    assert kinit.returncode == 0, kinit.stderr
+    assert CredentialCache.load(ccache).peek_service("gateway") is None
+    result = stack.cli("client", "fetch", "/echo", "--body", "ping", "--ccache", ccache,
+                       "--gateway-port", stack.protected["port"], "--tgs-port", stack.tgs_port)
+    assert result.returncode == 0, result.stderr
+    assert "status=200 served_from=backend body=ping" in result.stdout
+    assert CredentialCache.load(ccache).peek_service("gateway") is not None
+
+
+def test_fetch_names_the_step_that_failed(stack):
+    empty = stack.root / "empty.ccache"
+    CredentialCache(Principal("alice", "EXAMPLE")).save(str(empty))
+    no_tgt = fetch(stack, "/data/report", "--ccache", str(empty))
+    assert no_tgt.returncode == 1
+    assert "error=FetchError detail=AS: NoTgt" in no_tgt.stderr
+    unknown = fetch(stack, "/data/report", "--service", "nosuch")
+    assert unknown.returncode == 1
+    assert "error=FetchError detail=TGS: UnknownService" in unknown.stderr
+
+
+def test_server_commands_reject_bad_configuration(stack):
+    no_keytab = stack.cli("service", "serve-echo")
+    assert no_keytab.returncode == 1
+    assert "error=KerbPkError detail=a protected service needs --keytab" in no_keytab.stderr
+    bad_backend = stack.cli("gateway", "--policy", str(stack.root / "policy.txt"),
+                            "--keytab", str(stack.root / "gateway.keytab"),
+                            "--backend", "/data=nowhere")
+    assert bad_backend.returncode == 1
+    assert "backend spec must look like /prefix=host:port" in bad_backend.stderr
+
+
+def test_unreachable_kdc_is_a_connection_error(stack):
+    result = stack.cli("client", "kinit", "--identity", str(stack.root / "alice.id"),
+                       "--password", "hunter2", "--as-port", str(unused_port()),
+                       "--ccache", str(stack.root / "unreached.ccache"))
+    assert result.returncode == 1
+    assert "error=ConnectionError" in result.stderr
+
+
+def test_passwords_are_prompted_for(stack, monkeypatch):
+    other_db = str(stack.root / "other.db")
+    monkeypatch.setattr(cli.getpass, "getpass", lambda prompt: "hunter2")
+    registered = stack.cli("kdc", "register-user", "carol", "--db", other_db)
+    assert registered.returncode == 0, registered.stderr
+    kinit = stack.cli("client", "kinit", "--identity", str(stack.root / "alice.id"),
+                      "--as-port", stack.as_port, "--ccache", str(stack.root / "prompted.ccache"))
+    assert kinit.returncode == 0, kinit.stderr
+    assert "kinit ok principal=alice@EXAMPLE" in kinit.stdout
+
+    def interrupted(prompt):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli.getpass, "getpass", interrupted)
+    assert stack.cli("kdc", "register-user", "dave", "--db", other_db).returncode == 0
+    listed = stack.cli("db", "inspect", "--db", other_db).stdout
+    assert "principal=carol" in listed and "principal=dave" not in listed
+
+
 def test_scenario_run_bundled(stack):
     result = stack.cli("scenario", "run", "happy_path")
     assert result.returncode == 0, result.stderr
@@ -187,9 +295,50 @@ def test_usage_errors_exit_2(stack):
     seeded = stack.cli("kdc", "register-service", "x", "--seed", "7")
     assert seeded.returncode == 2
     assert "--seed requires --provider toy" in seeded.stderr
+    assert run_child("nonsense", cwd=stack.root).returncode == 2
 
 
 def test_version_flag(stack):
-    result = stack.cli("--version")
+    result = run_child("--version", cwd=stack.root)
     assert result.returncode == 0
     assert result.stdout.startswith("kerbpk ")
+
+
+def test_serve_stops_its_servers_when_interrupted(capsys, monkeypatch):
+    server = ThreadedFrameServer(BackendSession).start()
+
+    def interrupted(seconds):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli.time, "sleep", interrupted)
+    assert cli._serve([server], "service listening") == 0
+    assert capsys.readouterr().out == "service listening\n"
+    with pytest.raises(OSError):
+        FrameClient(server.host, server.port, timeout=1.0)
+
+
+def test_server_child_prints_its_banner_and_stops_on_interrupt(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-m", "kerbpk", "service", "serve-echo",
+                             "--plain", "--port", "0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+    try:
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            assert sel.select(15.0), "server printed no banner in time"
+        banner = banner_fields(proc.stdout.readline())
+        assert banner["mode"] == "plain"
+        conn = FrameClient("127.0.0.1", int(banner["port"]))
+        try:
+            reply = call(conn, AppRequest("POST", "/", b"hi"), codec.SchemaId.APP_RESPONSE)
+        finally:
+            conn.close()
+        assert (reply.status, reply.body) == (200, b"hi")
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=15) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()

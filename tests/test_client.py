@@ -102,6 +102,33 @@ def test_service_credential_reuses_fresh_entry(logged_in):
     assert entry is not None and entry == logged_in.agent.cache.peek_service("echo")
 
 
+def test_tgs_reply_is_cross_checked_like_the_as_reply(logged_in):
+    cache = logged_in.agent.cache
+    earlier = []
+
+    def replay_earlier(req):
+        earlier.append(logged_in.send_tgs(req))
+        return earlier[0]
+
+    def for_bob(req):
+        return dataclasses.replace(logged_in.send_tgs(req), client=Principal("bob", REALM))
+
+    def swapped_hint(req):
+        reply = logged_in.send_tgs(req)
+        return dataclasses.replace(reply, ticket=dataclasses.replace(
+            reply.ticket, server=Principal("web", REALM)))
+
+    request_service_ticket(cache, logged_in.provider, "echo", NOW, replay_earlier)
+    stored = cache.peek_service("echo")
+    with pytest.raises(PrincipalMismatch, match="different principal"):
+        request_service_ticket(cache, logged_in.provider, "echo", NOW, for_bob)
+    with pytest.raises(PrincipalMismatch, match="ticket server hint"):
+        request_service_ticket(cache, logged_in.provider, "echo", NOW, swapped_hint)
+    with pytest.raises(NonceMismatch):  # the reply to an earlier request
+        request_service_ticket(cache, logged_in.provider, "echo", NOW, replay_earlier)
+    assert cache.peek_service("echo") == stored  # no failed exchange stored anything
+
+
 def test_request_service_ticket_needs_only_the_cache(logged_in, tmp_path):
     # a process holding just the ccache file can fetch more tickets
     path = str(tmp_path / "cc")
@@ -136,13 +163,6 @@ def test_cache_peek_ignores_freshness():
     cache.store_service("echo", _entry(till=10))
     assert cache.peek_service("echo") is not None  # stale but still present
     assert cache.get_service("echo", 99) is None
-
-
-def test_cache_clear():
-    cache = CredentialCache(Principal("alice", REALM))
-    cache.store_tgt(_entry(1000))
-    cache.clear()
-    assert is_empty(cache)
 
 
 def test_cache_file_roundtrip(logged_in, tmp_path):

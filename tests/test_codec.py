@@ -138,6 +138,42 @@ def test_list_field_roundtrip():
     assert codec.decode(empty, codec.SchemaId.CREDENTIAL_CACHE).services == []
 
 
+def test_nested_schemas_are_found_on_first_decode():
+    # A server decodes structures it has never encoded.  A fresh copy of the
+    # schema has looked up none of its nested classes yet.
+    schema = codec._by_id[codec.SchemaId.CREDENTIAL_CACHE]
+    fresh = codec._Schema(schema.schema_id, schema.cls, schema.fields)
+    value = CredentialCacheFile(Principal("alice", "EXAMPLE"), _cred_entry(b"t"),
+                                [ServiceCred("echo", _cred_entry(b"e"))])
+    blob = codec.encode(value)
+    assert fresh.decode_at(blob, 0, 0, len(blob)) == (value, len(blob))
+
+
+def _body_length(value) -> int:
+    return len(codec.encode(value)) - 5  # less the tag and length header
+
+
+def test_every_length_cap_is_enforced(monkeypatch):
+    # Lengths are u32; a small stand-in cap reaches each check in turn, and
+    # the length in the message shows which check fired.
+    principal = Principal("alice", "EXAMPLE")
+    item = ServiceCred("", _cred_entry(b"t"))
+    validity = _body_length(Validity(1, 2))
+    cases = [
+        (4, SealedBox(b"12345", 1), 5),                             # a bytes value
+        (4, principal, 5),                                          # a string value
+        (validity - 1, Validity(1, 2), validity),                   # a structure's body
+        (_body_length(principal), SealedTicket(principal, SealedBox(b"t", 1)),
+         _body_length(principal) + 5),                              # a nested structure
+        (_body_length(item), CredentialCacheFile(Principal("a", "B"), None, [item]),
+         _body_length(item) + 5),                                   # a list
+    ]
+    for cap, value, length in cases:
+        monkeypatch.setattr(codec, "_MAX_FIELD", cap)
+        with pytest.raises(FieldTooLarge, match=f"^field value of {length} bytes exceeds"):
+            codec.encode(value)
+
+
 # ---------------------------------------------------------------- injectivity
 
 def test_distinct_values_encode_distinctly():

@@ -95,6 +95,8 @@ def test_short_key_rejected(provider):
     bad = SymmetricKey(b"\x01" * 16, provider.provider_id)
     with pytest.raises(MalformedKey):
         provider.seal(bad, b"x", SealLabel.TICKET)
+    with pytest.raises(MalformedKey):  # raw bytes are not a key at all
+        provider.seal(b"\x01" * KEY_LENGTH, b"x", SealLabel.TICKET)
 
 
 def test_password_derivation(provider):
@@ -134,6 +136,15 @@ def test_foreign_public_key_shape_rejected():
         std.verify(toy_pair.public_key, b"m", b"s")
 
 
+def test_foreign_private_key_shape_rejected():
+    toy, std = get_provider("toy", seed=1), get_provider("standard")
+    toy_pair, std_pair = toy.generate_keypair(), std.generate_keypair()
+    with pytest.raises(MalformedKey):
+        toy.sign(std_pair.private_key, b"m")
+    with pytest.raises(MalformedKey):
+        std.sign(toy_pair.private_key, b"m")
+
+
 # ------------------------------------------------------------ public-key wrap
 
 def test_pk_roundtrip(provider):
@@ -155,6 +166,8 @@ def test_pk_tampered_ciphertext_fails(provider):
     wrapped[-1] ^= 0x01
     with pytest.raises(DecryptFailure):
         provider.pk_decrypt(pair.private_key, bytes(wrapped))
+    with pytest.raises(DecryptFailure):  # shorter than any wrap
+        provider.pk_decrypt(pair.private_key, bytes(wrapped[:7]))
 
 
 def test_pk_payload_limit(provider):

@@ -119,6 +119,13 @@ def test_core_answers_502_when_nothing_listens():
     net, connector = sim_backend()
     scoped = GatewayCore(GatewayPolicy(), ResponseCache(4), [("/api", connector)])
     assert scoped.handle(AppRequest("GET", "/other", b"")).status == 502
+    with socket.create_server(("127.0.0.1", 0)) as gone:
+        address = gone.getsockname()
+    refused = GatewayCore(GatewayPolicy(), ResponseCache(4),
+                          [("/", gateway.backend_connector(*address))])
+    response = refused.handle(AppRequest("GET", "/data", b""))
+    assert response.status == 502
+    assert response.body.startswith(b"backend unreachable")
 
 
 def test_core_answers_502_when_the_backend_misbehaves():
@@ -179,6 +186,18 @@ def test_protected_session_rejects_wrap_before_handshake(logged_in):
     assert events == [("echo", "StateError")]
     # plain app requests never reach a protected endpoint
     assert session.feed(codec.encode(AppRequest("GET", "/", b"")), NOW) == ([], True)
+
+
+def test_gateway_session_answers_a_malformed_plain_request_and_closes(logged_in):
+    net, connector = sim_backend()
+    core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), None, [("/", connector)])
+    session = GatewaySession(core, Principal("echo", REALM), logged_in.service.long_term_key,
+                             logged_in.provider, ReplayCache())
+    truncated = codec.encode(AppRequest("GET", "/public/page", b"hi"))[:-1]
+    replies, close = session.feed(truncated, NOW)
+    assert close
+    assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "Truncated"
+    assert core.backend_hits == 0
 
 
 # --------------------------------------------------------------- full gateway
@@ -290,6 +309,36 @@ def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
         listener.close()
     assert not server.is_alive()
     assert core.backend_hits == 2
+
+
+def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, logged_in):
+    monkeypatch.setattr(transport, "DEFAULT_RECV_TIMEOUT", 0.3)
+    seen = []
+
+    def record(request):
+        seen.append(request.method)
+        return echo_handler(request)
+
+    backend = ThreadedFrameServer(lambda: BackendSession(record)).start()
+    core = GatewayCore(GatewayPolicy(), None,
+                       [("/", gateway.backend_connector(backend.host, backend.port))])
+    replay = ReplayCache()
+    server = ThreadedFrameServer(lambda: GatewaySession(
+        core, Principal("echo", REALM), logged_in.service.long_term_key,
+        logged_in.provider, replay), now_fn=lambda: NOW).start()
+    client = GatewayClient(lambda: FrameClient(server.host, server.port),
+                           initiator_factory(logged_in), lambda: NOW)
+    try:
+        assert client.fetch("/data/a").status == 200
+        time.sleep(0.6)  # past the gateway's idle timeout: it has hung up
+        response = client.fetch("/data/b", method="POST", body=b"pay once")
+        assert (response.status, response.body) == (200, b"pay once")
+        assert seen == ["GET", "POST"]
+    finally:
+        client.close()
+        server.stop()
+        core.close()
+        backend.stop()
 
 
 def test_fresh_channel_that_fails_is_not_retried(logged_in):

@@ -31,10 +31,10 @@ def echo_name():
     return MechanismName(Principal("echo", REALM), NameType.PRINCIPAL_NAME, MECHANISM)
 
 
-def contexts(realm, replay_cache=None):
+def contexts(realm):
     init = initiator_factory(realm)(NOW)
     acred = acquire_credential(echo_name(), CredentialUsage.ACCEPT, realm.service.long_term_key)
-    acc = ContextAcceptor(acred, realm.provider, replay_cache)
+    acc = ContextAcceptor(acred, realm.provider, ReplayCache())
     return init, acc
 
 
@@ -77,7 +77,7 @@ def test_context_roles_check_credential_usage(logged_in):
     with pytest.raises(UsageViolation):
         ContextInitiator(acred, echo_name(), ReqFlags(), logged_in.provider, source)
     with pytest.raises(UsageViolation):
-        ContextAcceptor(icred, logged_in.provider)
+        ContextAcceptor(icred, logged_in.provider, ReplayCache())
 
 
 def test_all_three_flags_are_mandatory(logged_in):
@@ -139,6 +139,20 @@ def test_stale_reply_fails_mutual_auth(logged_in):
     assert init2.context.state is ContextState.FAILED
 
 
+def test_initiator_rejects_a_reply_that_does_not_open(logged_in):
+    init, acc = contexts(logged_in)
+    token, _ = init.step(None, NOW)
+    reply, _ = acc.step(token, NOW)
+    sealed = codec.decode(reply.body, codec.SchemaId.AP_REPLY)
+    mutated = bytearray(sealed.enc_part.ciphertext)
+    mutated[0] ^= 1
+    forged = dataclasses.replace(
+        sealed, enc_part=dataclasses.replace(sealed.enc_part, ciphertext=bytes(mutated)))
+    with pytest.raises(TokenIntegrityError):
+        init.step(ContextToken(LEG_REPLY, codec.encode(forged)), NOW)
+    assert init.context.state is ContextState.FAILED
+
+
 def test_acceptor_rejects_second_step(logged_in):
     init, acc = contexts(logged_in)
     token1, _ = init.step(None, NOW)
@@ -165,6 +179,9 @@ def test_initiator_step_ordering_enforced(logged_in):
     init2, acc2 = established(logged_in)
     with pytest.raises(StateError):
         init2.step(None, NOW)  # already complete
+    init3, _ = contexts(logged_in)
+    with pytest.raises(StateError):
+        init3.step(reply, NOW)  # a first step sends; it takes no token
 
 
 # --------------------------------------------------------- leg-1 verification

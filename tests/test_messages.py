@@ -170,3 +170,7 @@ def test_decode_reply_unknown_error_name():
     blob = codec.encode(ErrorReply("TotallyMadeUp", "??"))
     with pytest.raises(UnknownRemoteError):
         decode_reply(blob, codec.SchemaId.VALIDITY)
+    # a client-side wrapper is never a peer's error to report
+    blob = codec.encode(ErrorReply("FetchError", "AS: NoTgt"))
+    with pytest.raises(UnknownRemoteError, match="FetchError"):
+        decode_reply(blob, codec.SchemaId.VALIDITY)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from kerbpk import scenario
 from kerbpk.errors import ScenarioParseError
+from kerbpk.gateway import SERVED_BACKEND, AppResponse
 from kerbpk.scenario import (list_scenarios, load_scenario, parse_scenario,
                              run_scenario)
 from kerbpk.transport import Delay, Drop, FlipBit
@@ -53,6 +55,14 @@ step advance 5
     ("realm R\nfault flip 1 2", 2),
     ("realm R EXTRA", 1),
     ("realm R\nuser alice pw\nuser alice pw2", 3),    # declared twice
+    ("service", 1),
+    ("service echo\nservice echo", 2),
+    ("step", 1),
+    ("step kinit alice", 1),
+    ("step ticket alice", 1),
+    ("step send alice echo", 1),
+    ("step pipeline alice echo one", 1),
+    ("step advance soon", 1),
 ])
 def test_parse_scenario_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ScenarioParseError, match=rf"inline:{lineno}:"):
@@ -131,6 +141,11 @@ def test_sim_and_tcp_agree_on_fault_free_scripts():
 def test_tcp_transport_rejects_wire_faults():
     with pytest.raises(ScenarioParseError, match="simulated transport"):
         run_scenario(HAPPY, seed=1, transport="tcp", extra_faults=(Drop(2),))
+
+
+def test_unknown_transport_rejected():
+    with pytest.raises(ValueError, match="unknown transport"):
+        run_scenario(HAPPY, transport="pigeon")
 
 
 # ------------------------------------------------------------- attack variants
@@ -253,3 +268,24 @@ step pipeline alice echo one two
     pipeline = report.steps[3]
     assert pipeline.detail.get("replies") == "2"  # renders as text
     assert report.frames == 10  # two wrapped calls add four frames to the six
+
+
+def test_second_handshake_replaces_the_channel():
+    report = run_scenario(HAPPY + "step handshake alice echo\nstep send alice echo again\n",
+                          seed=8)
+    assert report.ok, report.render()
+    assert report.handshake_legs == 4
+    assert report.steps[-1].detail == {"bytes": "5", "status": "200"}
+
+
+def test_echo_that_comes_back_altered_is_an_error(monkeypatch):
+    monkeypatch.setattr(scenario, "echo_handler",
+                        lambda request: AppResponse(200, request.body.upper(), SERVED_BACKEND))
+    report = run_scenario(HAPPY + "step handshake alice echo\n"
+                          "step pipeline alice echo one two\n", seed=8)
+    assert [(s.name, s.outcome, s.error) for s in report.steps[3:]] == [
+        ("send", "error", "EchoMismatch"),
+        ("handshake", "ok", None),
+        ("pipeline", "error", "StateError"),
+    ]
+    assert report.steps[3].detail == {"bytes": "11"}

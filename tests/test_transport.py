@@ -131,6 +131,13 @@ def test_sim_send_after_client_close():
     conn.close()
     with pytest.raises(ConnectionClosed):
         conn.send(b"late")
+    with pytest.raises(ConnectionClosed):
+        conn.recv()
+
+
+def test_sim_rejects_what_is_not_a_fault():
+    with pytest.raises(TypeError, match="not a fault"):
+        simnet("drop 3")
 
 
 def test_drop_yields_timeout_and_burns_the_wait():
@@ -515,6 +522,109 @@ def test_tcp_trickling_peer_is_closed_at_the_frame_deadline(monkeypatch):
         slow.close()
         server.stop()
     assert not trickler.is_alive()
+
+
+def test_tcp_partial_frame_past_its_deadline_is_closed_at_once(monkeypatch, tcp_server):
+    monkeypatch.setattr(transport, "FRAME_DEADLINE", 0)
+    with socket.create_connection((tcp_server.host, tcp_server.port), timeout=3.0) as sock:
+        sock.sendall(pack_frame(b"late")[:3])
+        started = time.monotonic()
+        assert read_to_end(sock) == b""
+        assert time.monotonic() - started < 1.0  # not the 30-s idle timeout
+    client = FrameClient(tcp_server.host, tcp_server.port)
+    try:
+        client.send(b"next")
+        assert client.recv(timeout=2.0) == b"echo:next"
+    finally:
+        client.close()
+
+
+class CrashOnRequest(EchoSession):
+    """Echoes, but fails as a bug would on ``b"crash"``."""
+
+    def feed(self, payload, now):
+        if payload == b"crash":
+            raise RuntimeError("session bug")
+        return super().feed(payload, now)
+
+
+def wait_until_idle(server):
+    deadline = time.monotonic() + 2.0
+    while server._idle != len(server._workers) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server._idle == len(server._workers)
+
+
+def close_with_reset(sock):
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_tcp_crashing_session_costs_only_its_connection(capsys):
+    server = ThreadedFrameServer(CrashOnRequest).start()
+    try:
+        with socket.create_connection((server.host, server.port), timeout=3.0) as sock:
+            sock.sendall(pack_frame(b"crash"))
+            assert read_to_end(sock) == b""
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: session bug" in err
+        client = FrameClient(server.host, server.port)
+        try:
+            client.send(b"after")
+            assert client.recv(timeout=2.0) == b"echo:after"
+        finally:
+            client.close()
+        assert wait_until_idle(server)
+    finally:
+        server.stop()
+
+
+def test_tcp_peer_that_resets_before_its_reply_costs_only_its_connection(capsys):
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowEcho(EchoSession):
+        def feed(self, payload, now):
+            if payload == b"slow":
+                entered.set()
+                release.wait(5.0)
+            return super().feed(payload, now)
+
+    server = ThreadedFrameServer(SlowEcho).start()
+    try:
+        sock = socket.create_connection((server.host, server.port), timeout=3.0)
+        sock.sendall(pack_frame(b"slow"))
+        assert entered.wait(5.0)
+        close_with_reset(sock)  # so the reply's send fails
+        release.set()
+        assert wait_until_idle(server)
+        client = FrameClient(server.host, server.port)
+        try:
+            client.send(b"after")
+            assert client.recv(timeout=2.0) == b"echo:after"
+        finally:
+            client.close()
+        assert capsys.readouterr().err == ""  # an expected loss, not a crash
+    finally:
+        release.set()
+        server.stop()
+
+
+def test_tcp_stop_survives_a_connection_the_peer_already_reset():
+    entered = threading.Event()
+
+    class Stalls(EchoSession):
+        def feed(self, payload, now):
+            entered.set()
+            time.sleep(0.3)  # the peer resets and stop() begins meanwhile
+            return super().feed(payload, now)
+
+    server = ThreadedFrameServer(Stalls).start()
+    sock = socket.create_connection((server.host, server.port), timeout=3.0)
+    sock.sendall(pack_frame(b"hi"))
+    assert entered.wait(5.0)
+    close_with_reset(sock)
+    server.stop()  # shutting down the reset connection fails; stop goes on
+    assert not any(worker.is_alive() for worker in server._workers)
 
 
 def test_tcp_stop_closes_idle_connections_promptly():
