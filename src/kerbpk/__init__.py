@@ -8,34 +8,9 @@ service tickets, and establish mutually authenticated channels that wrap
 application traffic with replay and ordering protection.
 
 Everything runs over a deterministic in-process network simulator or real
-loopback sockets; the ``kerbpk`` command line drives both.
+loopback sockets; the ``kerbpk`` command line drives both.  Import the
+submodules (``kerbpk.kdc``, ``kerbpk.client``, ...) for the library API;
+importing the package alone loads none of them.
 """
 
-from .codec import SchemaId, decode, encode
-from .crypto import (
-    KeyPair,
-    SealedBox,
-    SealLabel,
-    StandardProvider,
-    SymmetricKey,
-    ToyProvider,
-    get_provider,
-)
-from .errors import KerbPkError
-from .messages import Principal, Validity
-from .kdc import KdcConfig, KdcService, PrincipalDb
-from .client import ClientAgent, ClientIdentity, CredentialCache
-from .scenario import load_scenario, parse_scenario, run_scenario
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "SchemaId", "encode", "decode",
-    "KeyPair", "SealedBox", "SealLabel", "SymmetricKey",
-    "ToyProvider", "StandardProvider", "get_provider",
-    "KerbPkError", "Principal", "Validity",
-    "KdcConfig", "KdcService", "PrincipalDb",
-    "ClientAgent", "ClientIdentity", "CredentialCache",
-    "load_scenario", "parse_scenario", "run_scenario",
-    "__version__",
-]

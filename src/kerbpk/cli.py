@@ -9,8 +9,14 @@ file.
 
 Conventions: results print as ``key=value`` pairs (or ``--json`` where
 offered); success exits 0, failures exit 1 with ``error=<Name>`` on stderr,
-usage problems exit 2.  ``KERBPK_DB``, ``KERBPK_CCACHE``, and ``KERBPK_REALM``
-supply defaults for the corresponding flags.
+usage problems exit 2, and a command interrupted before it finishes (Ctrl-C at
+a password prompt, say) exits 130.  ``KERBPK_DB``, ``KERBPK_CCACHE``, and
+``KERBPK_REALM`` supply defaults for the corresponding flags.
+
+Each process runs one command, so this module imports only what every command
+shares; a command imports the ``client``, ``gss``, ``gateway`` or ``scenario``
+names it uses when it runs, and a server starts without the modules it never
+calls.
 """
 
 from __future__ import annotations
@@ -24,30 +30,8 @@ import time
 from typing import Optional
 
 from . import __version__, codec
-from .client import (
-    DEFAULT_LIFETIME,
-    ClientAgent,
-    ClientIdentity,
-    CredentialCache,
-    load_identity,
-    request_service_ticket,
-    save_identity,
-)
 from .crypto import get_provider
 from .errors import FetchError, KerbPkError, NoTgt
-from .gateway import (
-    BackendSession,
-    GatewayClient,
-    GatewayCore,
-    GatewayPolicy,
-    GatewaySession,
-    ProtectedAppSession,
-    ResponseCache,
-    SERVED_CACHE,
-    backend_connector,
-    echo_handler,
-)
-from .gss import initiator_for
 from .kdc import (
     DEFAULT_AS_PORT,
     DEFAULT_TGS_PORT,
@@ -61,8 +45,7 @@ from .kdc import (
     load_service_key,
     save_service_key,
 )
-from .messages import Principal, ReplayCache, Validity
-from .scenario import load_scenario, parse_scenario, run_scenario
+from .messages import DEFAULT_LIFETIME, Principal, ReplayCache, Validity
 from .transport import FrameClient, ThreadedFrameServer, call
 
 _KIND_NAMES = {int(RecordKind.USER): "user", int(RecordKind.SERVICE): "service",
@@ -146,6 +129,7 @@ def _load_or_create_db(args, provider) -> PrincipalDb:
 
 
 def cmd_kdc_register_user(args) -> int:
+    from .client import ClientIdentity, save_identity
     provider = _provider_of(args)
     db = _load_or_create_db(args, provider)
     password = args.password if args.password is not None else getpass.getpass("password: ")
@@ -181,6 +165,7 @@ def cmd_kdc_register_service(args) -> int:
 
 
 def cmd_client_kinit(args) -> int:
+    from .client import ClientAgent, CredentialCache, load_identity
     provider = _provider_of(args)
     password = args.password if args.password is not None else getpass.getpass("password: ")
     identity = load_identity(args.identity, password)
@@ -206,6 +191,7 @@ def _tgs_sender(args):
 
 
 def cmd_client_get_ticket(args) -> int:
+    from .client import CredentialCache, request_service_ticket
     provider = _provider_of(args)
     path = _ccache_path(args)
     cache = CredentialCache.load(path)
@@ -217,6 +203,9 @@ def cmd_client_get_ticket(args) -> int:
 
 
 def cmd_client_fetch(args) -> int:
+    from .client import CredentialCache, request_service_ticket
+    from .gateway import SERVED_CACHE, GatewayClient
+    from .gss import initiator_for
     provider = _provider_of(args)
 
     def connect():
@@ -265,6 +254,7 @@ def cmd_client_fetch(args) -> int:
 
 
 def cmd_service_serve_echo(args) -> int:
+    from .gateway import BackendSession, ProtectedAppSession, echo_handler
     provider = _provider_of(args)
     if args.plain:
         server = ThreadedFrameServer(lambda: BackendSession(echo_handler),
@@ -291,6 +281,8 @@ def _parse_backend(spec: str):
 
 
 def cmd_gateway(args) -> int:
+    from .gateway import (GatewayCore, GatewayPolicy, GatewaySession, ResponseCache,
+                          backend_connector)
     provider = _provider_of(args)
     with open(args.policy, "r", encoding="utf-8") as fh:
         policy = GatewayPolicy.parse(fh.read())
@@ -317,6 +309,7 @@ def cmd_gateway(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
+    from .scenario import load_scenario, parse_scenario, run_scenario
     if os.path.exists(args.scenario):
         with open(args.scenario, "r", encoding="utf-8") as fh:
             name = os.path.splitext(os.path.basename(args.scenario))[0]
@@ -480,5 +473,5 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error=ConnectionError detail={exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        return 0
+        return 130
 

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .messages import (
     CLOCK_SKEW,
+    DEFAULT_LIFETIME,
     AsEncPart,
     AsReply,
     AsRequest,
@@ -45,8 +46,6 @@ from .messages import (
     as_request_signable,
     tgs_request_digest,
 )
-
-DEFAULT_LIFETIME = 28800
 
 
 @dataclass(frozen=True)

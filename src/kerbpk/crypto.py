@@ -29,7 +29,7 @@ from enum import IntEnum
 from random import Random
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -304,9 +304,7 @@ class StandardProvider(CryptoProvider):
         key = self._exchange_key(ephemeral, xpub)
         nonce = secrets.token_bytes(self._GCM_NONCE)
         body = AESGCM(key).encrypt(nonce, payload, None)
-        eph_pub = ephemeral.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-        return eph_pub + nonce + body
+        return ephemeral.public_key().public_bytes_raw() + nonce + body
 
     def pk_decrypt(self, private_key: bytes, ciphertext: bytes) -> bytes:
         _, xpriv = self._split_private(private_key)
@@ -328,11 +326,8 @@ class StandardProvider(CryptoProvider):
     def generate_keypair(self) -> KeyPair:
         ed = Ed25519PrivateKey.generate()
         x = X25519PrivateKey.generate()
-        raw = serialization.Encoding.Raw
-        public = (ed.public_key().public_bytes(raw, serialization.PublicFormat.Raw)
-                  + x.public_key().public_bytes(raw, serialization.PublicFormat.Raw))
-        private = (ed.private_bytes(raw, serialization.PrivateFormat.Raw, serialization.NoEncryption())
-                   + x.private_bytes(raw, serialization.PrivateFormat.Raw, serialization.NoEncryption()))
+        public = ed.public_key().public_bytes_raw() + x.public_key().public_bytes_raw()
+        private = ed.private_bytes_raw() + x.private_bytes_raw()
         return KeyPair(public, private)
 
 

@@ -39,6 +39,9 @@ FLAG_INITIAL = 0x1
 #: Realm-wide clock-skew allowance, in seconds, for every time check.
 CLOCK_SKEW = 300
 
+#: Ticket lifetime, in seconds, that a client asks for when it names none.
+DEFAULT_LIFETIME = 28800
+
 _NAME_OK = frozenset(chr(c) for c in range(0x21, 0x7F))
 
 

@@ -32,7 +32,7 @@ from importlib import resources
 from typing import Callable, Optional
 
 from . import codec
-from .client import DEFAULT_LIFETIME, ClientAgent, ClientIdentity, CredentialCache
+from .client import ClientAgent, ClientIdentity, CredentialCache
 from .crypto import get_provider
 from .errors import KerbPkError, NoTicket, ScenarioParseError, StateError
 from .gateway import (
@@ -52,6 +52,7 @@ from .kdc import (
     ROLE_TGS,
 )
 from .messages import (
+    DEFAULT_LIFETIME,
     Certificate,
     Principal,
     ReplayCache,

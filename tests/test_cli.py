@@ -2,8 +2,9 @@
 
 Servers start through their own ``cmd_*`` functions; only ``cli._serve``, which
 would block until interrupted, is replaced by one that holds until the module's
-tests are done.  Three tests start a child process: the ``python -m kerbpk``
-entry point, a server's banner and shutdown, and a usage error's exit status.
+tests are done.  Four tests start a child process: the ``python -m kerbpk``
+entry point, a server's banner and shutdown, a usage error's exit status, and
+the set of modules a fresh interpreter loads at start-up.
 """
 
 import contextlib
@@ -261,7 +262,7 @@ def test_passwords_are_prompted_for(stack, monkeypatch):
     def interrupted(prompt):
         raise KeyboardInterrupt
     monkeypatch.setattr(cli.getpass, "getpass", interrupted)
-    assert stack.cli("kdc", "register-user", "dave", "--db", other_db).returncode == 0
+    assert stack.cli("kdc", "register-user", "dave", "--db", other_db).returncode == 130
     listed = stack.cli("db", "inspect", "--db", other_db).stdout
     assert "principal=carol" in listed and "principal=dave" not in listed
 
@@ -342,3 +343,23 @@ def test_server_child_prints_its_banner_and_stops_on_interrupt(tmp_path):
             proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+def test_start_up_loads_only_the_shared_modules():
+    """Every command pays for what ``import kerbpk.cli`` loads; the client,
+    gss, gateway and scenario layers load only in the commands that run them."""
+    probe = (
+        "import json, sys\n"
+        "import kerbpk\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('kerbpk.'))\n"
+        "import kerbpk.cli\n"
+        "print(json.dumps([bare, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+    assert proc.returncode == 0, proc.stderr
+    bare, loaded = json.loads(proc.stdout)
+    assert bare == []
+    assert "kerbpk.cli" in loaded and "kerbpk.kdc" in loaded
+    deferred = {"kerbpk.scenario", "kerbpk.client", "kerbpk.gss", "kerbpk.gateway",
+                "cryptography.hazmat.primitives.serialization"}
+    assert deferred.isdisjoint(loaded)

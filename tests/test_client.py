@@ -7,13 +7,12 @@ import pytest
 
 from conftest import NOW, REALM
 from kerbpk import codec
-from kerbpk.client import (DEFAULT_LIFETIME, ClientAgent, ClientIdentity,
-                           CredentialCache, CredEntry, load_identity,
-                           request_service_ticket, save_identity)
+from kerbpk.client import (ClientAgent, ClientIdentity, CredentialCache, CredEntry,
+                           load_identity, request_service_ticket, save_identity)
 from kerbpk.crypto import SealedBox, SymmetricKey
 from kerbpk.errors import (CcacheParseError, NonceMismatch, NoTgt,
                            PkDecryptFailure, PrincipalMismatch, WrongPassword)
-from kerbpk.messages import Certificate, Principal, SealedTicket, Validity
+from kerbpk.messages import DEFAULT_LIFETIME, Certificate, Principal, SealedTicket, Validity
 
 HOUR = Validity(NOW, NOW + 3600)
 
