@@ -45,7 +45,7 @@ from .kdc import (
     load_service_key,
     save_service_key,
 )
-from .messages import DEFAULT_LIFETIME, Principal, ReplayCache, Validity
+from .messages import DEFAULT_LIFETIME, Principal, Validity
 from .transport import FrameClient, ThreadedFrameServer, call
 
 _KIND_NAMES = {int(RecordKind.USER): "user", int(RecordKind.SERVICE): "service",
@@ -254,7 +254,7 @@ def cmd_client_fetch(args) -> int:
 
 
 def cmd_service_serve_echo(args) -> int:
-    from .gateway import BackendSession, ProtectedAppSession, echo_handler
+    from .gateway import BackendSession, echo_handler, protected_endpoint
     provider = _provider_of(args)
     if args.plain:
         server = ThreadedFrameServer(lambda: BackendSession(echo_handler),
@@ -263,9 +263,8 @@ def cmd_service_serve_echo(args) -> int:
     if not args.keytab:
         raise KerbPkError("a protected service needs --keytab (or use --plain)")
     keyfile = load_service_key(args.keytab)
-    replay = ReplayCache()
     server = ThreadedFrameServer(
-        lambda: ProtectedAppSession(keyfile.principal, keyfile.key, provider, replay),
+        protected_endpoint(keyfile.principal, keyfile.key, provider),
         now_fn=_now, port=args.port).start()
     return _serve([server],
                   f"service listening name={keyfile.principal.name}"
@@ -282,7 +281,7 @@ def _parse_backend(spec: str):
 
 def cmd_gateway(args) -> int:
     from .gateway import (GatewayCore, GatewayPolicy, GatewaySession, ResponseCache,
-                          backend_connector)
+                          backend_connector, protected_endpoint)
     provider = _provider_of(args)
     with open(args.policy, "r", encoding="utf-8") as fh:
         policy = GatewayPolicy.parse(fh.read())
@@ -293,10 +292,10 @@ def cmd_gateway(args) -> int:
         backends.append((prefix, backend_connector(host, port)))
     cache = ResponseCache(args.cache_capacity) if args.cache_capacity > 0 else None
     core = GatewayCore(policy, cache, backends)
-    replay = ReplayCache()
-    server = ThreadedFrameServer(
-        lambda: GatewaySession(core, keyfile.principal, keyfile.key, provider, replay),
-        now_fn=_now, port=args.port).start()
+    protected = protected_endpoint(keyfile.principal, keyfile.key, provider,
+                                   handler=core.handle)
+    server = ThreadedFrameServer(lambda: GatewaySession(core, protected()),
+                                 now_fn=_now, port=args.port).start()
     status = _serve([server],
                     f"gateway listening name={keyfile.principal.name}"
                     f"@{keyfile.principal.realm} port={server.port} "

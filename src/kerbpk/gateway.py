@@ -10,7 +10,8 @@ cache, so hit counting is observable end to end.
 Sessions here all speak the frame protocol from transport: one request
 payload in, a list of reply payloads out.  Protocol failures answer with an
 ErrorReply and close; a frame whose schema the session does not recognize
-closes the connection silently.
+closes the connection silently.  ``protected_endpoint`` builds every
+ticket-protected endpoint; an observer wraps its session factory.
 """
 
 from __future__ import annotations
@@ -263,20 +264,13 @@ class ProtectedAppSession:
 
     def __init__(self, service: Principal, key: SymmetricKey, provider: CryptoProvider,
                  replay_cache: ReplayCache,
-                 handler: Callable[[AppRequest], AppResponse] = echo_handler,
-                 on_event: Optional[Callable[[str, str], None]] = None):
+                 handler: Callable[[AppRequest], AppResponse] = echo_handler):
         self.service = service
         self.key = key
         self.provider = provider
         self.replay_cache = replay_cache
         self.handler = handler
-        self.on_event = on_event
         self.context: Optional[SecurityContext] = None
-
-    def _error(self, exc: KerbPkError) -> tuple[list[bytes], bool]:
-        if self.on_event is not None:
-            self.on_event(self.service.name, exc.name)
-        return [error_reply(exc)], True
 
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         schema = codec.schema_id_of(payload)
@@ -289,12 +283,12 @@ class ProtectedAppSession:
                 token = codec.decode(payload, codec.SchemaId.CONTEXT_TOKEN)
                 reply, _ = acceptor.step(token, now)
             except KerbPkError as exc:
-                return self._error(exc)
+                return [error_reply(exc)], True
             self.context = acceptor.context
             return [codec.encode(reply)], False
         if schema == codec.SchemaId.WRAP_TOKEN:
             if self.context is None or not self.context.established:
-                return self._error(StateError("wrap token before any handshake"))
+                return [error_reply(StateError("wrap token before any handshake"))], True
             try:
                 token = codec.decode(payload, codec.SchemaId.WRAP_TOKEN)
                 plain = self.context.unwrap(token)
@@ -302,25 +296,31 @@ class ProtectedAppSession:
                 response = self.handler(request)
                 wrapped = self.context.wrap(codec.encode(response))
             except KerbPkError as exc:
-                return self._error(exc)
+                return [error_reply(exc)], True
             return [codec.encode(wrapped)], False
         return [], True
+
+
+def protected_endpoint(service: Principal, key: SymmetricKey, provider: CryptoProvider,
+                       handler: Callable[[AppRequest], AppResponse] = echo_handler):
+    """The session factory of one ticket-protected endpoint.  Its connections
+    share one replay cache, so a first leg replayed on another connection is
+    refused (RFC 4120 3.2.3)."""
+    replay_cache = ReplayCache()
+    return lambda: ProtectedAppSession(service, key, provider, replay_cache, handler)
 
 
 class GatewaySession:
     """Externally facing gateway endpoint.
 
     Plain frames only reach bypass resources; anything the policy protects
-    answers 401 unless it arrives through the wrapped tunnel, which is
-    handled by delegating to a ProtectedAppSession wired to the same core.
+    answers 401 unless it arrives through the wrapped tunnel, served by a
+    session of ``protected_endpoint(..., handler=core.handle)``.
     """
 
-    def __init__(self, core: GatewayCore, service: Principal, key: SymmetricKey,
-                 provider: CryptoProvider, replay_cache: ReplayCache,
-                 on_event: Optional[Callable[[str, str], None]] = None):
+    def __init__(self, core: GatewayCore, protected_session: ProtectedAppSession):
         self.core = core
-        self._protected = ProtectedAppSession(service, key, provider, replay_cache,
-                                              handler=core.handle, on_event=on_event)
+        self._protected = protected_session
 
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         if codec.schema_id_of(payload) == codec.SchemaId.APP_REQUEST:

@@ -294,25 +294,13 @@ class KdcService:
     config: KdcConfig
     provider: CryptoProvider
     replay_cache: ReplayCache = field(default_factory=ReplayCache)
-    as_requests: int = 0
-    tgs_requests: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    @property
-    def request_count(self) -> int:
-        with self._lock:
-            return self.as_requests + self.tgs_requests
 
     def handle(self, role: str, payload: bytes, now: int, client_address: str = ""):
         """Decode one request for the given endpoint role, return the reply."""
         if role == ROLE_AS:
-            with self._lock:
-                self.as_requests += 1
             req = codec.decode(payload, codec.SchemaId.AS_REQUEST)
             return handle_as_request(self.db, self.config, req, now, self.provider, client_address)
         if role == ROLE_TGS:
-            with self._lock:
-                self.tgs_requests += 1
             req = codec.decode(payload, codec.SchemaId.TGS_REQUEST)
             return handle_tgs_request(self.db, self.config, req, now, self.replay_cache,
                                       self.provider, client_address)
@@ -327,18 +315,14 @@ class KdcFrameSession:
     connection stays open; clients close when done.
     """
 
-    def __init__(self, service: KdcService, role: str, client_address: str = "",
-                 on_event=None):
+    def __init__(self, service: KdcService, role: str, client_address: str = ""):
         self.service = service
         self.role = role
         self.client_address = client_address
-        self.on_event = on_event
 
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         try:
             reply = self.service.handle(self.role, payload, now, self.client_address)
         except KerbPkError as exc:
-            if self.on_event:
-                self.on_event(f"kdc-{self.role}", exc.name)
             return [error_reply(exc)], False
         return [codec.encode(reply)], False

@@ -18,7 +18,6 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 from . import codec
 from .crypto import SealedBox, SymmetricKey
@@ -319,7 +318,7 @@ def validate_times(validity: Validity, now: int, skew: int) -> None:
 
 
 class ReplayCache:
-    """Bounded, windowed set of (client_id, realm, timestamp) triples.
+    """Bounded, windowed set of (realm, client, timestamp, box digest) keys.
 
     Entries older than the window are pruned; beyond ``capacity`` entries the
     oldest inserted goes first.  Thread-safe.
@@ -351,7 +350,7 @@ class ReplayCache:
 
 
 def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
-                           skew: int, replay_cache: Optional[ReplayCache],
+                           skew: int, replay_cache: ReplayCache,
                            box_digest: bytes = b"") -> None:
     """Identity, freshness, then uniqueness; inserts into the cache only on ok.
 
@@ -365,6 +364,5 @@ def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
             f"ticket names {expected.name}@{expected.realm}")
     if abs(now - auth.timestamp) > skew:
         raise SkewExceeded(f"authenticator timestamp {auth.timestamp}, now {now}, skew {skew}")
-    if replay_cache is not None:
-        replay_cache.check_and_insert(
-            (auth.client_realm, auth.client_id, auth.timestamp, box_digest), now)
+    replay_cache.check_and_insert(
+        (auth.client_realm, auth.client_id, auth.timestamp, box_digest), now)

@@ -35,13 +35,7 @@ from . import codec
 from .client import ClientAgent, ClientIdentity, CredentialCache
 from .crypto import get_provider
 from .errors import KerbPkError, NoTicket, ScenarioParseError, StateError
-from .gateway import (
-    AppRequest,
-    ProtectedAppSession,
-    SecureChannel,
-    echo_handler,
-    open_channel,
-)
+from .gateway import AppRequest, SecureChannel, open_channel, protected_endpoint
 from .gss import initiator_for
 from .kdc import (
     KdcConfig,
@@ -55,7 +49,6 @@ from .messages import (
     DEFAULT_LIFETIME,
     Certificate,
     Principal,
-    ReplayCache,
     Validity,
     as_request_signable,
 )
@@ -266,6 +259,28 @@ class _CountingConn:
         self._conn.close()
 
 
+class _ObservedSession:
+    """Server-side twin of ``_CountingConn``: records each ErrorReply the
+    session answers with as an event of ``actor``, and counts KDC requests."""
+
+    def __init__(self, session, actor: str, kdc: bool, runner: "ScenarioRunner"):
+        self._session = session
+        self._actor = actor
+        self._kdc = kdc
+        self._runner = runner
+
+    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
+        if self._kdc:
+            self._runner.kdc_requests += 1
+        replies, close = self._session.feed(payload, now)
+        for reply in replies:
+            if codec.schema_id_of(reply) == codec.SchemaId.ERROR_REPLY:
+                error = codec.decode(reply, codec.SchemaId.ERROR_REPLY).error
+                self._runner.events.append(
+                    EventRecord(self._runner._step_index, self._actor, error))
+        return replies, close
+
+
 class ScenarioRunner:
     """Executes one parsed script against a fresh realm."""
 
@@ -284,6 +299,7 @@ class ScenarioRunner:
         self.db = PrincipalDb.create(script.realm, self.provider)
         self.kdc = KdcService(self.db, KdcConfig(), self.provider)
         self.frames = 0
+        self.kdc_requests = 0
         self.handshake_legs = 0
         self.step_results: list[StepResult] = []
         self.events: list[EventRecord] = []
@@ -291,7 +307,6 @@ class ScenarioRunner:
         self._identities: dict[str, ClientIdentity] = {}
         self._caches: dict[str, CredentialCache] = {}
         self._channels: dict[tuple[str, str], SecureChannel] = {}
-        self._service_replay = {name: ReplayCache() for name in script.services}
         self._servers: list[ThreadedFrameServer] = []
         self._network: Optional[SimNetwork] = None
         self._ports: dict[str, int] = {}
@@ -340,21 +355,20 @@ class ScenarioRunner:
             identity = replace(identity, password=password)
         return ClientAgent(identity, self.provider, cache=self._cache(user))
 
-    def _event_cb(self, actor: str, error: str) -> None:
-        self.events.append(EventRecord(self._step_index, actor, error))
+    def _observed(self, factory: Callable[[], object], actor: str,
+                  kdc: bool = False) -> Callable[[], _ObservedSession]:
+        return lambda: _ObservedSession(factory(), actor, kdc, self)
 
     def _endpoint_factories(self) -> dict[str, Callable[[], object]]:
         factories = {
-            "as": lambda: KdcFrameSession(self.kdc, ROLE_AS, on_event=self._event_cb),
-            "tgs": lambda: KdcFrameSession(self.kdc, ROLE_TGS, on_event=self._event_cb),
+            "as": self._observed(lambda: KdcFrameSession(self.kdc, ROLE_AS), "kdc-as", kdc=True),
+            "tgs": self._observed(lambda: KdcFrameSession(self.kdc, ROLE_TGS), "kdc-tgs",
+                                  kdc=True),
         }
         for name in self.script.services:
             record = self.db.lookup(name)
-            factories[f"app:{name}"] = (
-                lambda record=record, name=name: ProtectedAppSession(
-                    record.principal, record.long_term_key, self.provider,
-                    self._service_replay[name], handler=echo_handler,
-                    on_event=self._event_cb))
+            factories[f"app:{name}"] = self._observed(
+                protected_endpoint(record.principal, record.long_term_key, self.provider), name)
         return factories
 
     def _connect(self, address: str, label: str) -> _CountingConn:
@@ -383,7 +397,7 @@ class ScenarioRunner:
         return ScenarioReport(
             scenario=self.script.name, seed=self.seed, transport=self.transport,
             steps=self.step_results, events=self.events, frames=self.frames,
-            kdc_requests=self.kdc.request_count, handshake_legs=self.handshake_legs,
+            kdc_requests=self.kdc_requests, handshake_legs=self.handshake_legs,
             transcript=self._network.transcript if self._network else [])
 
     @staticmethod

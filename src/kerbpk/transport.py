@@ -217,10 +217,10 @@ class SimConnection:
             raise ConnectionClosed("connection already closed by this side")
         self.network._transmit(self, "c->s", pack_frame(payload))
 
-    def recv(self, timeout: int = DEFAULT_RECV_TIMEOUT) -> bytes:
+    def recv(self) -> bytes:
         if self.client_closed:
             raise ConnectionClosed("connection already closed by this side")
-        wire = self.network._await_frame(self, timeout)
+        wire = self.network._await_frame(self, DEFAULT_RECV_TIMEOUT)
         return unpack_frame(wire)
 
     def peer_closed(self) -> bool:
@@ -494,11 +494,11 @@ class FrameClient:
     """Blocking client for the threaded server; mirrors SimConnection.
 
     Frames are cut from a receive buffer, as the server cuts them, so bytes
-    read past the end of one frame stay for the next ``recv``.
+    read past the end of one frame stay for the next ``recv``.  ``timeout``,
+    set once on the socket, bounds the connect and every send and receive.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
-        self.timeout = timeout
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._buf = bytearray()
 
@@ -508,8 +508,7 @@ class FrameClient:
         except (BrokenPipeError, ConnectionResetError):
             raise ConnectionClosed("peer closed the connection") from None
 
-    def recv(self, timeout: Optional[float] = None) -> bytes:
-        self._sock.settimeout(self.timeout if timeout is None else timeout)
+    def recv(self) -> bytes:
         while (wire := _take_wire(self._buf)) is None:
             try:
                 chunk = self._sock.recv(_RECV_CHUNK)

@@ -1,6 +1,7 @@
 """Shared fixtures: a one-user, one-service realm with an in-process KDC."""
 
 import struct
+from collections import Counter
 
 import pytest
 
@@ -8,9 +9,12 @@ from kerbpk import codec
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import get_provider
 from kerbpk.errors import ConnectionClosed, NoTicket
+from kerbpk.gateway import (BackendSession, GatewayClient, GatewayCore, GatewayPolicy,
+                            GatewaySession, ResponseCache, echo_handler, protected_endpoint)
 from kerbpk.gss import initiator_for
 from kerbpk.kdc import KdcConfig, KdcService, PrincipalDb
 from kerbpk.messages import Principal
+from kerbpk.transport import SimClock, SimNetwork
 
 REALM = "EXAMPLE"
 NOW = 1_000_000  # same epoch the simulated clock starts at
@@ -29,12 +33,15 @@ class Realm:
         self.identity = ClientIdentity(self.user.principal, "hunter2", self.keypair,
                                        self.user.certificate)
         self.agent = ClientAgent(self.identity, provider)
+        self.sent = Counter()  # requests carried to the KDC, by endpoint role
 
     # The KDC decodes wire payloads itself, so the in-process path re-encodes.
     def send_as(self, request, now: int = NOW):
+        self.sent["as"] += 1
         return self.kdc.handle("as", codec.encode(request), now)
 
     def send_tgs(self, request, now: int = NOW):
+        self.sent["tgs"] += 1
         return self.kdc.handle("tgs", codec.encode(request), now)
 
 
@@ -71,6 +78,37 @@ def initiator_factory(realm):
     cache = realm.agent.cache
     return lambda now: initiator_for(cache, "echo", realm.provider,
                                      cache_ticket_source(cache))
+
+
+def service_endpoint(realm, handler=echo_handler):
+    """Session factory of the realm's "echo" service, answering with ``handler``."""
+    return protected_endpoint(realm.service.principal, realm.service.long_term_key,
+                              realm.provider, handler)
+
+
+def gateway_endpoint(realm, core):
+    """Session factory of a gateway that fronts ``core`` as the "echo" service."""
+    protected = service_endpoint(realm, core.handle)
+    return lambda: GatewaySession(core, protected())
+
+
+def sim_backend(session=BackendSession):
+    """A simulated network whose backend serves ``session``s, and a connector to it."""
+    net = SimNetwork(SimClock())
+    net.register("backend", session)
+    return net, lambda: net.connect("backend", "gw/backend", internal=True)
+
+
+def gateway_stack(realm, capacity=4):
+    """A simulated gateway, bypassing /public, in front of an echo backend,
+    plus alice's client for it.  ``capacity=None`` turns the cache off."""
+    net, connector = sim_backend()
+    cache = ResponseCache(capacity) if capacity is not None else None
+    core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), cache, [("/", connector)])
+    net.register("gw", gateway_endpoint(realm, core))
+    client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
+                           initiator_factory(realm), net.clock.now)
+    return net, core, client
 
 
 def recv_frame(sock, timeout=None):

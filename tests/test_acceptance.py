@@ -10,17 +10,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import NOW, REALM, initiator_factory
+from conftest import REALM, gateway_stack
 from kerbpk import cli, codec
 from kerbpk.crypto import SealLabel, get_provider
 from kerbpk.errors import IntegrityError, ProviderMismatch, Truncated
-from kerbpk.gateway import (BackendSession, GatewayClient, GatewayCore,
-                            GatewayPolicy, GatewaySession, ResponseCache,
-                            echo_handler)
 from kerbpk.kdc import PrincipalDb
-from kerbpk.messages import Authenticator, Principal, ReplayCache
+from kerbpk.messages import Authenticator
 from kerbpk.scenario import load_scenario, parse_scenario, run_scenario
-from kerbpk.transport import Duplicate, FlipBit, SimClock, SimNetwork, Swap
+from kerbpk.transport import Duplicate, FlipBit, Swap
 
 
 @contextmanager
@@ -157,23 +154,9 @@ def test_key_store_grows_with_principals_not_pairs(capsys, tmp_path):
 
 # 6 / 7 -- a gateway over the simulated wire -----------------------------------
 
-def gateway_stack(logged_in, cache):
-    net = SimNetwork(SimClock())
-    net.register("backend", lambda: BackendSession(echo_handler))
-    core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), cache,
-                       [("/", lambda: net.connect("backend", "gw/backend", internal=True))])
-    replay = ReplayCache()  # one per endpoint, shared by its connections
-    net.register("gw", lambda: GatewaySession(
-        core, Principal("echo", REALM), logged_in.service.long_term_key,
-        logged_in.provider, replay))
-    client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
-                           initiator_factory(logged_in), net.clock.now)
-    return net, core, client
-
-
 def test_response_cache_cuts_backend_traffic(capsys, logged_in):
     with scored(capsys, 6, "response cache cuts backend traffic"):
-        net, core, client = gateway_stack(logged_in, ResponseCache(16))
+        net, core, client = gateway_stack(logged_in, 16)
         for _ in range(10):
             assert client.fetch("/data/report").status == 200
         assert (core.backend_hits, core.cache_hits) == (1, 9)
@@ -200,7 +183,7 @@ def test_protected_payloads_stay_off_the_wire(capsys, logged_in):
             assert all(w not in record.wire for w in windows)
 
         # gateway path: hidden on the public hop, visible only gateway-side
-        net, core, client = gateway_stack(logged_in, ResponseCache(4))
+        net, core, client = gateway_stack(logged_in, 4)
         assert client.fetch("/data/acct", method="POST", body=secret).body == secret
         external = [r for r in net.transcript if not r.internal]
         assert external

@@ -95,9 +95,9 @@ def test_service_ticket_stored_under_its_name(logged_in):
 
 
 def test_service_credential_reuses_fresh_entry(logged_in):
-    before = logged_in.kdc.tgs_requests
+    before = logged_in.sent["tgs"]
     entry = logged_in.agent.cache.get_service("echo", NOW)
-    assert logged_in.kdc.tgs_requests == before  # cache hit, no new exchange
+    assert logged_in.sent["tgs"] == before  # cache hit, no new exchange
     assert entry is not None and entry == logged_in.agent.cache.peek_service("echo")
 
 

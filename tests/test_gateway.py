@@ -7,18 +7,18 @@ import time
 
 import pytest
 
-from conftest import NOW, REALM, initiator_factory, recv_frame
+from conftest import (NOW, gateway_endpoint, gateway_stack, initiator_factory, recv_frame,
+                      service_endpoint, sim_backend)
 from kerbpk import codec, gateway, transport
-from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket,
-                           PolicyParseError, StateError, Timeout, UnknownService)
+from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseError,
+                           ReplayDetected, Timeout, UnknownService)
 from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             AppRequest, AppResponse, BackendSession,
                             GatewayClient, GatewayCore, GatewayPolicy,
-                            GatewaySession, ProtectedAppSession, ResponseCache,
-                            echo_handler)
-from kerbpk.messages import ErrorReply, Principal, ReplayCache
-from kerbpk.transport import (Drop, Duplicate, FrameClient, SimClock, SimNetwork,
-                              ThreadedFrameServer, send_frame)
+                            ResponseCache, echo_handler)
+from kerbpk.messages import ErrorReply
+from kerbpk.transport import (Drop, Duplicate, FrameClient, ThreadedFrameServer, call,
+                              send_frame)
 
 
 # --------------------------------------------------------------------- policy
@@ -87,12 +87,6 @@ def test_cache_capacity_must_be_positive():
 
 # ----------------------------------------------------------------------- core
 
-def sim_backend(handler=echo_handler):
-    net = SimNetwork(SimClock())
-    net.register("backend", lambda: BackendSession(handler))
-    return net, lambda: net.connect("backend", "gw/backend", internal=True)
-
-
 def test_core_routes_and_counts():
     net, connector = sim_backend()
     core = GatewayCore(GatewayPolicy(), ResponseCache(4), [("/", connector)])
@@ -133,10 +127,8 @@ def test_core_answers_502_when_the_backend_misbehaves():
         def feed(self, payload, now):
             return [], True  # hangs up without answering
 
-    net = SimNetwork(SimClock())
-    net.register("backend", Hostile)
-    core = GatewayCore(GatewayPolicy(), ResponseCache(4),
-                       [("/", lambda: net.connect("backend", "gw/backend", internal=True))])
+    net, connector = sim_backend(Hostile)
+    core = GatewayCore(GatewayPolicy(), ResponseCache(4), [("/", connector)])
     response = core.handle(AppRequest("GET", "/data", b""))
     assert response.status == 502
     assert b"backend failed" in response.body
@@ -172,27 +164,21 @@ def test_backend_session_reports_handler_errors():
 
 
 def test_protected_session_rejects_wrap_before_handshake(logged_in):
-    events = []
-    session = ProtectedAppSession(Principal("echo", REALM),
-                                  logged_in.service.long_term_key,
-                                  logged_in.provider, ReplayCache(),
-                                  on_event=lambda a, e: events.append((a, e)))
+    session = service_endpoint(logged_in)()
     from kerbpk.gss import WrapToken
     from kerbpk.crypto import SealedBox
     token = WrapToken(0, 1, SealedBox(b"\x00" * 40, 6))
     replies, close = session.feed(codec.encode(token), NOW)
     assert close
-    assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "StateError"
-    assert events == [("echo", "StateError")]
+    assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY) == \
+        ErrorReply("StateError", "wrap token before any handshake")
     # plain app requests never reach a protected endpoint
     assert session.feed(codec.encode(AppRequest("GET", "/", b"")), NOW) == ([], True)
 
 
 def test_gateway_session_answers_a_malformed_plain_request_and_closes(logged_in):
-    net, connector = sim_backend()
-    core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), None, [("/", connector)])
-    session = GatewaySession(core, Principal("echo", REALM), logged_in.service.long_term_key,
-                             logged_in.provider, ReplayCache())
+    net, core, _ = gateway_stack(logged_in, None)
+    session = gateway_endpoint(logged_in, core)()
     truncated = codec.encode(AppRequest("GET", "/public/page", b"hi"))[:-1]
     replies, close = session.feed(truncated, NOW)
     assert close
@@ -201,20 +187,6 @@ def test_gateway_session_answers_a_malformed_plain_request_and_closes(logged_in)
 
 
 # --------------------------------------------------------------- full gateway
-
-def gateway_stack(logged_in, policy="bypass /public\n", capacity=4):
-    net = SimNetwork(SimClock())
-    net.register("backend", lambda: BackendSession(echo_handler))
-    core = GatewayCore(GatewayPolicy.parse(policy), ResponseCache(capacity),
-                       [("/", lambda: net.connect("backend", "gw/backend", internal=True))])
-    replay, events = ReplayCache(), []
-    net.register("gw", lambda: GatewaySession(
-        core, Principal("echo", REALM), logged_in.service.long_term_key,
-        logged_in.provider, replay, on_event=lambda a, e: events.append((a, e))))
-    client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
-                           initiator_factory(logged_in), net.clock.now)
-    return net, core, client, events
-
 
 def handshake_frames(net):
     count = 0
@@ -226,13 +198,13 @@ def handshake_frames(net):
 
 
 def test_plain_fetch_of_bypass_resource(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     response = client.fetch_plain("/public/page", body=b"welcome")
     assert (response.status, response.body) == (200, b"welcome")
 
 
 def test_plain_fetch_of_protected_resource_is_401(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     response = client.fetch_plain("/data/secret")
     assert response.status == 401
     assert core.backend_hits == 0  # never even consulted the backend
@@ -250,25 +222,26 @@ def test_plain_fetch_waits_only_as_long_as_its_connection():
 
 
 def test_authenticated_fetch_reaches_the_backend(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     response = client.fetch("/data/report", body=b"quarterly")
     assert (response.status, response.body, response.served_from) == \
         (200, b"quarterly", SERVED_BACKEND)
     repeat = client.fetch("/data/report", body=b"quarterly")
     assert repeat.served_from == SERVED_CACHE
     assert (core.backend_hits, core.cache_hits) == (1, 1)
-    assert events == []
+    assert not [r for r in net.transcript
+                if codec.schema_id_of(r.wire[4:]) == codec.SchemaId.ERROR_REPLY]
 
 
 def test_channel_is_reused_across_fetches(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     client.fetch("/data/a")
     client.fetch("/data/b")
     assert handshake_frames(net) == 2  # one handshake: leg out, leg back
 
 
 def test_client_reconnects_when_the_channel_dies(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     assert client.fetch("/data/a").status == 200
     client._channel.conn.close()  # the connection quietly goes away
     assert client.fetch("/data/b").status == 200  # retried on a fresh channel
@@ -276,8 +249,8 @@ def test_client_reconnects_when_the_channel_dies(logged_in):
 
 
 def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
-    net, core, _, _ = gateway_stack(logged_in)
-    replay = ReplayCache()
+    net, core, _ = gateway_stack(logged_in)
+    endpoint = gateway_endpoint(logged_in, core)
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
@@ -286,9 +259,7 @@ def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
         for reset in (True, False):
             conn, _ = listener.accept()
             with conn:
-                session = GatewaySession(core, Principal("echo", REALM),
-                                         logged_in.service.long_term_key,
-                                         logged_in.provider, replay)
+                session = endpoint()
                 for _ in range(2):
                     replies, _ = session.feed(recv_frame(conn, timeout=5.0), NOW)
                     for reply in replies:
@@ -322,10 +293,8 @@ def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, lo
     backend = ThreadedFrameServer(lambda: BackendSession(record)).start()
     core = GatewayCore(GatewayPolicy(), None,
                        [("/", gateway.backend_connector(backend.host, backend.port))])
-    replay = ReplayCache()
-    server = ThreadedFrameServer(lambda: GatewaySession(
-        core, Principal("echo", REALM), logged_in.service.long_term_key,
-        logged_in.provider, replay), now_fn=lambda: NOW).start()
+    server = ThreadedFrameServer(gateway_endpoint(logged_in, core),
+                                 now_fn=lambda: NOW).start()
     client = GatewayClient(lambda: FrameClient(server.host, server.port),
                            initiator_factory(logged_in), lambda: NOW)
     try:
@@ -342,13 +311,12 @@ def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, lo
 
 
 def test_fresh_channel_that_fails_is_not_retried(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
+    endpoint = gateway_endpoint(logged_in, core)
 
     class HangUpAfterHandshake:
         def __init__(self):
-            self.session = GatewaySession(core, Principal("echo", REALM),
-                                          logged_in.service.long_term_key,
-                                          logged_in.provider, ReplayCache())
+            self.session = endpoint()
 
         def feed(self, payload, now):
             replies, close = self.session.feed(payload, now)
@@ -364,7 +332,7 @@ def test_fresh_channel_that_fails_is_not_retried(logged_in):
 
 
 def test_lost_reply_to_a_post_on_a_reused_channel_is_not_resent(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     assert client.fetch("/data/a").status == 200
     hits, sent = core.backend_hits, len(net.transcript)
     # the POST, the backend hop out and back, then the gateway's reply: lost
@@ -380,7 +348,7 @@ def test_lost_reply_to_a_post_on_a_reused_channel_is_not_resent(logged_in):
 
 
 def test_fetch_without_a_ticket_names_the_failing_step(realm):
-    net, core, client, events = gateway_stack(realm)  # never logged in
+    net, core, client = gateway_stack(realm)  # never logged in
     with pytest.raises(FetchError) as info:
         client.fetch("/data/x")
     assert info.value.step == "handshake"
@@ -388,7 +356,7 @@ def test_fetch_without_a_ticket_names_the_failing_step(realm):
 
 
 def test_tunnel_hides_plaintext_from_the_external_wire(logged_in):
-    net, core, client, events = gateway_stack(logged_in)
+    net, core, client = gateway_stack(logged_in)
     secret = b"net-position-snapshot-7731"
     response = client.fetch("/data/positions", method="POST", body=secret)
     assert response.body == secret
@@ -398,8 +366,26 @@ def test_tunnel_hides_plaintext_from_the_external_wire(logged_in):
     assert external and all(secret not in r.wire for r in external)
 
 
+@pytest.mark.parametrize("endpoint", [
+    service_endpoint,
+    lambda realm: gateway_endpoint(realm, GatewayCore(GatewayPolicy(), None, [])),
+], ids=["service", "gateway"])
+def test_first_leg_replayed_on_a_second_tcp_connection_is_refused(logged_in, endpoint):
+    server = ThreadedFrameServer(endpoint(logged_in), now_fn=lambda: NOW).start()
+    first, second = (FrameClient(server.host, server.port) for _ in range(2))
+    try:
+        leg1, _ = initiator_factory(logged_in)(NOW).step(None, NOW)
+        call(first, leg1, codec.SchemaId.CONTEXT_TOKEN)
+        with pytest.raises(ReplayDetected):
+            call(second, leg1, codec.SchemaId.CONTEXT_TOKEN)
+    finally:
+        first.close()
+        second.close()
+        server.stop()
+
+
 def test_cache_eviction_under_capacity_pressure(logged_in):
-    net, core, client, events = gateway_stack(logged_in, capacity=2)
+    net, core, client = gateway_stack(logged_in, 2)
     for resource in ("/data/a", "/data/b", "/data/c"):
         client.fetch(resource)
     assert core.backend_hits == 3
@@ -587,10 +573,8 @@ def test_pooled_sim_connection_the_backend_closed_is_replaced():
             replies, _ = super().feed(payload, now)
             return replies, True
 
-    net = SimNetwork(SimClock())
-    net.register("backend", AnswerThenHangUp)
-    core = GatewayCore(GatewayPolicy(), None,
-                       [("/", lambda: net.connect("backend", "gw/backend", internal=True))])
+    net, connector = sim_backend(AnswerThenHangUp)
+    core = GatewayCore(GatewayPolicy(), None, [("/", connector)])
     for body in (b"first", b"second"):
         response = core.handle(AppRequest("POST", "/data", body))
         assert (response.status, response.body) == (200, body)
@@ -603,9 +587,7 @@ def test_client_hears_the_502_for_a_silent_backend(monkeypatch, logged_in):
     with socket.create_server(("127.0.0.1", 0)) as silent:
         core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), ResponseCache(4),
                            [("/", gateway.backend_connector(*silent.getsockname()))])
-        server = ThreadedFrameServer(lambda: GatewaySession(
-            core, Principal("echo", REALM), logged_in.service.long_term_key,
-            logged_in.provider, ReplayCache())).start()
+        server = ThreadedFrameServer(gateway_endpoint(logged_in, core)).start()
         client = GatewayClient(lambda: FrameClient(server.host, server.port, timeout=1.0),
                                None, lambda: NOW)
         try:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in that module."""
+"""Source hygiene: every name a library module imports is used in that module,
+and only one function makes a replay cache."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,12 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def replay_cache_calls(tree: ast.AST) -> int:
+    return sum(isinstance(node, ast.Call) and
+               getattr(node.func, "id", getattr(node.func, "attr", None)) == "ReplayCache"
+               for node in ast.walk(tree))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -33,3 +40,12 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
         ["b (line 2)", "os (line 1)"]
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
+
+
+def test_only_protected_endpoint_makes_a_replay_cache():
+    # An endpoint's connections share its one cache (RFC 4120 3.2.3).  The
+    # KDC's comes from KdcService's default_factory, a reference, not a call.
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    builder = next(node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "protected_endpoint")
+    assert sum(replay_cache_calls(tree) for tree in trees) == replay_cache_calls(builder) == 1

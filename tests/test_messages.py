@@ -131,12 +131,6 @@ def test_authenticator_replay_detected():
     validate_authenticator(auth, ALICE, 1001, SKEW, cache, b"fresh-box")
 
 
-def test_authenticator_without_cache_skips_uniqueness():
-    auth = Authenticator("alice", "EXAMPLE", 1000)
-    validate_authenticator(auth, ALICE, 1000, SKEW, None)
-    validate_authenticator(auth, ALICE, 1000, SKEW, None)  # no cache, no replay
-
-
 # ------------------------------------------------------------ name validation
 
 def test_principal_name_rules():

@@ -279,8 +279,10 @@ def test_second_handshake_replaces_the_channel():
 
 
 def test_echo_that_comes_back_altered_is_an_error(monkeypatch):
-    monkeypatch.setattr(scenario, "echo_handler",
-                        lambda request: AppResponse(200, request.body.upper(), SERVED_BACKEND))
+    endpoint = scenario.protected_endpoint
+    monkeypatch.setattr(scenario, "protected_endpoint", lambda *args: endpoint(
+        *args, handler=lambda request: AppResponse(200, request.body.upper(),
+                                                   SERVED_BACKEND)))
     report = run_scenario(HAPPY + "step handshake alice echo\n"
                           "step pipeline alice echo one two\n", seed=8)
     assert [(s.name, s.outcome, s.error) for s in report.steps[3:]] == [

@@ -145,7 +145,7 @@ def test_drop_yields_timeout_and_burns_the_wait():
     conn = net.connect("svc", "c")
     conn.send(b"hi")
     with pytest.raises(Timeout):
-        conn.recv(timeout=30)
+        conn.recv()
     assert net.clock.now() == SIM_CLOCK_START + 30  # waited the full budget
     assert net.transcript[0].status == "dropped"
 
@@ -155,7 +155,7 @@ def test_drop_of_the_reply():
     conn = net.connect("svc", "c")
     conn.send(b"hi")
     with pytest.raises(Timeout):
-        conn.recv(timeout=5)
+        conn.recv()
     dropped = [r for r in net.transcript if r.status == "dropped"]
     assert [(r.index, r.direction) for r in dropped] == [(2, "s->c")]
 
@@ -213,7 +213,7 @@ def test_delay_within_the_timeout_advances_the_clock():
     net = simnet(Delay(2, 10))
     conn = net.connect("svc", "c")
     conn.send(b"hi")
-    assert conn.recv(timeout=30) == b"echo:hi"
+    assert conn.recv() == b"echo:hi"
     assert net.clock.now() == SIM_CLOCK_START + 10  # only as far as needed
 
 
@@ -222,8 +222,8 @@ def test_delay_beyond_the_timeout_then_recovered():
     conn = net.connect("svc", "c")
     conn.send(b"hi")
     with pytest.raises(Timeout):
-        conn.recv(timeout=30)
-    assert conn.recv(timeout=30) == b"echo:hi"  # still scheduled, arrives later
+        conn.recv()
+    assert conn.recv() == b"echo:hi"  # still scheduled, arrives later
 
 
 # ------------------------------------------------------------------- sockets
@@ -247,21 +247,21 @@ def test_tcp_request_reply(tcp_server):
 
 
 def test_tcp_recv_timeout(tcp_server):
-    client = FrameClient(tcp_server.host, tcp_server.port)
+    client = FrameClient(tcp_server.host, tcp_server.port, timeout=0.2)
     try:
         with pytest.raises(Timeout):
-            client.recv(timeout=0.2)
+            client.recv()
     finally:
         client.close()
 
 
 def test_tcp_session_close(tcp_server):
-    client = FrameClient(tcp_server.host, tcp_server.port)
+    client = FrameClient(tcp_server.host, tcp_server.port, timeout=1.0)
     try:
         client.send(b"please-close")
         assert client.recv() == b"bye"
         with pytest.raises(ConnectionClosed):
-            client.recv(timeout=1.0)
+            client.recv()
     finally:
         client.close()
 
@@ -328,7 +328,7 @@ def test_client_cuts_frames_from_raw_writes(writes, expected):
 def test_client_sees_a_reset_as_connection_closed():
     with socket.create_server(("127.0.0.1", 0)) as listener:
         for first in ("recv", "send"):
-            client = FrameClient(*listener.getsockname())
+            client = FrameClient(*listener.getsockname(), timeout=2.0)
             conn, _ = listener.accept()
             try:
                 client.send(b"left unread")
@@ -336,7 +336,7 @@ def test_client_sees_a_reset_as_connection_closed():
                 conn.close()  # ...so closing over it resets the connection
                 with pytest.raises(ConnectionClosed):
                     if first == "recv":
-                        client.recv(timeout=2.0)
+                        client.recv()
                     for _ in range(100):  # until the reset has come back
                         client.send(b"late")
                         time.sleep(0.01)
@@ -474,14 +474,14 @@ def test_tcp_connections_past_the_cap_wait_for_a_free_worker(monkeypatch):
     clients = []
     try:
         for name in (b"a", b"b", b"c"):
-            client = FrameClient(server.host, server.port)
+            client = FrameClient(server.host, server.port, timeout=1.0)
             clients.append(client)
             client.send(name)
         assert [c.recv() for c in clients[:2]] == [b"echo:a", b"echo:b"]
         with pytest.raises(Timeout):
-            clients[2].recv(timeout=0.3)
+            clients[2].recv()
         clients[0].close()
-        assert clients[2].recv(timeout=2.0) == b"echo:c"
+        assert clients[2].recv() == b"echo:c"
     finally:
         for client in clients:
             client.close()
@@ -509,12 +509,12 @@ def test_tcp_trickling_peer_is_closed_at_the_frame_deadline(monkeypatch):
     started = time.monotonic()
     trickler = threading.Thread(target=trickle)
     trickler.start()
-    client = FrameClient(server.host, server.port)  # waits behind the trickler
+    client = FrameClient(server.host, server.port, timeout=2.0)  # waits behind the trickler
     try:
         client.send(b"prompt")
         assert read_to_end(slow) == b""
         assert 0.4 < time.monotonic() - started < 2.0
-        assert client.recv(timeout=2.0) == b"echo:prompt"
+        assert client.recv() == b"echo:prompt"
     finally:
         stop.set()
         trickler.join(timeout=5.0)
@@ -531,10 +531,10 @@ def test_tcp_partial_frame_past_its_deadline_is_closed_at_once(monkeypatch, tcp_
         started = time.monotonic()
         assert read_to_end(sock) == b""
         assert time.monotonic() - started < 1.0  # not the 30-s idle timeout
-    client = FrameClient(tcp_server.host, tcp_server.port)
+    client = FrameClient(tcp_server.host, tcp_server.port, timeout=2.0)
     try:
         client.send(b"next")
-        assert client.recv(timeout=2.0) == b"echo:next"
+        assert client.recv() == b"echo:next"
     finally:
         client.close()
 
@@ -568,10 +568,10 @@ def test_tcp_crashing_session_costs_only_its_connection(capsys):
             assert read_to_end(sock) == b""
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: session bug" in err
-        client = FrameClient(server.host, server.port)
+        client = FrameClient(server.host, server.port, timeout=2.0)
         try:
             client.send(b"after")
-            assert client.recv(timeout=2.0) == b"echo:after"
+            assert client.recv() == b"echo:after"
         finally:
             client.close()
         assert wait_until_idle(server)
@@ -597,10 +597,10 @@ def test_tcp_peer_that_resets_before_its_reply_costs_only_its_connection(capsys)
         close_with_reset(sock)  # so the reply's send fails
         release.set()
         assert wait_until_idle(server)
-        client = FrameClient(server.host, server.port)
+        client = FrameClient(server.host, server.port, timeout=2.0)
         try:
             client.send(b"after")
-            assert client.recv(timeout=2.0) == b"echo:after"
+            assert client.recv() == b"echo:after"
         finally:
             client.close()
         assert capsys.readouterr().err == ""  # an expected loss, not a crash
@@ -630,7 +630,7 @@ def test_tcp_stop_survives_a_connection_the_peer_already_reset():
 def test_tcp_stop_closes_idle_connections_promptly():
     before = threading.active_count()
     server = ThreadedFrameServer(EchoSession).start()
-    client = FrameClient(server.host, server.port)
+    client = FrameClient(server.host, server.port, timeout=1.0)
     try:
         client.send(b"hi")
         assert client.recv() == b"echo:hi"
@@ -638,7 +638,7 @@ def test_tcp_stop_closes_idle_connections_promptly():
         server.stop()
         assert time.monotonic() - started < 1.0
         with pytest.raises(ConnectionClosed):
-            client.recv(timeout=1.0)
+            client.recv()
         assert threading.active_count() <= before
     finally:
         client.close()
