@@ -35,7 +35,6 @@ from .errors import FetchError, KerbPkError, NoTgt
 from .kdc import (
     DEFAULT_AS_PORT,
     DEFAULT_TGS_PORT,
-    KdcConfig,
     KdcFrameSession,
     KdcService,
     PrincipalDb,
@@ -111,7 +110,7 @@ def _serve(servers: list[ThreadedFrameServer], banner: str) -> int:
 
 def cmd_kdc_serve(args) -> int:
     db = PrincipalDb.load(_db_path(args))
-    service = KdcService(db, KdcConfig(), _provider_of(args))
+    service = KdcService(db, _provider_of(args))
     as_server = ThreadedFrameServer(lambda: KdcFrameSession(service, ROLE_AS),
                                     now_fn=_now, port=args.as_port).start()
     tgs_server = ThreadedFrameServer(lambda: KdcFrameSession(service, ROLE_TGS),
@@ -264,7 +263,7 @@ def cmd_service_serve_echo(args) -> int:
         raise KerbPkError("a protected service needs --keytab (or use --plain)")
     keyfile = load_service_key(args.keytab)
     server = ThreadedFrameServer(
-        protected_endpoint(keyfile.principal, keyfile.key, provider),
+        protected_endpoint(keyfile.key, provider),
         now_fn=_now, port=args.port).start()
     return _serve([server],
                   f"service listening name={keyfile.principal.name}"
@@ -292,8 +291,7 @@ def cmd_gateway(args) -> int:
         backends.append((prefix, backend_connector(host, port)))
     cache = ResponseCache(args.cache_capacity) if args.cache_capacity > 0 else None
     core = GatewayCore(policy, cache, backends)
-    protected = protected_endpoint(keyfile.principal, keyfile.key, provider,
-                                   handler=core.handle)
+    protected = protected_endpoint(keyfile.key, provider, handler=core.handle)
     server = ThreadedFrameServer(lambda: GatewaySession(core, protected()),
                                  now_fn=_now, port=args.port).start()
     status = _serve([server],

@@ -189,10 +189,9 @@ class ClientAgent:
     def _default_validity(self, now: int) -> Validity:
         return Validity(now, now + DEFAULT_LIFETIME)
 
-    def build_as_request(self, tgs_id: str, requested_validity: Validity,
-                         options: int = 0) -> AsRequest:
+    def build_as_request(self, tgs_id: str, requested_validity: Validity) -> AsRequest:
         """Fresh nonce; signature covers every other request field."""
-        fields = (options, self.identity.principal, tgs_id, requested_validity,
+        fields = (0, self.identity.principal, tgs_id, requested_validity,
                   self.provider.random_nonce(), self.identity.certificate)
         signature = self.provider.sign(self.identity.keypair.private_key,
                                        as_request_signable(AsRequest(*fields, b"")))

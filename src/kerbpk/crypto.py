@@ -95,11 +95,11 @@ codec.register(SealedBox, codec.SchemaId.SEALED_BOX, [
 
 
 class CryptoProvider:
-    """The key and label checks both providers share.
+    """The key and label checks and the random draws both providers share.
 
-    Each provider supplies ``derive_key_from_password``, ``seal``, ``open``,
-    ``sign``, ``verify``, ``pk_encrypt``, ``pk_decrypt``,
-    ``random_session_key``, ``random_nonce`` and ``generate_keypair``.
+    Each provider supplies ``_random_bytes``, ``derive_key_from_password``,
+    ``seal``, ``open``, ``sign``, ``verify``, ``pk_encrypt``, ``pk_decrypt``
+    and ``generate_keypair``.
     """
 
     provider_id = "abstract"
@@ -117,6 +117,12 @@ class CryptoProvider:
 
     def _check_label(self, label: int) -> int:
         return int(SealLabel(label))
+
+    def random_session_key(self) -> SymmetricKey:
+        return SymmetricKey(self._random_bytes(self.key_length), self.provider_id)
+
+    def random_nonce(self) -> bytes:
+        return self._random_bytes(self.nonce_length)
 
 
 def _sha(*parts: bytes) -> bytes:
@@ -215,12 +221,6 @@ class ToyProvider(CryptoProvider):
             raise DecryptFailure("pk unwrap tag mismatch")
         return payload
 
-    def random_session_key(self) -> SymmetricKey:
-        return SymmetricKey(self._random_bytes(self.key_length), self.provider_id)
-
-    def random_nonce(self) -> bytes:
-        return self._random_bytes(self.nonce_length)
-
     def generate_keypair(self) -> KeyPair:
         private = self._random_bytes(32)
         return KeyPair(self._PUB_PREFIX + self._core_from_private(private), private)
@@ -236,6 +236,7 @@ class StandardProvider(CryptoProvider):
     provider_id = "standard"
     _GCM_NONCE = 12
     _PBKDF2_ITERATIONS = 50_000
+    _random_bytes = staticmethod(secrets.token_bytes)
 
     def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
         if not password:
@@ -316,12 +317,6 @@ class StandardProvider(CryptoProvider):
             return AESGCM(key).decrypt(nonce, body, None)
         except (InvalidTag, ValueError):
             raise DecryptFailure("pk unwrap failed") from None
-
-    def random_session_key(self) -> SymmetricKey:
-        return SymmetricKey(secrets.token_bytes(self.key_length), self.provider_id)
-
-    def random_nonce(self) -> bytes:
-        return secrets.token_bytes(self.nonce_length)
 
     def generate_keypair(self) -> KeyPair:
         ed = Ed25519PrivateKey.generate()

@@ -31,17 +31,8 @@ from .errors import (
     PolicyParseError,
     StateError,
 )
-from .gss import (
-    MECHANISM,
-    ContextAcceptor,
-    ContextInitiator,
-    CredentialUsage,
-    MechanismName,
-    NameType,
-    SecurityContext,
-    acquire_credential,
-)
-from .messages import Principal, ReplayCache, decode_reply, error_reply
+from .gss import ContextAcceptor, ContextInitiator, SecurityContext
+from .messages import ReplayCache, decode_reply, error_reply
 from .transport import FrameClient, call
 
 SERVED_BACKEND = 1
@@ -262,10 +253,8 @@ class ProtectedAppSession:
     replay cache, so a replayed first leg is caught across connections.
     """
 
-    def __init__(self, service: Principal, key: SymmetricKey, provider: CryptoProvider,
-                 replay_cache: ReplayCache,
-                 handler: Callable[[AppRequest], AppResponse] = echo_handler):
-        self.service = service
+    def __init__(self, key: SymmetricKey, provider: CryptoProvider, replay_cache: ReplayCache,
+                 handler: Callable[[AppRequest], AppResponse]):
         self.key = key
         self.provider = provider
         self.replay_cache = replay_cache
@@ -275,10 +264,7 @@ class ProtectedAppSession:
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         schema = codec.schema_id_of(payload)
         if schema == codec.SchemaId.CONTEXT_TOKEN:
-            cred = acquire_credential(
-                MechanismName(self.service, NameType.PRINCIPAL_NAME, MECHANISM),
-                CredentialUsage.ACCEPT, self.key)
-            acceptor = ContextAcceptor(cred, self.provider, replay_cache=self.replay_cache)
+            acceptor = ContextAcceptor(self.key, self.provider, self.replay_cache)
             try:
                 token = codec.decode(payload, codec.SchemaId.CONTEXT_TOKEN)
                 reply, _ = acceptor.step(token, now)
@@ -301,13 +287,13 @@ class ProtectedAppSession:
         return [], True
 
 
-def protected_endpoint(service: Principal, key: SymmetricKey, provider: CryptoProvider,
+def protected_endpoint(key: SymmetricKey, provider: CryptoProvider,
                        handler: Callable[[AppRequest], AppResponse] = echo_handler):
     """The session factory of one ticket-protected endpoint.  Its connections
     share one replay cache, so a first leg replayed on another connection is
     refused (RFC 4120 3.2.3)."""
     replay_cache = ReplayCache()
-    return lambda: ProtectedAppSession(service, key, provider, replay_cache, handler)
+    return lambda: ProtectedAppSession(key, provider, replay_cache, handler)
 
 
 class GatewaySession:

@@ -1,12 +1,12 @@
 """Security contexts over the ticket exchange, in the style of a generic
 security-service API.
 
-Callers name principals directly, acquire a credential bound to a usage
-(Initiate for clients holding a credential cache, Accept for services holding
-their long-term key), then drive ``step`` until the context is complete.  The
-mechanism needs exactly two legs: the initiator presents a service ticket with
-a fresh sealed authenticator, the acceptor answers with a sealed timestamp
-echo, a fresh subkey, and its initial sequence number.
+Callers name principals directly: a client acquires an Initiate credential
+over its credential cache, a service hands its acceptor its long-term key, and
+both drive ``step`` until the context is complete.  The mechanism needs
+exactly two legs: the initiator presents a service ticket with a fresh sealed
+authenticator, the acceptor answers with a sealed timestamp echo, a fresh
+subkey, and its initial sequence number.
 
 Mutual authentication, replay detection, and sequence checking are all
 mandatory; an initiator asking for less is refused.  Established contexts
@@ -18,7 +18,6 @@ a higher one is out of sequence.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -40,7 +39,6 @@ from .errors import (
     WrongDirection,
 )
 from .messages import (
-    CLOCK_SKEW,
     ApEncPart,
     ApReply,
     ApRequest,
@@ -104,18 +102,15 @@ class ContextCredential:
 
 
 def acquire_credential(name: MechanismName, usage: CredentialUsage, backing) -> ContextCredential:
-    """Bind a name to a usage; the backing must fit the usage."""
+    """Bind a client's name to the Initiate usage; the backing must be its
+    credential cache.  An acceptor takes the service key itself."""
     from .client import CredentialCache  # local import to avoid a cycle
 
-    if usage == CredentialUsage.INITIATE:
-        if not isinstance(backing, CredentialCache):
-            raise MissingBacking("initiate credentials need a credential cache")
-    elif usage == CredentialUsage.ACCEPT:
-        if not isinstance(backing, SymmetricKey):
-            raise MissingBacking("accept credentials need the service long-term key")
-    else:
-        raise MissingBacking(f"unknown usage {usage!r}")
-    return ContextCredential(name, CredentialUsage(usage), backing)
+    if usage != CredentialUsage.INITIATE:
+        raise MissingBacking(f"only initiate credentials are acquired, not usage {usage!r}")
+    if not isinstance(backing, CredentialCache):
+        raise MissingBacking("initiate credentials need a credential cache")
+    return ContextCredential(name, CredentialUsage.INITIATE, backing)
 
 
 @dataclass(frozen=True)
@@ -306,15 +301,13 @@ def initiator_for(cache, service: str, provider: CryptoProvider,
 class ContextAcceptor:
     """Service half; validates leg 1 and answers with the sealed echo.
 
+    ``key`` is the service's long-term key, which opens the presented ticket.
     ``replay_cache`` is the service's own, shared by every connection it
     accepts, so a first leg replayed on another connection is caught.
     """
 
-    def __init__(self, cred: ContextCredential, provider: CryptoProvider,
-                 replay_cache: ReplayCache):
-        if cred.usage != CredentialUsage.ACCEPT:
-            raise UsageViolation("acceptor needs an Accept credential")
-        self.cred = cred
+    def __init__(self, key: SymmetricKey, provider: CryptoProvider, replay_cache: ReplayCache):
+        self.key = key
         self.provider = provider
         self.replay_cache = replay_cache
         self.context = SecurityContext(CredentialUsage.ACCEPT, provider)
@@ -328,12 +321,11 @@ class ContextAcceptor:
                 raise StateError("acceptor expects the handshake's first token")
             request: ApRequest = codec.decode(input_token.body, codec.SchemaId.AP_REQUEST)
             try:
-                body_bytes = self.provider.open(self.cred.backing, request.ticket.box,
-                                                SealLabel.TICKET)
+                body_bytes = self.provider.open(self.key, request.ticket.box, SealLabel.TICKET)
             except IntegrityError as exc:
                 raise TokenIntegrityError(f"ticket does not open under this service key: {exc}") from None
             body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
-            validate_times(body.validity, now, CLOCK_SKEW)
+            validate_times(body.validity, now)
             try:
                 auth_bytes = self.provider.open(body.session_key, request.authenticator,
                                                 SealLabel.AUTHENTICATOR)
@@ -347,8 +339,7 @@ class ContextAcceptor:
                 raise RequiredFlagMissing("peer did not assert all mandatory context flags")
             validate_authenticator(sealed.authenticator,
                                    Principal(body.client_id, body.client_realm),
-                                   now, CLOCK_SKEW, self.replay_cache,
-                                   hashlib.sha256(request.authenticator.ciphertext).digest())
+                                   now, self.replay_cache, request.authenticator)
         except Exception:
             ctx.state = ContextState.FAILED
             raise

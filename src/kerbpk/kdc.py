@@ -13,7 +13,6 @@ atomically.  Handlers are thread-safe.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -39,7 +38,7 @@ from .errors import (
     UnknownService,
 )
 from .messages import (
-    CLOCK_SKEW,
+    MAX_LIFETIME,
     AsEncPart,
     AsReply,
     AsRequest,
@@ -108,12 +107,6 @@ def save_service_key(record: "PrincipalRecord", path: str) -> None:
 def load_service_key(path: str) -> ServiceKeyFile:
     return codec.load_record(path, codec.SchemaId.SERVICE_KEY_FILE, DbParseError,
                              "service key file")
-
-
-@dataclass
-class KdcConfig:
-    max_ticket_lifetime: int = 28800
-    enforce_address: bool = False
 
 
 class PrincipalDb:
@@ -205,8 +198,8 @@ def _grant(requested: Validity, now: int, latest: int) -> Validity:
     return granted
 
 
-def handle_as_request(db: PrincipalDb, config: KdcConfig, req: AsRequest, now: int,
-                      provider: CryptoProvider, client_address: str = "") -> AsReply:
+def handle_as_request(db: PrincipalDb, req: AsRequest, now: int, provider: CryptoProvider,
+                      client_address: str = "") -> AsReply:
     """Initial authentication: certificate check, signature check, TGT issue."""
     if req.client.realm != db.realm:
         raise UnknownPrincipal(f"realm {req.client.realm} not served here")
@@ -221,7 +214,7 @@ def handle_as_request(db: PrincipalDb, config: KdcConfig, req: AsRequest, now: i
         raise CertificateMismatch("certificate subject does not name the requesting client")
     if not provider.verify(record.certificate.public_key, as_request_signable(req), req.signature):
         raise SignatureInvalid(f"request signature does not verify for {req.client.name}")
-    granted = _grant(req.requested_validity, now, now + config.max_ticket_lifetime)
+    granted = _grant(req.requested_validity, now, now + MAX_LIFETIME)
     tgs = db.lookup(req.tgs_id)
     if tgs is None or tgs.kind != int(RecordKind.TGS_SERVICE):
         raise UnknownPrincipal(f"no ticket-granting service named {req.tgs_id}")
@@ -237,9 +230,8 @@ def handle_as_request(db: PrincipalDb, config: KdcConfig, req: AsRequest, now: i
     return AsReply(req.client, ticket, enc_part)
 
 
-def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now: int,
-                       replay_cache: ReplayCache, provider: CryptoProvider,
-                       client_address: str = "") -> TgsReply:
+def handle_tgs_request(db: PrincipalDb, req: TgsRequest, now: int, replay_cache: ReplayCache,
+                       provider: CryptoProvider, client_address: str = "") -> TgsReply:
     """Ticket exchange: open TGT, validate authenticator, issue service ticket."""
     tgs = db.tgs_record()
     try:
@@ -247,7 +239,7 @@ def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now:
     except IntegrityError as exc:
         raise TicketIntegrityError(str(exc)) from None
     body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
-    validate_times(body.validity, now, CLOCK_SKEW)
+    validate_times(body.validity, now)
     try:
         auth_bytes = provider.open(body.session_key, req.authenticator, SealLabel.AUTHENTICATOR)
     except IntegrityError as exc:
@@ -259,17 +251,15 @@ def handle_tgs_request(db: PrincipalDb, config: KdcConfig, req: TgsRequest, now:
     if sealed.request_digest != tgs_request_digest(req):
         raise RequestDigestMismatch("request fields do not match the sealed digest")
     validate_authenticator(sealed.authenticator, Principal(body.client_id, body.client_realm),
-                           now, CLOCK_SKEW, replay_cache,
-                           hashlib.sha256(req.authenticator.ciphertext).digest())
-    if config.enforce_address and body.client_address and body.client_address != client_address:
+                           now, replay_cache, req.authenticator)
+    if body.client_address and body.client_address != client_address:
         raise AddressMismatch(f"ticket bound to {body.client_address}, request from {client_address}")
     service = db.lookup(req.service_id)
     if service is None or service.kind != int(RecordKind.SERVICE):
         raise UnknownService(f"no service named {req.service_id}")
 
     # a service ticket never outlives the ticket-granting ticket (RFC 4120 3.3.3)
-    granted = _grant(req.requested_validity, now,
-                     min(now + config.max_ticket_lifetime, body.validity.till))
+    granted = _grant(req.requested_validity, now, min(now + MAX_LIFETIME, body.validity.till))
     session_key = provider.random_session_key()
     service_body = TicketBody(0, session_key, body.client_realm, body.client_id,
                               body.client_address, granted)
@@ -291,7 +281,6 @@ class KdcService:
     """Shared state for both endpoints, usable from any transport."""
 
     db: PrincipalDb
-    config: KdcConfig
     provider: CryptoProvider
     replay_cache: ReplayCache = field(default_factory=ReplayCache)
 
@@ -299,11 +288,11 @@ class KdcService:
         """Decode one request for the given endpoint role, return the reply."""
         if role == ROLE_AS:
             req = codec.decode(payload, codec.SchemaId.AS_REQUEST)
-            return handle_as_request(self.db, self.config, req, now, self.provider, client_address)
+            return handle_as_request(self.db, req, now, self.provider, client_address)
         if role == ROLE_TGS:
             req = codec.decode(payload, codec.SchemaId.TGS_REQUEST)
-            return handle_tgs_request(self.db, self.config, req, now, self.replay_cache,
-                                      self.provider, client_address)
+            return handle_tgs_request(self.db, req, now, self.replay_cache, self.provider,
+                                      client_address)
         raise ValueError(f"unknown KDC endpoint role {role!r}")
 
 

@@ -41,6 +41,9 @@ CLOCK_SKEW = 300
 #: Ticket lifetime, in seconds, that a client asks for when it names none.
 DEFAULT_LIFETIME = 28800
 
+#: Longest ticket lifetime, in seconds, the KDC grants.
+MAX_LIFETIME = 28800
+
 _NAME_OK = frozenset(chr(c) for c in range(0x21, 0x7F))
 
 
@@ -309,12 +312,12 @@ def ap_request_digest(req: ApRequest) -> bytes:
     return hashlib.sha256(codec.encode_body(req, codec.SchemaId.AP_REQ_BODY)).digest()
 
 
-def validate_times(validity: Validity, now: int, skew: int) -> None:
-    """Accept iff from_time - skew <= now <= till + skew."""
-    if now < validity.from_time - skew:
-        raise TicketNotYetValid(f"valid from {validity.from_time}, now {now}, skew {skew}")
-    if now > validity.till + skew:
-        raise TicketExpired(f"expired {validity.till}, now {now}, skew {skew}")
+def validate_times(validity: Validity, now: int) -> None:
+    """Accept iff from_time - CLOCK_SKEW <= now <= till + CLOCK_SKEW."""
+    if now < validity.from_time - CLOCK_SKEW:
+        raise TicketNotYetValid(f"valid from {validity.from_time}, now {now}, skew {CLOCK_SKEW}")
+    if now > validity.till + CLOCK_SKEW:
+        raise TicketExpired(f"expired {validity.till}, now {now}, skew {CLOCK_SKEW}")
 
 
 class ReplayCache:
@@ -350,19 +353,19 @@ class ReplayCache:
 
 
 def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
-                           skew: int, replay_cache: ReplayCache,
-                           box_digest: bytes = b"") -> None:
+                           replay_cache: ReplayCache, box: SealedBox) -> None:
     """Identity, freshness, then uniqueness; inserts into the cache only on ok.
 
-    ``box_digest`` is a hash of the sealed authenticator bytes: a wire replay
-    carries the identical ciphertext and collides, while two honest exchanges
-    in the same second differ (their envelopes carry fresh nonces).
+    The replay key ends with a hash of ``box``, the sealed authenticator: a
+    wire replay carries the identical ciphertext and collides, while two honest
+    exchanges in the same second differ (their envelopes carry fresh nonces).
     """
     if auth.client_id != expected.name or auth.client_realm != expected.realm:
         raise PrincipalMismatch(
             f"authenticator names {auth.client_id}@{auth.client_realm}, "
             f"ticket names {expected.name}@{expected.realm}")
-    if abs(now - auth.timestamp) > skew:
-        raise SkewExceeded(f"authenticator timestamp {auth.timestamp}, now {now}, skew {skew}")
-    replay_cache.check_and_insert(
-        (auth.client_realm, auth.client_id, auth.timestamp, box_digest), now)
+    if abs(now - auth.timestamp) > CLOCK_SKEW:
+        raise SkewExceeded(f"authenticator timestamp {auth.timestamp}, now {now}, "
+                           f"skew {CLOCK_SKEW}")
+    replay_cache.check_and_insert((auth.client_realm, auth.client_id, auth.timestamp,
+                                   hashlib.sha256(box.ciphertext).digest()), now)

@@ -38,7 +38,6 @@ from .errors import KerbPkError, NoTicket, ScenarioParseError, StateError
 from .gateway import AppRequest, SecureChannel, open_channel, protected_endpoint
 from .gss import initiator_for
 from .kdc import (
-    KdcConfig,
     KdcFrameSession,
     KdcService,
     PrincipalDb,
@@ -297,7 +296,7 @@ class ScenarioRunner:
         self.provider = get_provider("toy", seed=seed)
         self.clock = SimClock()
         self.db = PrincipalDb.create(script.realm, self.provider)
-        self.kdc = KdcService(self.db, KdcConfig(), self.provider)
+        self.kdc = KdcService(self.db, self.provider)
         self.frames = 0
         self.kdc_requests = 0
         self.handshake_legs = 0
@@ -368,7 +367,7 @@ class ScenarioRunner:
         for name in self.script.services:
             record = self.db.lookup(name)
             factories[f"app:{name}"] = self._observed(
-                protected_endpoint(record.principal, record.long_term_key, self.provider), name)
+                protected_endpoint(record.long_term_key, self.provider), name)
         return factories
 
     def _connect(self, address: str, label: str) -> _CountingConn:

@@ -12,7 +12,7 @@ from kerbpk.errors import ConnectionClosed, NoTicket
 from kerbpk.gateway import (BackendSession, GatewayClient, GatewayCore, GatewayPolicy,
                             GatewaySession, ResponseCache, echo_handler, protected_endpoint)
 from kerbpk.gss import initiator_for
-from kerbpk.kdc import KdcConfig, KdcService, PrincipalDb
+from kerbpk.kdc import KdcService, PrincipalDb
 from kerbpk.messages import Principal
 from kerbpk.transport import SimClock, SimNetwork
 
@@ -29,7 +29,7 @@ class Realm:
         self.keypair = provider.generate_keypair()
         self.user = self.db.register_user("alice", "hunter2", self.keypair.public_key, provider)
         self.service = self.db.register_service("echo", provider)
-        self.kdc = KdcService(self.db, KdcConfig(), provider)
+        self.kdc = KdcService(self.db, provider)
         self.identity = ClientIdentity(self.user.principal, "hunter2", self.keypair,
                                        self.user.certificate)
         self.agent = ClientAgent(self.identity, provider)
@@ -82,8 +82,7 @@ def initiator_factory(realm):
 
 def service_endpoint(realm, handler=echo_handler):
     """Session factory of the realm's "echo" service, answering with ``handler``."""
-    return protected_endpoint(realm.service.principal, realm.service.long_term_key,
-                              realm.provider, handler)
+    return protected_endpoint(realm.service.long_term_key, realm.provider, handler)
 
 
 def gateway_endpoint(realm, core):

@@ -15,8 +15,8 @@ from kerbpk.errors import (IntegrityError, MissingBacking, MutualAuthFailure,
                            TicketExpired, TokenIntegrityError, UsageViolation,
                            WrapIntegrityError, WrongDirection)
 from kerbpk.gss import (ALL_FLAGS, LEG_INIT, LEG_REPLY, MECHANISM,
-                        ContextAcceptor, ContextAuthenticator, ContextInitiator,
-                        ContextState, ContextToken, CredentialUsage,
+                        ContextAcceptor, ContextAuthenticator, ContextCredential,
+                        ContextInitiator, ContextState, ContextToken, CredentialUsage,
                         MechanismName, NameType, ReqFlags, WrapToken,
                         acquire_credential)
 from kerbpk.messages import (ApRequest, Authenticator, Principal, ReplayCache,
@@ -33,8 +33,7 @@ def echo_name():
 
 def contexts(realm):
     init = initiator_factory(realm)(NOW)
-    acred = acquire_credential(echo_name(), CredentialUsage.ACCEPT, realm.service.long_term_key)
-    acc = ContextAcceptor(acred, realm.provider, ReplayCache())
+    acc = ContextAcceptor(realm.service.long_term_key, realm.provider, ReplayCache())
     return init, acc
 
 
@@ -64,20 +63,18 @@ def test_acquire_credential_checks_backing(logged_in):
         acquire_credential(alice_name(), CredentialUsage.INITIATE,
                            logged_in.service.long_term_key)
     with pytest.raises(MissingBacking):
-        acquire_credential(alice_name(), CredentialUsage.ACCEPT, logged_in.agent.cache)
+        acquire_credential(alice_name(), CredentialUsage.ACCEPT,
+                           logged_in.service.long_term_key)  # acceptors take the key itself
     with pytest.raises(MissingBacking):
         acquire_credential(alice_name(), 99, logged_in.agent.cache)
 
 
 def test_context_roles_check_credential_usage(logged_in):
-    icred = acquire_credential(alice_name(), CredentialUsage.INITIATE, logged_in.agent.cache)
-    acred = acquire_credential(alice_name(), CredentialUsage.ACCEPT,
-                               logged_in.service.long_term_key)
+    acred = ContextCredential(alice_name(), CredentialUsage.ACCEPT,
+                              logged_in.service.long_term_key)
     source = cache_ticket_source(logged_in.agent.cache)
     with pytest.raises(UsageViolation):
         ContextInitiator(acred, echo_name(), ReqFlags(), logged_in.provider, source)
-    with pytest.raises(UsageViolation):
-        ContextAcceptor(icred, logged_in.provider, ReplayCache())
 
 
 def test_all_three_flags_are_mandatory(logged_in):
@@ -259,10 +256,9 @@ def test_shared_replay_cache_spans_acceptor_instances(logged_in):
     shared = ReplayCache()
     init, _ = contexts(logged_in)
     token, _ = init.step(None, NOW)
-    icred = acquire_credential(echo_name(), CredentialUsage.ACCEPT,
-                               logged_in.service.long_term_key)
-    first = ContextAcceptor(icred, logged_in.provider, shared)
-    second = ContextAcceptor(icred, logged_in.provider, shared)
+    key = logged_in.service.long_term_key
+    first = ContextAcceptor(key, logged_in.provider, shared)
+    second = ContextAcceptor(key, logged_in.provider, shared)
     first.step(token, NOW)
     with pytest.raises(ReplayDetected):
         second.step(token, NOW)  # fresh context, same cache: still a replay

@@ -1,13 +1,15 @@
-"""Source hygiene: every name a library module imports is used in that module,
-and only one function makes a replay cache."""
+"""Source hygiene: every name a library or test module imports is used in that
+module, and only one function makes a replay cache."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "kerbpk"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "kerbpk"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,13 +32,14 @@ def replay_cache_calls(tree: ast.AST) -> int:
                for node in ast.walk(tree))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
 def test_the_check_sees_an_unused_import():
-    assert len(MODULES) >= 10  # the source tree was found
+    assert len(MODULES) >= 10 and len(TEST_MODULES) >= 10  # both trees were found
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
         ["b (line 2)", "os (line 1)"]
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []

@@ -7,7 +7,7 @@ import pytest
 from conftest import NOW, REALM, Realm
 from kerbpk import codec
 from kerbpk.client import ClientAgent, ClientIdentity
-from kerbpk.crypto import SealedBox, SealLabel, get_provider
+from kerbpk.crypto import SealedBox, SealLabel
 from kerbpk.errors import (AddressMismatch, AuthenticatorIntegrityError,
                            BadValidityWindow, CertificateMismatch, DbParseError,
                            DuplicatePrincipal, NoCertificateOnFile,
@@ -15,9 +15,8 @@ from kerbpk.errors import (AddressMismatch, AuthenticatorIntegrityError,
                            RequestDigestMismatch, SignatureInvalid, SkewExceeded,
                            TicketExpired, TicketIntegrityError, UnknownPrincipal,
                            UnknownService)
-from kerbpk.kdc import (KdcConfig, KdcFrameSession, KdcService, PrincipalDb,
-                        RecordKind, handle_as_request, handle_tgs_request,
-                        load_service_key, save_service_key)
+from kerbpk.kdc import (KdcFrameSession, PrincipalDb, RecordKind, handle_as_request,
+                        handle_tgs_request, load_service_key, save_service_key)
 from kerbpk.messages import (FLAG_INITIAL, Authenticator, Principal, ReplayCache,
                              TgsAuthenticator, TgsRequest, Validity,
                              tgs_request_digest)
@@ -44,7 +43,7 @@ def test_as_rejects_foreign_realm(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(req, client=Principal("alice", "ELSEWHERE"))
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, KdcConfig(), bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, realm.provider)
 
 
 def test_as_rejects_unknown_user(realm):
@@ -54,14 +53,14 @@ def test_as_rejects_unknown_user(realm):
     ident = ClientIdentity(mallory, "pw", pair, Certificate(mallory, pair.public_key, 9))
     req = ClientAgent(ident, realm.provider).build_as_request("krbtgt", HOUR)
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, KdcConfig(), req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, realm.provider)
 
 
 def test_as_rejects_principal_without_certificate(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(req, client=Principal("echo", REALM))
     with pytest.raises(NoCertificateOnFile):
-        handle_as_request(realm.db, KdcConfig(), bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, realm.provider)
 
 
 def test_as_rejects_substituted_public_key(realm):
@@ -72,7 +71,7 @@ def test_as_rejects_substituted_public_key(realm):
     bad = dataclasses.replace(req, certificate=forged,
                               signature=realm.provider.sign(rogue.private_key, b"x"))
     with pytest.raises(CertificateMismatch):
-        handle_as_request(realm.db, KdcConfig(), bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, realm.provider)
 
 
 def test_as_rejects_certificate_naming_someone_else(realm):
@@ -81,7 +80,7 @@ def test_as_rejects_certificate_naming_someone_else(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(req, client=Principal("carol", REALM))
     with pytest.raises(CertificateMismatch):
-        handle_as_request(realm.db, KdcConfig(), bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, realm.provider)
 
 
 def test_as_rejects_forged_signature(realm):
@@ -91,39 +90,38 @@ def test_as_rejects_forged_signature(realm):
     bad = dataclasses.replace(
         req, signature=realm.provider.sign(rogue.private_key, as_request_signable(req)))
     with pytest.raises(SignatureInvalid):
-        handle_as_request(realm.db, KdcConfig(), bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, realm.provider)
 
 
 def test_as_signature_covers_every_request_field(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     tampered = dataclasses.replace(req, nonce1=bytes(8))
     with pytest.raises(SignatureInvalid):
-        handle_as_request(realm.db, KdcConfig(), tampered, NOW, realm.provider)
+        handle_as_request(realm.db, tampered, NOW, realm.provider)
     tampered = dataclasses.replace(req, requested_validity=Validity(NOW, NOW + 60))
     with pytest.raises(SignatureInvalid):
-        handle_as_request(realm.db, KdcConfig(), tampered, NOW, realm.provider)
+        handle_as_request(realm.db, tampered, NOW, realm.provider)
 
 
 def test_as_rejects_inverted_validity_window(realm):
     req = realm.agent.build_as_request("krbtgt", Validity(NOW + 10, NOW + 10))
     with pytest.raises(BadValidityWindow):
-        handle_as_request(realm.db, KdcConfig(), req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, realm.provider)
 
 
 def test_as_rejects_unknown_ticket_granting_service(realm):
     req = realm.agent.build_as_request("krbtgt2", HOUR)
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, KdcConfig(), req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, realm.provider)
     # a plain service cannot stand in for the ticket-granting one
     req = realm.agent.build_as_request("echo", HOUR)
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, KdcConfig(), req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, realm.provider)
 
 
 def test_as_issues_capped_initial_ticket(realm):
-    config = KdcConfig(max_ticket_lifetime=28800)
     req = realm.agent.build_as_request("krbtgt", Validity(NOW, NOW + 1_000_000))
-    reply = handle_as_request(realm.db, config, req, NOW, realm.provider)
+    reply = handle_as_request(realm.db, req, NOW, realm.provider)
     assert reply.client == realm.user.principal
     assert reply.ticket.server == Principal("krbtgt", REALM)
     tgs_key = realm.db.tgs_record().long_term_key
@@ -149,7 +147,7 @@ def test_tgs_rejects_tampered_ticket(realm):
                                           box=SealedBox(bytes(mutated), entry.ticket.box.label)))
     req = make_tgs_request(realm, forged, NOW)
     with pytest.raises(TicketIntegrityError):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_expired_tgt(realm):
@@ -157,7 +155,7 @@ def test_tgs_rejects_expired_tgt(realm):
     late = entry.validity.till + 301
     req = make_tgs_request(realm, entry, late)
     with pytest.raises(TicketExpired):
-        handle_tgs_request(realm.db, KdcConfig(), req, late, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, late, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_tampered_authenticator(realm):
@@ -168,7 +166,7 @@ def test_tgs_rejects_tampered_authenticator(realm):
     bad = dataclasses.replace(req, authenticator=SealedBox(bytes(mutated),
                                                            req.authenticator.label))
     with pytest.raises(AuthenticatorIntegrityError):
-        handle_tgs_request(realm.db, KdcConfig(), bad, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_wrong_structure_inside_authenticator(realm):
@@ -177,7 +175,7 @@ def test_tgs_rejects_wrong_structure_inside_authenticator(realm):
     box = realm.provider.seal(entry.key, plain, SealLabel.AUTHENTICATOR)
     req = dataclasses.replace(make_tgs_request(realm, entry, NOW), authenticator=box)
     with pytest.raises(AuthenticatorIntegrityError):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_request_not_matching_sealed_digest(realm):
@@ -186,7 +184,7 @@ def test_tgs_rejects_request_not_matching_sealed_digest(realm):
         TgsRequest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket, None))
     req = make_tgs_request(realm, entry, NOW, digest=wrong)
     with pytest.raises(RequestDigestMismatch):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_digest_pins_the_service_name(realm):
@@ -195,47 +193,47 @@ def test_tgs_digest_pins_the_service_name(realm):
     req = make_tgs_request(realm, entry, NOW, service_id="echo")
     swapped = dataclasses.replace(req, service_id="other")
     with pytest.raises(RequestDigestMismatch):
-        handle_tgs_request(realm.db, KdcConfig(), swapped, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, swapped, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_authenticator_naming_someone_else(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW, auth=Authenticator("mallory", REALM, NOW))
     with pytest.raises(PrincipalMismatch):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_stale_authenticator(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW, auth=Authenticator("alice", REALM, NOW - 301))
     with pytest.raises(SkewExceeded):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_replayed_request(realm):
     entry = tgt_of(realm)
     cache = ReplayCache()
     req = make_tgs_request(realm, entry, NOW)
-    handle_tgs_request(realm.db, KdcConfig(), req, NOW, cache, realm.provider)
+    handle_tgs_request(realm.db, req, NOW, cache, realm.provider)
     with pytest.raises(ReplayDetected):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW + 1, cache, realm.provider)
+        handle_tgs_request(realm.db, req, NOW + 1, cache, realm.provider)
 
 
 def test_tgs_rejects_unknown_service(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW, service_id="missing")
     with pytest.raises(UnknownService):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
     # the ticket-granting service itself is not orderable as a plain service
     req = make_tgs_request(realm, entry, NOW, service_id="krbtgt", nonce2=b"\x22" * 8)
     with pytest.raises(UnknownService):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_issues_service_ticket(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW)
-    reply = handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+    reply = handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
     assert reply.client == realm.user.principal
     assert reply.ticket.server == Principal("echo", REALM)
     body = codec.decode(
@@ -251,7 +249,7 @@ def test_tgs_never_grants_past_the_tgt(realm):
     assert entry.validity.till == NOW + 600
     now = NOW + 100
     req = make_tgs_request(realm, entry, now, validity=Validity(now, now + 3600))
-    reply = handle_tgs_request(realm.db, KdcConfig(), req, now, ReplayCache(), realm.provider)
+    reply = handle_tgs_request(realm.db, req, now, ReplayCache(), realm.provider)
     body = codec.decode(
         realm.provider.open(realm.service.long_term_key, reply.ticket.box, SealLabel.TICKET),
         codec.SchemaId.TICKET_BODY)
@@ -260,29 +258,26 @@ def test_tgs_never_grants_past_the_tgt(realm):
     late = NOW + 600 + 299
     req = make_tgs_request(realm, entry, late, validity=Validity(late, late + 3600))
     with pytest.raises(BadValidityWindow):
-        handle_tgs_request(realm.db, KdcConfig(), req, late, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, late, ReplayCache(), realm.provider)
 
 
 def test_tgs_rejects_inverted_validity_window(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW, validity=Validity(NOW, NOW - 5000))
     with pytest.raises(BadValidityWindow):
-        handle_tgs_request(realm.db, KdcConfig(), req, NOW, ReplayCache(), realm.provider)
+        handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_tgs_enforces_ticket_address_binding(toy):
     realm = Realm(toy)
-    config = KdcConfig(enforce_address=True)
     req = realm.agent.build_as_request("krbtgt", HOUR)
-    reply = handle_as_request(realm.db, config, req, NOW, realm.provider, "10.0.0.1")
+    reply = handle_as_request(realm.db, req, NOW, realm.provider, "10.0.0.1")
     entry = realm.agent.process_as_reply(reply, req.nonce1)
     treq = make_tgs_request(realm, entry, NOW)
     with pytest.raises(AddressMismatch):
-        handle_tgs_request(realm.db, config, treq, NOW, ReplayCache(), realm.provider,
-                           "10.9.9.9")
+        handle_tgs_request(realm.db, treq, NOW, ReplayCache(), realm.provider, "10.9.9.9")
     treq = make_tgs_request(realm, entry, NOW + 1, nonce2=b"\x22" * 8)
-    handle_tgs_request(realm.db, config, treq, NOW + 1, ReplayCache(), realm.provider,
-                       "10.0.0.1")
+    handle_tgs_request(realm.db, treq, NOW + 1, ReplayCache(), realm.provider, "10.0.0.1")
 
 
 # ------------------------------------------------------------------ principal db

@@ -12,7 +12,6 @@ from conftest import recv_frame
 from kerbpk import codec, transport
 from kerbpk.errors import (ConnectionClosed, FrameError, FrameTooLarge,
                            ScenarioParseError, Timeout)
-from kerbpk.messages import ErrorReply
 from kerbpk.transport import (MAX_FRAME, SIM_CLOCK_START, Delay, Drop,
                               Duplicate, FlipBit, FrameClient, SimClock,
                               SimNetwork, Swap, ThreadedFrameServer,
