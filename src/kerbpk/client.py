@@ -62,6 +62,7 @@ class ClientIdentity:
             raise ValueError("certificate public key does not match the key pair")
 
 
+@codec.structure(codec.SchemaId.CRED_ENTRY)
 @dataclass(frozen=True)
 class CredEntry:
     ticket: SealedTicket
@@ -69,35 +70,22 @@ class CredEntry:
     validity: Validity
 
 
+@codec.structure(codec.SchemaId.SERVICE_CRED)
 @dataclass(frozen=True)
 class ServiceCred:
     service_id: str
     entry: CredEntry
 
 
+@codec.structure(codec.SchemaId.CREDENTIAL_CACHE)
 @dataclass(frozen=True)
 class CredentialCacheFile:
     client: Principal
     tgt: Optional[CredEntry]
-    services: list
+    services: list[ServiceCred]
 
 
-codec.register(CredEntry, codec.SchemaId.CRED_ENTRY, [
-    ("ticket", "struct", SealedTicket),
-    ("key", "struct", SymmetricKey),
-    ("validity", "struct", Validity),
-])
-codec.register(ServiceCred, codec.SchemaId.SERVICE_CRED, [
-    ("service_id", "str"),
-    ("entry", "struct", CredEntry),
-])
-codec.register(CredentialCacheFile, codec.SchemaId.CREDENTIAL_CACHE, [
-    ("client", "struct", Principal),
-    ("tgt", "opt", CredEntry),
-    ("services", "list", ServiceCred),
-])
-
-
+@codec.structure(codec.SchemaId.IDENTITY_FILE)
 @dataclass(frozen=True)
 class IdentityFile:
     """On-disk identity: everything but the password, which the user types."""
@@ -105,14 +93,6 @@ class IdentityFile:
     public_key: bytes
     private_key: bytes
     certificate: Certificate
-
-
-codec.register(IdentityFile, codec.SchemaId.IDENTITY_FILE, [
-    ("principal", "struct", Principal),
-    ("public_key", "bytes"),
-    ("private_key", "bytes"),
-    ("certificate", "struct", Certificate),
-])
 
 
 class CredentialCache:

@@ -1,16 +1,20 @@
 """Deterministic tag-length-value codec for all wire structures.
 
-Every structure is a frozen dataclass registered here with a schema id and an
-ordered field list.  The encoding of a structure is one outer TLV whose tag is
-the schema id and whose value is the concatenation of its field TLVs in schema
-order, field tags numbered 1..n.  All integers are fixed-width big-endian,
-strings are UTF-8, nested structures embed their own complete encoding.  There
-are no defaults and no skipped fields, so equal values encode to identical
-bytes and decode(encode(x)) == x.
+Every structure is a frozen dataclass declared with ``@codec.structure(id)``.
+Its init fields, in order, are the wire fields, and each field's annotation
+names its kind: ``U8``/``U16``/``U32``/``U64`` for fixed-width integers,
+``bytes``, ``str``, a registered dataclass, ``Optional`` of one, or a ``list``
+of one.  Field order is the wire order and never changes once published.  The
+encoding of a structure is one outer TLV whose tag is the schema id and whose
+value is the concatenation of its field TLVs in that order, field tags
+numbered 1..n.  All integers are fixed-width big-endian, strings are UTF-8,
+nested structures embed their own complete encoding.  There are no defaults
+and no skipped fields, so equal values encode to identical bytes and
+decode(encode(x)) == x.
 
 Field header layout: tag (u8) then length (u32, big-endian), then the value.
 
-Each schema is compiled once, when it is registered: every field gets its own
+Each schema is compiled once, when it is declared: every field gets its own
 encoder and decoder holding its precomputed tag, header and integer width and
 range, so no value looks up its field's kind, width or tag.  Decoding walks
 the one input buffer by offsets and copies out only leaf values.  An encoded
@@ -28,7 +32,7 @@ import dataclasses
 import os
 import struct
 from enum import IntEnum
-from typing import Any, Iterable, Optional
+from typing import Annotated, Any, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import (
     FieldTooLarge,
@@ -90,7 +94,12 @@ _KNOWN_IDS = frozenset(int(schema_id) for schema_id in SchemaId)
 
 _INT_CODECS = {kind: struct.Struct(fmt) for kind, fmt in
                (("u8", ">B"), ("u16", ">H"), ("u32", ">I"), ("u64", ">Q"))}
-_KINDS = frozenset(_INT_CODECS) | {"bytes", "str", "struct", "opt", "list"}
+
+# Integer field annotations; the metadata is the field's wire kind.
+U8 = Annotated[int, "u8"]
+U16 = Annotated[int, "u16"]
+U32 = Annotated[int, "u32"]
+U64 = Annotated[int, "u64"]
 
 
 def _too_large(length: int) -> FieldTooLarge:
@@ -305,35 +314,43 @@ _by_type: dict[type, _Schema] = {}
 _by_id: dict[int, _Schema] = {}
 
 
-def register(cls: type, schema_id: SchemaId, fields: list[tuple]) -> None:
-    """Register ``cls`` under ``schema_id`` with an ordered field list.
+def _field_kind(name: str, hint) -> tuple[str, Optional[type]]:
+    """The wire kind and nested class that a field's annotation names."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is bytes or hint is str:
+        return hint.__name__, None
+    if origin is Annotated and args[0] is int and args[1] in _INT_CODECS:
+        return args[1], None
+    kind, nested = "struct", hint
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        kind, nested = "opt", args[0]
+    elif origin is list and len(args) == 1:
+        kind, nested = "list", args[0]
+    if not (isinstance(nested, type) and dataclasses.is_dataclass(nested)):
+        raise ValueError(f"field {name}: annotation {hint!r} has no wire kind")
+    return kind, nested
 
-    ``cls`` is a dataclass and the field names are its init fields, in order.
-    Each field is (name, kind) or (name, kind, nested_cls) where kind is one
-    of u8/u16/u32/u64/bytes/str/struct/opt/list.  Registration order of the
-    field list is the wire order and must never change once published.  The
-    field encoders and decoders are built here, once; nested classes are
-    looked up on first use, so they may be registered later.
+
+def structure(schema_id: SchemaId):
+    """Class decorator: register a dataclass under ``schema_id``.
+
+    The wire fields are the dataclass's init fields, in order, each of the kind
+    its annotation names.  The field encoders and decoders are built here,
+    once; nested classes are looked up on first use.
     """
-    norm = []
-    for spec in fields:
-        name, kind = spec[0], spec[1]
-        arg = spec[2] if len(spec) > 2 else None
-        if kind in ("struct", "opt", "list") and arg is None:
-            raise ValueError(f"field {name}: kind {kind} needs a nested class")
-        if kind not in _KINDS:
-            raise ValueError(f"field {name}: unknown kind {kind}")
-        norm.append((name, kind, arg))
-    if int(schema_id) in _by_id:
-        raise ValueError(f"schema id {schema_id:#x} registered twice")
-    if not dataclasses.is_dataclass(cls):
-        raise ValueError(f"{cls.__name__} is not a dataclass")
-    init_names = [f.name for f in dataclasses.fields(cls) if f.init]
-    if init_names != [name for name, _, _ in norm]:
-        raise ValueError(f"fields of {cls.__name__} must be its init fields in order: {init_names}")
-    schema = _Schema(int(schema_id), cls, tuple(norm))
-    _by_type[cls] = schema
-    _by_id[int(schema_id)] = schema
+    def register(cls: type) -> type:
+        if int(schema_id) in _by_id:
+            raise ValueError(f"schema id {schema_id:#x} registered twice")
+        if not dataclasses.is_dataclass(cls):
+            raise ValueError(f"{cls.__name__} is not a dataclass")
+        hints = get_type_hints(cls, include_extras=True)
+        fields = tuple((f.name, *_field_kind(f.name, hints[f.name]))
+                       for f in dataclasses.fields(cls) if f.init)
+        schema = _Schema(int(schema_id), cls, fields)
+        _by_type[cls] = schema
+        _by_id[int(schema_id)] = schema
+        return cls
+    return register
 
 
 def schema_id_of(payload: bytes) -> Optional[int]:

@@ -62,36 +62,25 @@ class SealLabel(IntEnum):
     WRAP = 6
 
 
+@codec.structure(codec.SchemaId.SYMMETRIC_KEY)
 @dataclass(frozen=True)
 class SymmetricKey:
     data: bytes
     provider_id: str
 
 
+@codec.structure(codec.SchemaId.KEY_PAIR)
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
     private_key: bytes
 
 
+@codec.structure(codec.SchemaId.SEALED_BOX)
 @dataclass(frozen=True)
 class SealedBox:
     ciphertext: bytes
-    label: int
-
-
-codec.register(SymmetricKey, codec.SchemaId.SYMMETRIC_KEY, [
-    ("data", "bytes"),
-    ("provider_id", "str"),
-])
-codec.register(KeyPair, codec.SchemaId.KEY_PAIR, [
-    ("public_key", "bytes"),
-    ("private_key", "bytes"),
-])
-codec.register(SealedBox, codec.SchemaId.SEALED_BOX, [
-    ("ciphertext", "bytes"),
-    ("label", "u8"),
-])
+    label: codec.U8
 
 
 class CryptoProvider:

@@ -46,231 +46,203 @@ class MalformedValue(CodecError):
 
 # --- crypto provider ---
 
-class CryptoError(KerbPkError):
+class EmptyPassword(KerbPkError):
     pass
 
 
-class EmptyPassword(CryptoError):
+class IntegrityError(KerbPkError):
     pass
 
 
-class IntegrityError(CryptoError):
+class ProviderMismatch(KerbPkError):
     pass
 
 
-class ProviderMismatch(CryptoError):
+class MalformedKey(KerbPkError):
     pass
 
 
-class MalformedKey(CryptoError):
+class PayloadTooLarge(KerbPkError):
     pass
 
 
-class PayloadTooLarge(CryptoError):
-    pass
-
-
-class DecryptFailure(CryptoError):
+class DecryptFailure(KerbPkError):
     pass
 
 
 # --- protocol core ---
 
-class ProtocolError(KerbPkError):
+class MalformedName(KerbPkError):
     pass
 
 
-class MalformedName(ProtocolError):
+class TicketNotYetValid(KerbPkError):
     pass
 
 
-class TicketNotYetValid(ProtocolError):
+class TicketExpired(KerbPkError):
     pass
 
 
-class TicketExpired(ProtocolError):
+class SkewExceeded(KerbPkError):
     pass
 
 
-class SkewExceeded(ProtocolError):
+class ReplayDetected(KerbPkError):
     pass
 
 
-class ReplayDetected(ProtocolError):
+class PrincipalMismatch(KerbPkError):
     pass
 
 
-class PrincipalMismatch(ProtocolError):
-    pass
-
-
-class RequestDigestMismatch(ProtocolError):
+class RequestDigestMismatch(KerbPkError):
     pass
 
 
 # --- kdc ---
 
-class KdcError(KerbPkError):
+class UnknownPrincipal(KerbPkError):
     pass
 
 
-class UnknownPrincipal(KdcError):
+class NoCertificateOnFile(KerbPkError):
     pass
 
 
-class NoCertificateOnFile(KdcError):
+class CertificateMismatch(KerbPkError):
     pass
 
 
-class CertificateMismatch(KdcError):
+class SignatureInvalid(KerbPkError):
     pass
 
 
-class SignatureInvalid(KdcError):
+class BadValidityWindow(KerbPkError):
     pass
 
 
-class BadValidityWindow(KdcError):
+class DuplicatePrincipal(KerbPkError):
     pass
 
 
-class DuplicatePrincipal(KdcError):
+class UnknownService(KerbPkError):
     pass
 
 
-class UnknownService(KdcError):
+class TicketIntegrityError(KerbPkError):
     pass
 
 
-class TicketIntegrityError(KdcError):
+class AuthenticatorIntegrityError(KerbPkError):
     pass
 
 
-class AuthenticatorIntegrityError(KdcError):
+class AddressMismatch(KerbPkError):
     pass
 
 
-class AddressMismatch(KdcError):
-    pass
-
-
-class DbParseError(KdcError):
+class DbParseError(KerbPkError):
     pass
 
 
 # --- client agent ---
 
-class ClientError(KerbPkError):
+class WrongPassword(KerbPkError):
     pass
 
 
-class WrongPassword(ClientError):
+class PkDecryptFailure(KerbPkError):
     pass
 
 
-class PkDecryptFailure(ClientError):
+class NonceMismatch(KerbPkError):
     pass
 
 
-class NonceMismatch(ClientError):
+class NoTgt(KerbPkError):
     pass
 
 
-class NoTgt(ClientError):
-    pass
-
-
-class CcacheParseError(ClientError):
+class CcacheParseError(KerbPkError):
     pass
 
 
 # --- security context ---
 
-class ContextError(KerbPkError):
+class MissingBacking(KerbPkError):
     pass
 
 
-class MissingBacking(ContextError):
+class UsageViolation(KerbPkError):
     pass
 
 
-class UsageViolation(ContextError):
+class NoTicket(KerbPkError):
     pass
 
 
-class NoTicket(ContextError):
+class RequiredFlagMissing(KerbPkError):
     pass
 
 
-class RequiredFlagMissing(ContextError):
+class MutualAuthFailure(KerbPkError):
     pass
 
 
-class MutualAuthFailure(ContextError):
+class TokenIntegrityError(KerbPkError):
     pass
 
 
-class TokenIntegrityError(ContextError):
+class StateError(KerbPkError):
     pass
 
 
-class StateError(ContextError):
+class WrapIntegrityError(KerbPkError):
     pass
 
 
-class WrapIntegrityError(ContextError):
+class OutOfSequence(KerbPkError):
     pass
 
 
-class OutOfSequence(ContextError):
-    pass
-
-
-class WrongDirection(ContextError):
+class WrongDirection(KerbPkError):
     pass
 
 
 # --- transport / harness ---
 
-class TransportError(KerbPkError):
+class FrameTooLarge(KerbPkError):
     pass
 
 
-class FrameTooLarge(TransportError):
+class FrameError(KerbPkError):
     pass
 
 
-class FrameError(TransportError):
+class ConnectionClosed(KerbPkError):
     pass
 
 
-class ConnectionClosed(TransportError):
+class Timeout(KerbPkError):
     pass
 
 
-class Timeout(TransportError):
-    pass
-
-
-class ScenarioParseError(TransportError):
+class ScenarioParseError(KerbPkError):
     pass
 
 
 # --- gateway demo ---
 
-class GatewayError(KerbPkError):
+class PolicyParseError(KerbPkError):
     pass
 
 
-class PolicyParseError(GatewayError):
+class BackendUnreachable(KerbPkError):
     pass
 
 
-class BackendUnreachable(GatewayError):
-    pass
-
-
-class FetchError(GatewayError):
+class FetchError(KerbPkError):
     """Client-side fetch failure with the pipeline step that failed.
 
     ``step`` is one of "AS", "TGS", "handshake", "channel".

@@ -47,6 +47,7 @@ DEFAULT_CACHE_CAPACITY = 16
 BACKEND_TIMEOUT = 2.0
 
 
+@codec.structure(codec.SchemaId.APP_REQUEST)
 @dataclass(frozen=True)
 class AppRequest:
     method: str
@@ -54,23 +55,12 @@ class AppRequest:
     body: bytes
 
 
+@codec.structure(codec.SchemaId.APP_RESPONSE)
 @dataclass(frozen=True)
 class AppResponse:
-    status: int
+    status: codec.U16
     body: bytes
-    served_from: int
-
-
-codec.register(AppRequest, codec.SchemaId.APP_REQUEST, [
-    ("method", "str"),
-    ("resource", "str"),
-    ("body", "bytes"),
-])
-codec.register(AppResponse, codec.SchemaId.APP_RESPONSE, [
-    ("status", "u16"),
-    ("body", "bytes"),
-    ("served_from", "u8"),
-])
+    served_from: codec.U8
 
 
 def echo_handler(request: AppRequest) -> AppResponse:

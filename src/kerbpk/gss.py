@@ -113,55 +113,37 @@ def acquire_credential(name: MechanismName, usage: CredentialUsage, backing) -> 
     return ContextCredential(name, CredentialUsage.INITIATE, backing)
 
 
+@codec.structure(codec.SchemaId.CONTEXT_AUTHENTICATOR)
 @dataclass(frozen=True)
 class ContextAuthenticator:
     """Sealed leg-1 body: the plain authenticator plus the context bindings."""
     authenticator: Authenticator
-    flags: int
-    initial_seq: int
+    flags: codec.U32
+    initial_seq: codec.U64
     request_digest: bytes
 
 
+@codec.structure(codec.SchemaId.CONTEXT_TOKEN)
 @dataclass(frozen=True)
 class ContextToken:
-    leg: int
+    leg: codec.U8
     body: bytes
 
 
+@codec.structure(codec.SchemaId.WRAP_TOKEN)
 @dataclass(frozen=True)
 class WrapToken:
-    seq: int
-    direction: int
+    seq: codec.U64
+    direction: codec.U8
     box: SealedBox
 
 
+@codec.structure(codec.SchemaId.WRAP_BODY)
 @dataclass(frozen=True)
 class WrapBody:
-    seq: int
-    direction: int
+    seq: codec.U64
+    direction: codec.U8
     payload: bytes
-
-
-codec.register(ContextAuthenticator, codec.SchemaId.CONTEXT_AUTHENTICATOR, [
-    ("authenticator", "struct", Authenticator),
-    ("flags", "u32"),
-    ("initial_seq", "u64"),
-    ("request_digest", "bytes"),
-])
-codec.register(ContextToken, codec.SchemaId.CONTEXT_TOKEN, [
-    ("leg", "u8"),
-    ("body", "bytes"),
-])
-codec.register(WrapToken, codec.SchemaId.WRAP_TOKEN, [
-    ("seq", "u64"),
-    ("direction", "u8"),
-    ("box", "struct", SealedBox),
-])
-codec.register(WrapBody, codec.SchemaId.WRAP_BODY, [
-    ("seq", "u64"),
-    ("direction", "u8"),
-    ("payload", "bytes"),
-])
 
 
 class SecurityContext:

@@ -71,33 +71,21 @@ class RecordKind(IntEnum):
     TGS_SERVICE = 3
 
 
+@codec.structure(codec.SchemaId.PRINCIPAL_RECORD)
 @dataclass(frozen=True)
 class PrincipalRecord:
     principal: Principal
     long_term_key: SymmetricKey
     certificate: Optional[Certificate]
-    kind: int
+    kind: codec.U8
 
 
-codec.register(PrincipalRecord, codec.SchemaId.PRINCIPAL_RECORD, [
-    ("principal", "struct", Principal),
-    ("long_term_key", "struct", SymmetricKey),
-    ("certificate", "opt", Certificate),
-    ("kind", "u8"),
-])
-
-
+@codec.structure(codec.SchemaId.SERVICE_KEY_FILE)
 @dataclass(frozen=True)
 class ServiceKeyFile:
     """What a service process needs on disk: its principal and long-term key."""
     principal: Principal
     key: SymmetricKey
-
-
-codec.register(ServiceKeyFile, codec.SchemaId.SERVICE_KEY_FILE, [
-    ("principal", "struct", Principal),
-    ("key", "struct", SymmetricKey),
-])
 
 
 def save_service_key(record: "PrincipalRecord", path: str) -> None:

@@ -57,6 +57,7 @@ def _check_name(value: str, what: str, allow_slash: bool) -> None:
         raise MalformedName(f"{what} must not contain '/'")
 
 
+@codec.structure(codec.SchemaId.PRINCIPAL)
 @dataclass(frozen=True)
 class Principal:
     name: str
@@ -67,23 +68,26 @@ class Principal:
         _check_name(self.realm, "realm", allow_slash=False)
 
 
+@codec.structure(codec.SchemaId.CERTIFICATE)
 @dataclass(frozen=True)
 class Certificate:
     subject: Principal
     public_key: bytes
-    serial: int
+    serial: codec.U64
 
 
+@codec.structure(codec.SchemaId.VALIDITY)
 @dataclass(frozen=True)
 class Validity:
     # Seconds since the epoch; a well-formed window has from_time < till.
-    from_time: int
-    till: int
+    from_time: codec.U64
+    till: codec.U64
 
 
+@codec.structure(codec.SchemaId.TICKET_BODY)
 @dataclass(frozen=True)
 class TicketBody:
-    flags: int
+    flags: codec.U32
     session_key: SymmetricKey
     client_realm: str
     client_id: str
@@ -91,6 +95,7 @@ class TicketBody:
     validity: Validity
 
 
+@codec.structure(codec.SchemaId.TICKET_SEALED)
 @dataclass(frozen=True)
 class SealedTicket:
     # server is a plaintext routing hint; everything that matters is in box.
@@ -98,16 +103,18 @@ class SealedTicket:
     box: SealedBox
 
 
+@codec.structure(codec.SchemaId.AUTHENTICATOR)
 @dataclass(frozen=True)
 class Authenticator:
     client_id: str
     client_realm: str
-    timestamp: int
+    timestamp: codec.U64
 
 
+@codec.structure(codec.SchemaId.AS_REQUEST)
 @dataclass(frozen=True)
 class AsRequest:
-    options: int
+    options: codec.U32
     client: Principal
     tgs_id: str
     requested_validity: Validity
@@ -116,6 +123,7 @@ class AsRequest:
     signature: bytes
 
 
+@codec.structure(codec.SchemaId.ENC_PART_AS)
 @dataclass(frozen=True)
 class AsEncPart:
     wrapped_session_key: bytes
@@ -125,6 +133,7 @@ class AsEncPart:
     tgs_id: str
 
 
+@codec.structure(codec.SchemaId.AS_REPLY)
 @dataclass(frozen=True)
 class AsReply:
     client: Principal
@@ -132,9 +141,10 @@ class AsReply:
     enc_part: SealedBox
 
 
+@codec.structure(codec.SchemaId.TGS_REQUEST)
 @dataclass(frozen=True)
 class TgsRequest:
-    options: int
+    options: codec.U32
     service_id: str
     requested_validity: Validity
     nonce2: bytes
@@ -142,6 +152,7 @@ class TgsRequest:
     authenticator: SealedBox
 
 
+@codec.structure(codec.SchemaId.TGS_AUTHENTICATOR)
 @dataclass(frozen=True)
 class TgsAuthenticator:
     """Sealed body of a ticket-granting request authenticator."""
@@ -149,6 +160,7 @@ class TgsAuthenticator:
     request_digest: bytes
 
 
+@codec.structure(codec.SchemaId.ENC_PART_TGS)
 @dataclass(frozen=True)
 class TgsEncPart:
     session_key: SymmetricKey
@@ -158,6 +170,7 @@ class TgsEncPart:
     service_id: str
 
 
+@codec.structure(codec.SchemaId.TGS_REPLY)
 @dataclass(frozen=True)
 class TgsReply:
     client: Principal
@@ -165,123 +178,33 @@ class TgsReply:
     enc_part: SealedBox
 
 
+@codec.structure(codec.SchemaId.AP_REQUEST)
 @dataclass(frozen=True)
 class ApRequest:
-    options: int
+    options: codec.U32
     ticket: SealedTicket
     authenticator: SealedBox
 
 
+@codec.structure(codec.SchemaId.ENC_PART_AP)
 @dataclass(frozen=True)
 class ApEncPart:
-    ts2: int
+    ts2: codec.U64
     subkey: SymmetricKey
-    initial_seq: int
+    initial_seq: codec.U64
 
 
+@codec.structure(codec.SchemaId.AP_REPLY)
 @dataclass(frozen=True)
 class ApReply:
     enc_part: SealedBox
 
 
+@codec.structure(codec.SchemaId.ERROR_REPLY)
 @dataclass(frozen=True)
 class ErrorReply:
     error: str
     detail: str
-
-
-codec.register(Principal, codec.SchemaId.PRINCIPAL, [
-    ("name", "str"),
-    ("realm", "str"),
-])
-codec.register(Certificate, codec.SchemaId.CERTIFICATE, [
-    ("subject", "struct", Principal),
-    ("public_key", "bytes"),
-    ("serial", "u64"),
-])
-codec.register(Validity, codec.SchemaId.VALIDITY, [
-    ("from_time", "u64"),
-    ("till", "u64"),
-])
-codec.register(TicketBody, codec.SchemaId.TICKET_BODY, [
-    ("flags", "u32"),
-    ("session_key", "struct", SymmetricKey),
-    ("client_realm", "str"),
-    ("client_id", "str"),
-    ("client_address", "str"),
-    ("validity", "struct", Validity),
-])
-codec.register(SealedTicket, codec.SchemaId.TICKET_SEALED, [
-    ("server", "struct", Principal),
-    ("box", "struct", SealedBox),
-])
-codec.register(Authenticator, codec.SchemaId.AUTHENTICATOR, [
-    ("client_id", "str"),
-    ("client_realm", "str"),
-    ("timestamp", "u64"),
-])
-codec.register(AsRequest, codec.SchemaId.AS_REQUEST, [
-    ("options", "u32"),
-    ("client", "struct", Principal),
-    ("tgs_id", "str"),
-    ("requested_validity", "struct", Validity),
-    ("nonce1", "bytes"),
-    ("certificate", "struct", Certificate),
-    ("signature", "bytes"),
-])
-codec.register(AsEncPart, codec.SchemaId.ENC_PART_AS, [
-    ("wrapped_session_key", "bytes"),
-    ("validity", "struct", Validity),
-    ("nonce1", "bytes"),
-    ("tgs_realm", "str"),
-    ("tgs_id", "str"),
-])
-codec.register(AsReply, codec.SchemaId.AS_REPLY, [
-    ("client", "struct", Principal),
-    ("ticket", "struct", SealedTicket),
-    ("enc_part", "struct", SealedBox),
-])
-codec.register(TgsRequest, codec.SchemaId.TGS_REQUEST, [
-    ("options", "u32"),
-    ("service_id", "str"),
-    ("requested_validity", "struct", Validity),
-    ("nonce2", "bytes"),
-    ("ticket", "struct", SealedTicket),
-    ("authenticator", "struct", SealedBox),
-])
-codec.register(TgsAuthenticator, codec.SchemaId.TGS_AUTHENTICATOR, [
-    ("authenticator", "struct", Authenticator),
-    ("request_digest", "bytes"),
-])
-codec.register(TgsEncPart, codec.SchemaId.ENC_PART_TGS, [
-    ("session_key", "struct", SymmetricKey),
-    ("validity", "struct", Validity),
-    ("nonce2", "bytes"),
-    ("service_realm", "str"),
-    ("service_id", "str"),
-])
-codec.register(TgsReply, codec.SchemaId.TGS_REPLY, [
-    ("client", "struct", Principal),
-    ("ticket", "struct", SealedTicket),
-    ("enc_part", "struct", SealedBox),
-])
-codec.register(ApRequest, codec.SchemaId.AP_REQUEST, [
-    ("options", "u32"),
-    ("ticket", "struct", SealedTicket),
-    ("authenticator", "struct", SealedBox),
-])
-codec.register(ApEncPart, codec.SchemaId.ENC_PART_AP, [
-    ("ts2", "u64"),
-    ("subkey", "struct", SymmetricKey),
-    ("initial_seq", "u64"),
-])
-codec.register(ApReply, codec.SchemaId.AP_REPLY, [
-    ("enc_part", "struct", SealedBox),
-])
-codec.register(ErrorReply, codec.SchemaId.ERROR_REPLY, [
-    ("error", "str"),
-    ("detail", "str"),
-])
 
 
 def decode_reply(payload: bytes, expected: codec.SchemaId):

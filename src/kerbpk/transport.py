@@ -178,6 +178,8 @@ def parse_fault(tokens: list[str]) -> Fault:
         fault, extra = Swap(arg(1, "first frame"), arg(2, "second frame")), 3
     elif kind == "flip":
         fault, extra = FlipBit(arg(1, "frame"), arg(2, "byte"), arg(3, "bit")), 4
+        if fault.bit > 7:
+            raise ScenarioParseError(f"fault flip: bit must be 0..7, got {fault.bit}")
     elif kind == "delay":
         fault, extra = Delay(arg(1, "frame"), arg(2, "ticks")), 3
     else:

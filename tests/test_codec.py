@@ -1,5 +1,8 @@
 """Wire codec: golden encodings, round-trips, and rejection of malformed input."""
 
+import dataclasses
+import hashlib
+import importlib
 import struct
 from dataclasses import dataclass
 
@@ -320,29 +323,55 @@ def test_none_only_allowed_in_optional_fields():
 def test_registration_guards():
     @dataclass(frozen=True)
     class Fresh:
+        x: codec.U8
+
+    @dataclass(frozen=True)
+    class Unsized:
         x: int
 
-    with pytest.raises(ValueError, match="registered twice"):
-        codec.register(Fresh, codec.SchemaId.VALIDITY, [("x", "u8")])
-    with pytest.raises(ValueError, match="unknown kind"):
-        codec.register(Fresh, 0x7C, [("x", "floats")])
-    with pytest.raises(ValueError, match="needs a nested class"):
-        codec.register(Fresh, 0x7C, [("x", "struct")])
-
-
-def test_registration_requires_dataclass_init_fields_in_order():
     @dataclass(frozen=True)
-    class Pair:
-        a: int
-        b: int
+    class Floating:
+        x: float
 
     class Plain:
-        a: int
+        a: codec.U8
 
-    for fields in ([("b", "u8"), ("a", "u8")], [("a", "u8")], [("a", "u8"), ("b", "u8"), ("c", "u8")]):
-        with pytest.raises(ValueError, match="init fields"):
-            codec.register(Pair, 0x7C, fields)
+    with pytest.raises(ValueError, match="registered twice"):
+        codec.structure(codec.SchemaId.VALIDITY)(Fresh)
     with pytest.raises(ValueError, match="not a dataclass"):
-        codec.register(Plain, 0x7C, [("a", "u8")])
+        codec.structure(0x7C)(Plain)
+    for cls in (Unsized, Floating):
+        with pytest.raises(ValueError, match="no wire kind"):
+            codec.structure(0x7C)(cls)
     assert codec.schema_id_of(b"\x7c") is None
     assert 0x7C not in codec._by_id  # nothing was registered
+
+
+def registered_schemas() -> list:
+    """Every declared structure, with all the modules that declare them loaded."""
+    for module in ("client", "crypto", "gateway", "gss", "kdc", "messages"):
+        importlib.import_module(f"kerbpk.{module}")
+    return [codec._by_id[schema_id] for schema_id in sorted(codec._by_id)]
+
+
+def test_wire_fields_are_the_dataclass_init_fields_in_order():
+    schemas = registered_schemas()
+    assert len(schemas) == 32
+    for schema in schemas:
+        init_names = [f.name for f in dataclasses.fields(schema.cls) if f.init]
+        assert [name for name, _, _ in schema.fields] == init_names, schema.cls.__name__
+
+
+# Frozen schema table: ids, classes and each field's name, kind and nested
+# class.  It covers the on-disk records that no golden vector reaches, and a
+# reordered dataclass field, which reorders the wire, changes it.
+SCHEMA_TABLE_SHA256 = "d0ebe82bca378636f7a94510781cde7bd73c21523893d1ec31cf933d951fa18d"
+
+
+def test_schema_table_is_pinned():
+    table = "".join(
+        f"{schema.schema_id:#04x} {schema.cls.__name__} "
+        + ";".join(f"{name}:{kind}:{nested.__name__ if nested else '-'}"
+                   for name, kind, nested in schema.fields) + "\n"
+        for schema in registered_schemas())
+    assert hashlib.sha256(table.encode()).hexdigest() == SCHEMA_TABLE_SHA256, table

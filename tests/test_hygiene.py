@@ -1,7 +1,11 @@
 """Source hygiene: every name a library or test module imports is used in that
-module, and only one function makes a replay cache."""
+module, only one function makes a replay cache, and every name the benchmark
+takes from the library resolves."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,14 @@ def test_only_protected_endpoint_makes_a_replay_cache():
     builder = next(node for tree in trees for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "protected_endpoint")
     assert sum(replay_cache_calls(tree) for tree in trees) == replay_cache_calls(builder) == 1
+
+
+def test_the_benchmark_resolves_against_src():
+    # perfbench imports kerbpk names and its tracer wraps more by name; a
+    # rename in src/ must not wait for a benchmark run to show.
+    probe = ("import bench_layers, bench_sim, bench_tcp, bench_trace\n"
+             "bench_trace.install(bench_trace.Tracer())\n")
+    path = os.pathsep.join([str(SOURCE.parent), str(TESTS.parent / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

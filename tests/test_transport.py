@@ -78,7 +78,7 @@ def test_parse_fault_forms():
 
 @pytest.mark.parametrize("tokens", [
     [], ["jitter", "1"], ["drop"], ["drop", "x"], ["drop", "-1"],
-    ["swap", "1"], ["drop", "1", "2"], ["flip", "1", "2"],
+    ["swap", "1"], ["drop", "1", "2"], ["flip", "1", "2"], ["flip", "1", "2", "8"],
 ])
 def test_parse_fault_rejects_bad_specs(tokens):
     with pytest.raises(ScenarioParseError):
