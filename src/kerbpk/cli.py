@@ -27,11 +27,12 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from . import __version__, codec
 from .crypto import get_provider
-from .errors import FetchError, KerbPkError, NoTgt
+from .errors import FetchError, KerbPkError, NoTgt, PolicyParseError, ScenarioParseError
 from .kdc import (
     DEFAULT_AS_PORT,
     DEFAULT_TGS_PORT,
@@ -120,21 +121,28 @@ def cmd_kdc_serve(args) -> int:
                   f"tgs_port={tgs_server.port}")
 
 
-def _load_or_create_db(args, provider) -> PrincipalDb:
+@contextmanager
+def _registering(args, provider) -> Iterator[PrincipalDb]:
+    """The db at ``_db_path(args)``, or a fresh one, saved when the block ends.
+    A lock on ``<db>.lock`` held from load to save keeps overlapping runs from
+    losing principals; ``kdc serve`` needs none, as a save is an atomic rename."""
+    import fcntl  # only the register commands lock
     path = _db_path(args)
-    if os.path.exists(path):
-        return PrincipalDb.load(path)
-    return PrincipalDb.create(_realm(args), provider)
+    with open(f"{path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        db = (PrincipalDb.load(path) if os.path.exists(path)
+              else PrincipalDb.create(_realm(args), provider))
+        yield db
+        db.save(path)
 
 
 def cmd_kdc_register_user(args) -> int:
     from .client import ClientIdentity, save_identity
     provider = _provider_of(args)
-    db = _load_or_create_db(args, provider)
     password = args.password if args.password is not None else getpass.getpass("password: ")
     keypair = provider.generate_keypair()
-    record = db.register_user(args.name, password, keypair.public_key, provider)
-    db.save(_db_path(args))
+    with _registering(args, provider) as db:
+        record = db.register_user(args.name, password, keypair.public_key, provider)
     if args.identity_out:
         identity = ClientIdentity(record.principal, password, keypair, record.certificate)
         save_identity(identity, args.identity_out)
@@ -148,9 +156,8 @@ def cmd_kdc_register_user(args) -> int:
 
 def cmd_kdc_register_service(args) -> int:
     provider = _provider_of(args)
-    db = _load_or_create_db(args, provider)
-    record = db.register_service(args.name, provider)
-    db.save(_db_path(args))
+    with _registering(args, provider) as db:
+        record = db.register_service(args.name, provider)
     line = (f"registered principal={record.principal.name}@{record.principal.realm} "
             f"kind=service db={_db_path(args)}")
     if args.keytab_out:
@@ -175,8 +182,7 @@ def cmd_client_kinit(args) -> int:
     def send_as(request):
         return _call(args.as_host, args.as_port, request, codec.SchemaId.AS_REPLY)
 
-    entry = agent.kinit(send_as, now, tgs_id=args.tgs_name,
-                        requested_validity=Validity(now, now + args.lifetime))
+    entry = agent.kinit(send_as, now, requested_validity=Validity(now, now + args.lifetime))
     cache.save(_ccache_path(args))
     print(f"kinit ok principal={identity.principal.name}@{identity.principal.realm} "
           f"tgt_till={entry.validity.till} ccache={_ccache_path(args)}")
@@ -282,8 +288,7 @@ def cmd_gateway(args) -> int:
     from .gateway import (GatewayCore, GatewayPolicy, GatewaySession, ResponseCache,
                           backend_connector, protected_endpoint)
     provider = _provider_of(args)
-    with open(args.policy, "r", encoding="utf-8") as fh:
-        policy = GatewayPolicy.parse(fh.read())
+    policy = GatewayPolicy.parse(codec.read_text(args.policy, PolicyParseError, "policy"))
     keyfile = load_service_key(args.keytab)
     backends = []
     for spec in args.backend or []:
@@ -308,9 +313,9 @@ def cmd_gateway(args) -> int:
 def cmd_scenario_run(args) -> int:
     from .scenario import load_scenario, parse_scenario, run_scenario
     if os.path.exists(args.scenario):
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            name = os.path.splitext(os.path.basename(args.scenario))[0]
-            script = parse_scenario(fh.read(), name)
+        name = os.path.splitext(os.path.basename(args.scenario))[0]
+        text = codec.read_text(args.scenario, ScenarioParseError, "scenario")
+        script = parse_scenario(text, name)
     else:
         script = load_scenario(args.scenario)
     report = run_scenario(script, seed=args.seed, transport=args.transport)
@@ -384,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--password", default=None)
     p.add_argument("--as-host", default="127.0.0.1")
     p.add_argument("--as-port", type=int, default=DEFAULT_AS_PORT)
-    p.add_argument("--tgs-name", default="krbtgt")
     p.add_argument("--lifetime", type=int, default=DEFAULT_LIFETIME)
     p.add_argument("--ccache", default=None, help="credential cache path (env KERBPK_CCACHE)")
     _crypto_args(p)
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = scenario.add_parser("run", help="execute a bundled or on-disk scenario")
     p.add_argument("scenario", help="bundled name (happy_path, replay_attack, "
-                                    "expired_ticket) or a file path")
+                                    "expired_ticket, expired_tunnel) or a file path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transport", choices=("sim", "tcp"), default="sim")
     p.add_argument("--json", action="store_true")

@@ -31,6 +31,7 @@ from .errors import (
 from .messages import (
     CLOCK_SKEW,
     DEFAULT_LIFETIME,
+    TGS_NAME,
     AsEncPart,
     AsReply,
     AsRequest,
@@ -44,7 +45,7 @@ from .messages import (
     TgsRequest,
     Validity,
     as_request_signable,
-    tgs_request_digest,
+    request_digest,
 )
 
 
@@ -166,9 +167,6 @@ class ClientAgent:
         self.skew = skew
         self.cache = cache if cache is not None else CredentialCache(identity.principal, skew)
 
-    def _default_validity(self, now: int) -> Validity:
-        return Validity(now, now + DEFAULT_LIFETIME)
-
     def build_as_request(self, tgs_id: str, requested_validity: Validity) -> AsRequest:
         """Fresh nonce; signature covers every other request field."""
         fields = (0, self.identity.principal, tgs_id, requested_validity,
@@ -203,22 +201,19 @@ class ClientAgent:
         return entry
 
     def kinit(self, send_as: Callable[[AsRequest], AsReply], now: int,
-              tgs_id: str = "krbtgt", requested_validity: Optional[Validity] = None) -> CredEntry:
-        req = self.build_as_request(tgs_id, requested_validity or self._default_validity(now))
+              requested_validity: Optional[Validity] = None) -> CredEntry:
+        req = self.build_as_request(TGS_NAME, requested_validity or Validity(now, now + DEFAULT_LIFETIME))
         return self.process_as_reply(send_as(req), req.nonce1)
 
     def get_service_ticket(self, service_id: str, now: int,
-                           send_tgs: Callable[[TgsRequest], TgsReply],
-                           requested_validity: Optional[Validity] = None) -> CredEntry:
+                           send_tgs: Callable[[TgsRequest], TgsReply]) -> CredEntry:
         """One ticket-granting exchange; requires a fresh TGT in the cache."""
-        return request_service_ticket(self.cache, self.provider, service_id, now,
-                                      send_tgs, requested_validity)
+        return request_service_ticket(self.cache, self.provider, service_id, now, send_tgs)
 
 
 def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,
                            service_id: str, now: int,
-                           send_tgs: Callable[[TgsRequest], TgsReply],
-                           requested_validity: Optional[Validity] = None) -> CredEntry:
+                           send_tgs: Callable[[TgsRequest], TgsReply]) -> CredEntry:
     """Ticket-granting exchange driven purely by the cache contents.
 
     Needs no password and no key pair, only the TGT; the sealed authenticator
@@ -227,11 +222,11 @@ def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,
     tgt = cache.get_tgt(now)
     if tgt is None:
         raise NoTgt("no fresh ticket-granting ticket in the cache")
-    validity = requested_validity or Validity(now, now + DEFAULT_LIFETIME)
+    validity = Validity(now, now + DEFAULT_LIFETIME)
     nonce2 = provider.random_nonce()
     fields = (0, service_id, validity, nonce2, tgt.ticket)  # all but the authenticator box
     sealed = TgsAuthenticator(Authenticator(cache.client.name, cache.client.realm, now),
-                              tgs_request_digest(TgsRequest(*fields, None)))
+                              request_digest(TgsRequest(*fields, None)))
     box = provider.seal(tgt.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
     req = TgsRequest(*fields, box)
 

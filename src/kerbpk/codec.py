@@ -15,10 +15,12 @@ decode(encode(x)) == x.
 Field header layout: tag (u8) then length (u32, big-endian), then the value.
 
 Each schema is compiled once, when it is declared: every field gets its own
-encoder and decoder holding its precomputed tag, header and integer width and
-range, so no value looks up its field's kind, width or tag.  Decoding walks
-the one input buffer by offsets and copies out only leaf values.  An encoded
-nested value must be an instance of exactly the declared class.
+encoder and decoder holding its precomputed tag, header, integer width and
+range, or nested schema, so no value looks up its field's kind, width, tag or
+schema; a nested class is declared first, and an undeclared one fails at
+import.  Decoding walks the one input buffer by offsets and copies out only
+leaf values.  An encoded nested value must be an instance of exactly the
+declared class.
 
 A request's signature or digest covers every field but the last, under its
 body's own schema id (``encode_body``).  Every ``SchemaId`` is a known tag,
@@ -176,27 +178,21 @@ def _str_codec(tag: int):
 
 def _struct_codec(tag: int, cls: type, optional: bool):
     """A nested ``cls`` value; ``optional`` (kind opt) also allows None."""
-    sub = None  # the schema of ``cls``, found on first use
+    sub = _require_schema(cls)
 
     def encode_struct(value) -> bytes:
-        nonlocal sub
         if type(value) is not cls:
             if optional and value is None:
                 return _HEADER.pack(tag, 0)
             raise MalformedValue(f"expected {cls.__name__}, got {type(value).__name__}")
-        if sub is None:
-            sub = _require_schema(cls)
         raw = _encode_fields(sub.schema_id, sub.encoders, value)
         if len(raw) > _MAX_FIELD:
             raise _too_large(len(raw))
         return _HEADER.pack(tag, len(raw)) + raw
 
     def decode_struct(data: bytes, start: int, stop: int):
-        nonlocal sub
         if optional and start == stop:
             return None
-        if sub is None:
-            sub = _require_schema(cls)
         obj, end = sub.decode_at(data, start, start, stop)
         if end != stop:
             raise TrailingGarbage(f"{stop - end} bytes after {cls.__name__}")
@@ -205,12 +201,9 @@ def _struct_codec(tag: int, cls: type, optional: bool):
 
 
 def _list_codec(tag: int, cls: type):
-    sub = None  # the schema of ``cls``, found on first use
+    sub = _require_schema(cls)
 
     def encode_list(items) -> bytes:
-        nonlocal sub
-        if sub is None:
-            sub = _require_schema(cls)
         parts = []
         for item in items:
             if type(item) is not cls:
@@ -222,9 +215,6 @@ def _list_codec(tag: int, cls: type):
         return _HEADER.pack(tag, len(raw)) + raw
 
     def decode_list(data: bytes, start: int, stop: int) -> list:
-        nonlocal sub
-        if sub is None:
-            sub = _require_schema(cls)
         items = []
         pos = start
         while pos < stop:
@@ -336,7 +326,7 @@ def structure(schema_id: SchemaId):
 
     The wire fields are the dataclass's init fields, in order, each of the kind
     its annotation names.  The field encoders and decoders are built here,
-    once; nested classes are looked up on first use.
+    once, so a nested class must be declared before any class that holds it.
     """
     def register(cls: type) -> type:
         if int(schema_id) in _by_id:
@@ -396,15 +386,19 @@ def save_records(path: str, records: Iterable) -> None:
     os.replace(tmp, path)
 
 
-def load_records(path: str, expected: SchemaId, error: type, what: str) -> list:
-    """Read what ``save_records`` wrote; every failure raises ``error``."""
+def read_text(path: str, error: type, what: str) -> str:
+    """The UTF-8 text of ``path``; an unreadable file raises ``error`` naming it."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_records(path: str, expected: SchemaId, error: type, what: str) -> list:
+    """Read what ``save_records`` wrote; every failure raises ``error``."""
     records = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, error, what).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -32,7 +32,7 @@ from .errors import (
     StateError,
 )
 from .gss import ContextAcceptor, ContextInitiator, SecurityContext
-from .messages import ReplayCache, decode_reply, error_reply
+from .messages import ReplayCache, decode_reply, error_reply, validate_times
 from .transport import FrameClient, call
 
 SERVED_BACKEND = 1
@@ -240,7 +240,8 @@ class ProtectedAppSession:
     """Ticket-protected app endpoint: handshake first, wrapped traffic after.
 
     Each connection gets its own acceptor state but shares the service-wide
-    replay cache, so a replayed first leg is caught across connections.
+    replay cache, so a replayed first leg is caught across connections.  Past
+    its ticket's end plus the skew, a tunnel's wrap token gets ``TicketExpired``.
     """
 
     def __init__(self, key: SymmetricKey, provider: CryptoProvider, replay_cache: ReplayCache,
@@ -266,6 +267,7 @@ class ProtectedAppSession:
             if self.context is None or not self.context.established:
                 return [error_reply(StateError("wrap token before any handshake"))], True
             try:
+                validate_times(self.context.validity, now)
                 token = codec.decode(payload, codec.SchemaId.WRAP_TOKEN)
                 plain = self.context.unwrap(token)
                 request = codec.decode(plain, codec.SchemaId.APP_REQUEST)

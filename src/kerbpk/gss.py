@@ -26,13 +26,16 @@ from typing import Callable, Optional
 from . import codec
 from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
 from .errors import (
+    AuthenticatorIntegrityError,
     IntegrityError,
     MissingBacking,
     MutualAuthFailure,
     OutOfSequence,
     ReplayDetected,
+    RequestDigestMismatch,
     RequiredFlagMissing,
     StateError,
+    TicketIntegrityError,
     TokenIntegrityError,
     UsageViolation,
     WrapIntegrityError,
@@ -45,10 +48,9 @@ from .messages import (
     Authenticator,
     Principal,
     ReplayCache,
-    TicketBody,
-    ap_request_digest,
-    validate_authenticator,
-    validate_times,
+    Validity,
+    accept_ticket,
+    request_digest,
 )
 
 MECHANISM = "kerbpk-ticket"
@@ -158,6 +160,7 @@ class SecurityContext:
         self.send_seq = 0
         self.recv_seq = 0
         self.peer: Optional[Principal] = None
+        self.validity: Optional[Validity] = None
         self._lock = threading.Lock()
 
     @property
@@ -235,7 +238,7 @@ class ContextInitiator:
             auth = Authenticator(self.cred.name.principal.name,
                                  self.cred.name.principal.realm, now)
             sealed = ContextAuthenticator(auth, ALL_FLAGS, initial_seq,
-                                          ap_request_digest(ApRequest(*fields, None)))
+                                          request_digest(ApRequest(*fields, None)))
             box = self.provider.seal(session_key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
             request = ApRequest(*fields, box)
             ctx.session_key = session_key
@@ -303,25 +306,14 @@ class ContextAcceptor:
                 raise StateError("acceptor expects the handshake's first token")
             request: ApRequest = codec.decode(input_token.body, codec.SchemaId.AP_REQUEST)
             try:
-                body_bytes = self.provider.open(self.key, request.ticket.box, SealLabel.TICKET)
-            except IntegrityError as exc:
-                raise TokenIntegrityError(f"ticket does not open under this service key: {exc}") from None
-            body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
-            validate_times(body.validity, now)
-            try:
-                auth_bytes = self.provider.open(body.session_key, request.authenticator,
-                                                SealLabel.AUTHENTICATOR)
-            except IntegrityError as exc:
-                raise TokenIntegrityError(f"authenticator does not open: {exc}") from None
-            sealed: ContextAuthenticator = codec.decode(
-                auth_bytes, codec.SchemaId.CONTEXT_AUTHENTICATOR)
-            if sealed.request_digest != ap_request_digest(request):
-                raise TokenIntegrityError("request fields do not match the sealed digest")
+                body, sealed = accept_ticket(request, self.key,
+                                             codec.SchemaId.CONTEXT_AUTHENTICATOR, now,
+                                             self.replay_cache, self.provider)
+            except (TicketIntegrityError, AuthenticatorIntegrityError,
+                    RequestDigestMismatch) as exc:
+                raise TokenIntegrityError(str(exc)) from None
             if sealed.flags & ALL_FLAGS != ALL_FLAGS:
                 raise RequiredFlagMissing("peer did not assert all mandatory context flags")
-            validate_authenticator(sealed.authenticator,
-                                   Principal(body.client_id, body.client_realm),
-                                   now, self.replay_cache, request.authenticator)
         except Exception:
             ctx.state = ContextState.FAILED
             raise
@@ -335,6 +327,7 @@ class ContextAcceptor:
         ctx.send_seq = initial_seq
         ctx.recv_seq = sealed.initial_seq
         ctx.peer = Principal(body.client_id, body.client_realm)
+        ctx.validity = body.validity
         ctx.state = ContextState.COMPLETE
         return ContextToken(LEG_REPLY, codec.encode(ApReply(box))), ctx.state
 

@@ -22,23 +22,19 @@ from . import codec
 from .crypto import CryptoProvider, SealLabel, SymmetricKey
 from .errors import (
     AddressMismatch,
-    AuthenticatorIntegrityError,
     BadValidityWindow,
     CertificateMismatch,
     DbParseError,
     DuplicatePrincipal,
-    IntegrityError,
     KerbPkError,
     NoCertificateOnFile,
-    RequestDigestMismatch,
-    SchemaMismatch,
     SignatureInvalid,
-    TicketIntegrityError,
     UnknownPrincipal,
     UnknownService,
 )
 from .messages import (
     MAX_LIFETIME,
+    TGS_NAME,
     AsEncPart,
     AsReply,
     AsRequest,
@@ -47,20 +43,16 @@ from .messages import (
     Principal,
     ReplayCache,
     SealedTicket,
-    TgsAuthenticator,
     TgsEncPart,
     TgsReply,
     TgsRequest,
     TicketBody,
     Validity,
+    accept_ticket,
     as_request_signable,
     error_reply,
-    tgs_request_digest,
-    validate_authenticator,
-    validate_times,
 )
 
-DEFAULT_TGS_NAME = "krbtgt"
 DEFAULT_AS_PORT = 8801
 DEFAULT_TGS_PORT = 8802
 
@@ -111,9 +103,8 @@ class PrincipalDb:
         self._lock = threading.Lock()
 
     @classmethod
-    def create(cls, realm: str, provider: CryptoProvider,
-               tgs_name: str = DEFAULT_TGS_NAME) -> "PrincipalDb":
-        record = PrincipalRecord(Principal(tgs_name, realm), provider.random_session_key(),
+    def create(cls, realm: str, provider: CryptoProvider) -> "PrincipalDb":
+        record = PrincipalRecord(Principal(TGS_NAME, realm), provider.random_session_key(),
                                  None, int(RecordKind.TGS_SERVICE))
         return cls(realm, record)
 
@@ -221,25 +212,8 @@ def handle_as_request(db: PrincipalDb, req: AsRequest, now: int, provider: Crypt
 def handle_tgs_request(db: PrincipalDb, req: TgsRequest, now: int, replay_cache: ReplayCache,
                        provider: CryptoProvider, client_address: str = "") -> TgsReply:
     """Ticket exchange: open TGT, validate authenticator, issue service ticket."""
-    tgs = db.tgs_record()
-    try:
-        body_bytes = provider.open(tgs.long_term_key, req.ticket.box, SealLabel.TICKET)
-    except IntegrityError as exc:
-        raise TicketIntegrityError(str(exc)) from None
-    body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
-    validate_times(body.validity, now)
-    try:
-        auth_bytes = provider.open(body.session_key, req.authenticator, SealLabel.AUTHENTICATOR)
-    except IntegrityError as exc:
-        raise AuthenticatorIntegrityError(str(exc)) from None
-    try:
-        sealed: TgsAuthenticator = codec.decode(auth_bytes, codec.SchemaId.TGS_AUTHENTICATOR)
-    except SchemaMismatch as exc:
-        raise AuthenticatorIntegrityError(str(exc)) from None
-    if sealed.request_digest != tgs_request_digest(req):
-        raise RequestDigestMismatch("request fields do not match the sealed digest")
-    validate_authenticator(sealed.authenticator, Principal(body.client_id, body.client_realm),
-                           now, replay_cache, req.authenticator)
+    body, _ = accept_ticket(req, db.tgs_record().long_term_key, codec.SchemaId.TGS_AUTHENTICATOR,
+                            now, replay_cache, provider)
     if body.client_address and body.client_address != client_address:
         raise AddressMismatch(f"ticket bound to {body.client_address}, request from {client_address}")
     service = db.lookup(req.service_id)

@@ -18,16 +18,22 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Any, Union
 
 from . import codec
-from .crypto import SealedBox, SymmetricKey
+from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
 from .errors import (
+    AuthenticatorIntegrityError,
+    IntegrityError,
     KerbPkError,
     MalformedName,
     PrincipalMismatch,
     ReplayDetected,
+    RequestDigestMismatch,
+    SchemaMismatch,
     SkewExceeded,
     TicketExpired,
+    TicketIntegrityError,
     TicketNotYetValid,
     raise_by_name,
 )
@@ -43,6 +49,15 @@ DEFAULT_LIFETIME = 28800
 
 #: Longest ticket lifetime, in seconds, the KDC grants.
 MAX_LIFETIME = 28800
+
+#: Name of the realm's ticket-granting service principal.
+TGS_NAME = "krbtgt"
+
+#: Seconds a replay cache remembers an authenticator: both sides of the skew.
+REPLAY_WINDOW = 2 * CLOCK_SKEW
+
+#: Most authenticators a replay cache holds; beyond it the oldest goes first.
+REPLAY_CAPACITY = 4096
 
 _NAME_OK = frozenset(chr(c) for c in range(0x21, 0x7F))
 
@@ -225,14 +240,11 @@ def as_request_signable(req: AsRequest) -> bytes:
     return codec.encode_body(req, codec.SchemaId.AS_REQ_BODY)
 
 
-def tgs_request_digest(req: TgsRequest) -> bytes:
+def request_digest(req: Union[TgsRequest, ApRequest]) -> bytes:
     """Digest the sealed authenticator binds: all but the authenticator box."""
-    return hashlib.sha256(codec.encode_body(req, codec.SchemaId.TGS_REQ_BODY)).digest()
-
-
-def ap_request_digest(req: ApRequest) -> bytes:
-    """Digest the sealed context authenticator binds: all but its box."""
-    return hashlib.sha256(codec.encode_body(req, codec.SchemaId.AP_REQ_BODY)).digest()
+    body_id = (codec.SchemaId.TGS_REQ_BODY if isinstance(req, TgsRequest)
+               else codec.SchemaId.AP_REQ_BODY)
+    return hashlib.sha256(codec.encode_body(req, body_id)).digest()
 
 
 def validate_times(validity: Validity, now: int) -> None:
@@ -246,13 +258,11 @@ def validate_times(validity: Validity, now: int) -> None:
 class ReplayCache:
     """Bounded, windowed set of (realm, client, timestamp, box digest) keys.
 
-    Entries older than the window are pruned; beyond ``capacity`` entries the
-    oldest inserted goes first.  Thread-safe.
+    Entries older than ``REPLAY_WINDOW`` are pruned; beyond ``REPLAY_CAPACITY``
+    entries the oldest inserted goes first.  Thread-safe.
     """
 
-    def __init__(self, window: int = 2 * CLOCK_SKEW, capacity: int = 4096):
-        self.window = window
-        self.capacity = capacity
+    def __init__(self):
         self._seen: OrderedDict[tuple, int] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -262,7 +272,7 @@ class ReplayCache:
 
     def check_and_insert(self, triple: tuple, now: int) -> None:
         with self._lock:
-            cutoff = now - self.window
+            cutoff = now - REPLAY_WINDOW
             while self._seen:
                 oldest_key = next(iter(self._seen))
                 if self._seen[oldest_key] >= cutoff:
@@ -271,7 +281,7 @@ class ReplayCache:
             if triple in self._seen:
                 raise ReplayDetected(f"authenticator triple {triple!r} seen before")
             self._seen[triple] = now
-            while len(self._seen) > self.capacity:
+            while len(self._seen) > REPLAY_CAPACITY:
                 self._seen.popitem(last=False)
 
 
@@ -292,3 +302,27 @@ def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
                            f"skew {CLOCK_SKEW}")
     replay_cache.check_and_insert((auth.client_realm, auth.client_id, auth.timestamp,
                                    hashlib.sha256(box.ciphertext).digest()), now)
+
+
+def accept_ticket(req: Union[TgsRequest, ApRequest], key: SymmetricKey,
+                  sealed_id: codec.SchemaId, now: int, replay_cache: ReplayCache,
+                  provider: CryptoProvider) -> tuple[TicketBody, Any]:
+    """Open ``req.ticket`` under the server's ``key``, check its window, open
+    the authenticator as ``sealed_id`` under the ticket's session key, match
+    its request digest and validate it.  Returns the body and authenticator."""
+    try:
+        body_bytes = provider.open(key, req.ticket.box, SealLabel.TICKET)
+    except IntegrityError as exc:
+        raise TicketIntegrityError(str(exc)) from None
+    body: TicketBody = codec.decode(body_bytes, codec.SchemaId.TICKET_BODY)
+    validate_times(body.validity, now)
+    try:
+        sealed = codec.decode(provider.open(body.session_key, req.authenticator,
+                                            SealLabel.AUTHENTICATOR), sealed_id)
+    except (IntegrityError, SchemaMismatch) as exc:
+        raise AuthenticatorIntegrityError(str(exc)) from None
+    if sealed.request_digest != request_digest(req):
+        raise RequestDigestMismatch("request fields do not match the sealed digest")
+    validate_authenticator(sealed.authenticator, Principal(body.client_id, body.client_realm),
+                           now, replay_cache, req.authenticator)
+    return body, sealed

@@ -3,9 +3,10 @@ in-process network simulator.
 
 Every message travels as a frame: a 4-byte big-endian length followed by that
 many payload bytes, capped at 1 MiB.  The simulator numbers frames globally in
-transmission order (the first frame of a run is 1) and applies configured
-faults by frame index: drop, duplicate, swap, single-bit flip over the full
-wire image (header included), and delayed delivery measured in clock ticks.
+transmission order (the first frame of a run is 1) and keeps one table of
+faults by frame index.  On one frame, every single-bit flip over the full wire
+image (header included) applies, then the first present of drop, swap, delay
+(in clock ticks) and duplicate, where the last added of each kind counts.
 
 Time in the simulator is a logical tick counter shared by every endpoint, so
 runs are reproducible; the TCP server, a bounded set of reused worker threads,
@@ -24,7 +25,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 from . import codec
 from .errors import (
@@ -107,8 +108,8 @@ def send_frame(sock: socket.socket, payload: bytes) -> None:
 class SimClock:
     """Logical tick counter; never moves unless something advances it."""
 
-    def __init__(self, start: int = SIM_CLOCK_START):
-        self._now = start
+    def __init__(self):
+        self._now = SIM_CLOCK_START
 
     def now(self) -> int:
         return self._now
@@ -248,29 +249,17 @@ class SimNetwork:
         self.transcript: list[FrameRecord] = []
         self._factories: dict[str, Callable[[], object]] = {}
         self._counter = 0
-        self._drops: set[int] = set()
-        self._dups: set[int] = set()
-        self._delays: dict[int, int] = {}
-        self._flips: dict[int, list[FlipBit]] = {}
-        self._swap_hold: dict[int, int] = {}    # frame to hold -> release trigger
+        self._faults: dict[int, list[Fault]] = {}   # frame index -> faults, a Swap at its first
         self._held: dict[int, tuple] = {}       # trigger -> (record, conn)
         self._pending: list[tuple[int, FrameRecord, SimConnection]] = []
         for fault in faults:
             self.add_fault(fault)
 
     def add_fault(self, fault: Fault) -> None:
-        if isinstance(fault, Drop):
-            self._drops.add(fault.frame)
-        elif isinstance(fault, Duplicate):
-            self._dups.add(fault.frame)
-        elif isinstance(fault, Swap):
-            self._swap_hold[fault.first] = fault.second
-        elif isinstance(fault, FlipBit):
-            self._flips.setdefault(fault.frame, []).append(fault)
-        elif isinstance(fault, Delay):
-            self._delays[fault.frame] = fault.ticks
-        else:
+        if not isinstance(fault, get_args(Fault)):
             raise TypeError(f"not a fault: {fault!r}")
+        frame = fault.first if isinstance(fault, Swap) else fault.frame
+        self._faults.setdefault(frame, []).append(fault)
 
     def register(self, address: str, factory: Callable[[], object]) -> None:
         self._factories[address] = factory
@@ -289,25 +278,27 @@ class SimNetwork:
         index = self._counter
         record = FrameRecord(index, conn.channel, conn.internal, direction,
                              wire, self.clock.now(), "delivered")
-        for flip in self._flips.get(index, ()):
-            if flip.byte < len(wire):
+        kinds: dict[type, Fault] = {}
+        for fault in self._faults.get(index, ()):
+            kinds[type(fault)] = fault
+            if isinstance(fault, FlipBit) and fault.byte < len(wire):
                 mutated = bytearray(wire)
-                mutated[flip.byte] ^= 1 << (flip.bit & 7)
+                mutated[fault.byte] ^= 1 << (fault.bit & 7)
                 wire = bytes(mutated)
                 record.wire = wire
-                record.note = f"flipped byte {flip.byte} bit {flip.bit & 7}"
-        if index in self._drops:
+                record.note = f"flipped byte {fault.byte} bit {fault.bit & 7}"
+        if Drop in kinds:
             record.status = "dropped"
             self.transcript.append(record)
             self._release_if_triggered(index)
             return
-        if index in self._swap_hold:
+        if Swap in kinds:
             record.status = "held"
             self.transcript.append(record)
-            self._held[self._swap_hold[index]] = (record, conn)
+            self._held[kinds[Swap].second] = (record, conn)
             return
-        if index in self._delays:
-            ready = self.clock.now() + self._delays[index]
+        if Delay in kinds:
+            ready = self.clock.now() + kinds[Delay].ticks
             record.note = (record.note + " " if record.note else "") + f"delayed to tick {ready}"
             self.transcript.append(record)
             self._pending.append((ready, record, conn))
@@ -315,7 +306,7 @@ class SimNetwork:
             return
         self.transcript.append(record)
         self._deliver(record, conn)
-        if index in self._dups:
+        if Duplicate in kinds:
             copy = replace(record, tick=self.clock.now(), status="duplicate", note="replayed copy")
             self.transcript.append(copy)
             self._deliver(copy, conn)

@@ -3,7 +3,8 @@
 Runs the tier-1 suite in this process under ``sys.settrace`` and
 ``threading.settrace``, without the bit-flip sweep, whose 60-s time gate
 tracing would break, then prints
-each executable source line that no test reached and the totals.  Standard
+each executable source line that no test reached and the totals, and the
+physical line counts of ``src/kerbpk/*.py`` and ``tests/*.py``.  Standard
 library only; tracing makes the suite take about three times as long, so the
 ledger is a separate check rather than a test.
 
@@ -39,6 +40,16 @@ def executable_lines(path: str) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
     return lines
+
+
+def physical_lines(folder: str) -> int:
+    """Lines in the ``*.py`` files directly inside ``folder``."""
+    total = 0
+    for name in os.listdir(folder):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                total += len(fh.read().splitlines())
+    return total
 
 
 def main() -> int:
@@ -90,6 +101,8 @@ def main() -> int:
             missed += len(unrun)
     print(f"unexecuted {missed} of {total} executable src/kerbpk lines "
           f"(ceiling {CEILING}), plus {uncounted} in {UNCOUNTED}")
+    print(f"lines: src/kerbpk/*.py {physical_lines(PACKAGE)}, "
+          f"tests/*.py {physical_lines(os.path.join(ROOT, 'tests'))}")
     if status != 0:
         print(f"tier-1 exited {int(status)}")
         return 1

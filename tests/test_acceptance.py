@@ -4,6 +4,7 @@ Each test prints a verdict line that bypasses pytest's capture, so any run
 ends with a readable nine-line scorecard.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -97,6 +98,11 @@ def test_replayed_and_reordered_frames_are_always_caught(capsys):
 
 # 4 ---------------------------------------------------------------------------
 
+# SHA-256 of every flipped run's render(), back to back in sweep order: the
+# sweep answers each flip exactly as it did when this was pinned.
+SWEEP_RENDERS_SHA256 = "51966aa7e642d5254402c60e1a2ab5da151f3ac28074e789ab062896b48a3fc2"
+
+
 def test_every_wire_bit_flip_is_rejected(capsys):
     with scored(capsys, 4, "every wire bit-flip is rejected"):
         script = load_scenario("happy_path")
@@ -108,18 +114,20 @@ def test_every_wire_bit_flip_is_rejected(capsys):
         assert total_flips <= 100_000  # the sweep stays exhaustive AND affordable
 
         started = time.perf_counter()
-        missed, flips = [], 0
+        missed, flips, renders = [], 0, hashlib.sha256()
         for index, size in sizes:
             for byte in range(size):
                 for bit in range(8):
                     report = run_scenario(script, seed=5,
                                           extra_faults=(FlipBit(index, byte, bit),))
                     flips += 1
+                    renders.update(report.render().encode())
                     if report.ok and not report.events:
                         missed.append((index, byte, bit))
         elapsed = time.perf_counter() - started
         assert flips == total_flips
         assert missed == [], f"{len(missed)} silent acceptances, first: {missed[:5]}"
+        assert renders.hexdigest() == SWEEP_RENDERS_SHA256
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
 
 

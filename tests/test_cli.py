@@ -25,6 +25,7 @@ import pytest
 import kerbpk
 from kerbpk import cli, codec
 from kerbpk.client import CredentialCache
+from kerbpk.kdc import PrincipalDb
 from kerbpk.gateway import AppRequest, BackendSession
 from kerbpk.messages import Principal
 from kerbpk.transport import FrameClient, ThreadedFrameServer, call
@@ -239,6 +240,60 @@ def test_server_commands_reject_bad_configuration(stack):
                             "--backend", "/data=nowhere")
     assert bad_backend.returncode == 1
     assert "backend spec must look like /prefix=host:port" in bad_backend.stderr
+
+
+def test_unreadable_policy_is_a_policy_error(stack):
+    missing = str(stack.root / "no-such-policy.txt")
+    result = stack.cli("gateway", "--policy", missing, "--keytab", "x")
+    assert result.returncode == 1
+    assert f"error=PolicyParseError detail=cannot read policy {missing}" in result.stderr
+
+
+def test_unreadable_scenario_is_a_scenario_error(stack):
+    result = stack.cli("scenario", "run", str(stack.root))  # a directory
+    assert result.returncode == 1
+    assert f"error=ScenarioParseError detail=cannot read scenario {stack.root}" in result.stderr
+
+
+def test_overlapping_registrations_keep_both_principals(tmp_path, monkeypatch):
+    db_path = str(tmp_path / "realm.db")
+    assert run_cli("kdc", "register-service", "echo", "--db", db_path,
+                   "--provider", "toy").returncode == 0
+    first_saving, second_loaded = threading.Event(), threading.Event()
+    load, save = PrincipalDb.load.__func__, PrincipalDb.save
+
+    def loading(cls, path):
+        db = load(cls, path)
+        if first_saving.is_set():
+            second_loaded.set()
+        return db
+
+    def saving(db, path):
+        # the first writer waits, at most 1 s, for the second to load
+        if not first_saving.is_set():
+            first_saving.set()
+            second_loaded.wait(timeout=1.0)
+        save(db, path)
+
+    monkeypatch.setattr(PrincipalDb, "load", classmethod(loading))
+    monkeypatch.setattr(PrincipalDb, "save", saving)
+    codes = []
+
+    def register(name):
+        codes.append(cli.main(["kdc", "register-user", name, "--password", "pw",
+                               "--db", db_path, "--provider", "toy"]))
+
+    first = threading.Thread(target=register, args=("alice",))
+    first.start()
+    assert first_saving.wait(timeout=10)
+    second = threading.Thread(target=register, args=("bob",))
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert codes == [0, 0]
+    names = {record.principal.name for record in load(PrincipalDb, db_path).records()}
+    assert names == {"krbtgt", "echo", "alice", "bob"}
 
 
 def test_unreachable_kdc_is_a_connection_error(stack):

@@ -336,12 +336,23 @@ def test_registration_guards():
     class Plain:
         a: codec.U8
 
+    @dataclass(frozen=True)
+    class Holder:
+        inner: Fresh  # a dataclass never declared
+
+    @dataclass(frozen=True)
+    class Lister:
+        items: list[Fresh]
+
     with pytest.raises(ValueError, match="registered twice"):
         codec.structure(codec.SchemaId.VALIDITY)(Fresh)
     with pytest.raises(ValueError, match="not a dataclass"):
         codec.structure(0x7C)(Plain)
     for cls in (Unsized, Floating):
         with pytest.raises(ValueError, match="no wire kind"):
+            codec.structure(0x7C)(cls)
+    for cls in (Holder, Lister):  # nested schemas resolve at declaration
+        with pytest.raises(TypeError, match="no schema registered for Fresh"):
             codec.structure(0x7C)(cls)
     assert codec.schema_id_of(b"\x7c") is None
     assert 0x7C not in codec._by_id  # nothing was registered

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 import codec_reference as reference
 from kerbpk import codec
 from kerbpk.messages import (ApRequest, AsRequest, Principal, TgsRequest,
-                             ap_request_digest, as_request_signable,
-                             tgs_request_digest)
+                             as_request_signable, request_digest)
 from kerbpk.scenario import load_scenario, run_scenario
 
 SCHEMA_IDS = sorted(codec._by_id)
@@ -130,8 +129,8 @@ def reference_body(req, body_id: int) -> bytes:
 
 @pytest.mark.parametrize("cls,body_id,derive,hashed", [
     (AsRequest, codec.SchemaId.AS_REQ_BODY, as_request_signable, False),
-    (TgsRequest, codec.SchemaId.TGS_REQ_BODY, tgs_request_digest, True),
-    (ApRequest, codec.SchemaId.AP_REQ_BODY, ap_request_digest, True),
+    (TgsRequest, codec.SchemaId.TGS_REQ_BODY, request_digest, True),
+    (ApRequest, codec.SchemaId.AP_REQ_BODY, request_digest, True),
 ], ids=["AS", "TGS", "AP"])
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)

@@ -16,7 +16,7 @@ from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             AppRequest, AppResponse, BackendSession,
                             GatewayClient, GatewayCore, GatewayPolicy,
                             ResponseCache, echo_handler)
-from kerbpk.messages import ErrorReply
+from kerbpk.messages import CLOCK_SKEW, ErrorReply
 from kerbpk.transport import (Drop, Duplicate, FrameClient, ThreadedFrameServer, call,
                               send_frame)
 
@@ -308,6 +308,21 @@ def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, lo
         server.stop()
         core.close()
         backend.stop()
+
+
+def test_kept_channel_ends_with_its_ticket(logged_in):
+    net, core, client = gateway_stack(logged_in)
+    assert client.fetch("/data/a").status == 200
+    till = logged_in.agent.cache.peek_service("echo").validity.till
+    net.clock.advance(till + CLOCK_SKEW + 1 - net.clock.now())
+    with pytest.raises(FetchError) as info:
+        client.fetch("/data/a")  # cached, but the tunnel has ended
+    assert isinstance(info.value.cause, NoTicket)  # nor is there a fresh ticket to retry with
+    assert (core.backend_hits, core.cache_hits) == (1, 0)
+    errors = [codec.decode(r.wire[4:], codec.SchemaId.ERROR_REPLY).error
+              for r in net.transcript
+              if codec.schema_id_of(r.wire[4:]) == codec.SchemaId.ERROR_REPLY]
+    assert errors == ["TicketExpired"]
 
 
 def test_fresh_channel_that_fails_is_not_retried(logged_in):

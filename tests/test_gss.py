@@ -20,7 +20,7 @@ from kerbpk.gss import (ALL_FLAGS, LEG_INIT, LEG_REPLY, MECHANISM,
                         MechanismName, NameType, ReqFlags, WrapToken,
                         acquire_credential)
 from kerbpk.messages import (ApRequest, Authenticator, Principal, ReplayCache,
-                             ap_request_digest)
+                             request_digest)
 
 
 def alice_name():
@@ -230,12 +230,15 @@ def test_acceptor_rejects_request_outside_sealed_digest(logged_in):
 def test_acceptor_requires_all_flags_asserted(logged_in):
     entry = logged_in.agent.cache.peek_service("echo")
     sealed = ContextAuthenticator(Authenticator("alice", REALM, NOW), 0x3, 17,
-                                  ap_request_digest(ApRequest(0, entry.ticket, None)))
+                                  request_digest(ApRequest(0, entry.ticket, None)))
     box = logged_in.provider.seal(entry.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
     token = ContextToken(LEG_INIT, codec.encode(ApRequest(0, entry.ticket, box)))
-    _, acc = contexts(logged_in)
+    cache = ReplayCache()
+    acc = ContextAcceptor(logged_in.service.long_term_key, logged_in.provider, cache)
     with pytest.raises(RequiredFlagMissing):
         acc.step(token, NOW)
+    # the flags are checked after the authenticator, which is recorded
+    assert len(cache) == 1
 
 
 def test_acceptor_rejects_expired_ticket(logged_in):

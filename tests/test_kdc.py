@@ -19,7 +19,7 @@ from kerbpk.kdc import (KdcFrameSession, PrincipalDb, RecordKind, handle_as_requ
                         handle_tgs_request, load_service_key, save_service_key)
 from kerbpk.messages import (FLAG_INITIAL, Authenticator, Principal, ReplayCache,
                              TgsAuthenticator, TgsRequest, Validity,
-                             tgs_request_digest)
+                             request_digest)
 
 HOUR = Validity(NOW, NOW + 3600)
 
@@ -28,7 +28,7 @@ def make_tgs_request(realm, entry, now, service_id="echo", *, auth=None,
                      digest=None, nonce2=b"\x11" * 8, options=0, validity=HOUR):
     """Hand-rolled ticket-granting request so tests can bend each field."""
     if digest is None:
-        digest = tgs_request_digest(
+        digest = request_digest(
             TgsRequest(options, service_id, validity, nonce2, entry.ticket, None))
     if auth is None:
         auth = Authenticator("alice", REALM, now)
@@ -180,7 +180,7 @@ def test_tgs_rejects_wrong_structure_inside_authenticator(realm):
 
 def test_tgs_rejects_request_not_matching_sealed_digest(realm):
     entry = tgt_of(realm)
-    wrong = tgs_request_digest(
+    wrong = request_digest(
         TgsRequest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket, None))
     req = make_tgs_request(realm, entry, NOW, digest=wrong)
     with pytest.raises(RequestDigestMismatch):

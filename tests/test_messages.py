@@ -9,12 +9,11 @@ from kerbpk.crypto import SealedBox
 from kerbpk.errors import (MalformedName, PrincipalMismatch, ReplayDetected,
                            SkewExceeded, TicketExpired, TicketNotYetValid,
                            UnknownPrincipal, UnknownRemoteError)
+from kerbpk import messages
 from kerbpk.messages import (CLOCK_SKEW, ApRequest, AsRequest, Authenticator,
                              Certificate, ErrorReply, Principal, ReplayCache, SealedTicket,
-                             TgsRequest, Validity, ap_request_digest,
-                             as_request_signable, decode_reply,
-                             tgs_request_digest, validate_authenticator,
-                             validate_times)
+                             TgsRequest, Validity, as_request_signable, decode_reply,
+                             request_digest, validate_authenticator, validate_times)
 
 
 # ---------------------------------------------------------------- time window
@@ -44,16 +43,16 @@ def test_request_bodies_are_pinned():
     assert hashlib.sha256(signable).hexdigest() == \
         "2b9239304a5ceb2f0f1f84e6e170d007fcd6be0cf9334ca744dd6b4e5393e0f4"
     tgs_req = TgsRequest(0, "echo", validity, b"\x03" * 16, ticket, box)
-    assert tgs_request_digest(tgs_req).hex() == \
+    assert request_digest(tgs_req).hex() == \
         "3d5dd19e23ca077ad79f3d324c0c5a729aecb584be44094e1f4ed435156332fc"
-    assert ap_request_digest(ApRequest(0, ticket, box)).hex() == \
+    assert request_digest(ApRequest(0, ticket, box)).hex() == \
         "3c656e4a609cde23de4d0eccd79c1875ca53751ffa6bf988f5f33bd7d49ef1f2"
 
 
 # --------------------------------------------------------------- replay cache
 
 def test_replay_cache_detects_duplicates():
-    cache = ReplayCache(window=600, capacity=16)
+    cache = ReplayCache()
     cache.check_and_insert(("EXAMPLE", "alice", 100, b"d1"), now=100)
     with pytest.raises(ReplayDetected):
         cache.check_and_insert(("EXAMPLE", "alice", 100, b"d1"), now=105)
@@ -62,7 +61,8 @@ def test_replay_cache_detects_duplicates():
 
 
 def test_replay_cache_window_pruning():
-    cache = ReplayCache(window=600, capacity=16)
+    assert messages.REPLAY_WINDOW == 2 * CLOCK_SKEW
+    cache = ReplayCache()
     key = ("EXAMPLE", "alice", 100, b"d")
     cache.check_and_insert(key, now=100)
     with pytest.raises(ReplayDetected):
@@ -70,8 +70,9 @@ def test_replay_cache_window_pruning():
     cache.check_and_insert(key, now=100 + 601)  # pruned; accepted again
 
 
-def test_replay_cache_capacity_evicts_oldest():
-    cache = ReplayCache(window=10_000, capacity=3)
+def test_replay_cache_capacity_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(messages, "REPLAY_CAPACITY", 3)
+    cache = ReplayCache()
     for i in range(4):
         cache.check_and_insert(("R", "u", i, b""), now=i)
     assert len(cache) == 3

@@ -1,5 +1,6 @@
 """Scenario DSL: parsing, bundled scripts, fault variants, transport parity."""
 
+import hashlib
 import json
 
 import pytest
@@ -63,6 +64,8 @@ step advance 5
     ("step send alice echo", 1),
     ("step pipeline alice echo one", 1),
     ("step advance soon", 1),
+    ("step advance \u00b2", 1),            # a digit, but not a number
+    ("step advance \u0661\u0662", 1),      # Arabic-Indic 12
 ])
 def test_parse_scenario_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ScenarioParseError, match=rf"inline:{lineno}:"):
@@ -71,7 +74,7 @@ def test_parse_scenario_errors_carry_line_numbers(text, lineno):
 
 def test_bundled_scenarios_load():
     names = list_scenarios()
-    for name in ("happy_path", "replay_attack", "expired_ticket"):
+    for name in ("happy_path", "replay_attack", "expired_ticket", "expired_tunnel"):
         assert name in names
         load_scenario(name)
     with pytest.raises(ScenarioParseError, match="happy_path"):
@@ -127,7 +130,8 @@ step handshake alice echo
 
 
 def test_sim_and_tcp_agree_on_fault_free_scripts():
-    for script, clean in ((HAPPY, True), (MIXED, False)):
+    for script, clean in ((HAPPY, True), (MIXED, False),
+                          (load_scenario("expired_tunnel"), False)):
         sim = run_scenario(script, seed=4, transport="sim")
         tcp = run_scenario(script, seed=4, transport="tcp")
         assert tcp.ok is clean
@@ -164,6 +168,35 @@ def test_expired_ticket_refused():
     failing = [s for s in report.steps if s.outcome == "error"]
     assert [(s.name, s.error) for s in failing] == [("handshake", "TicketExpired")]
     assert [e.error for e in report.events] == ["TicketExpired"]
+
+
+def test_tunnel_ends_with_its_ticket():
+    report = run_scenario(load_scenario("expired_tunnel"), seed=5)
+    assert [(s.name, s.outcome, s.error) for s in report.steps[3:]] == [
+        ("send", "ok", None), ("advance", "ok", None), ("send", "error", "TicketExpired")]
+    assert [e.render() for e in report.events] == ["event step=6 actor=echo error=TicketExpired"]
+
+
+# SHA-256 of to_json() + render() and then every transcript wire image, in
+# order: any change to a byte on the wire or in a report shows here.
+REPORT_PINS = {
+    ("happy_path", 0): "1ceda652f62a9b75f6d42ca72fc94fa934f123b89f8af237d8df2d249bbf456b",
+    ("happy_path", 7): "2c4dadbfa824486b24b7fbc3189abb64c8feec8ef5a323a7882f9de14c29a7f0",
+    ("replay_attack", 0): "0e13492775a547f8a04d3a3d2b92e3c610724074f624aa17dae1ad88f8045836",
+    ("replay_attack", 7): "1cd2cc54d3af3dea54c771284512023857452cf525430b64f3c06931be91837d",
+    ("expired_ticket", 0): "e259f4f0497ec1c7d961e7058a49b8f3a72f569ac33b12d62fedd709747ffd8d",
+    ("expired_ticket", 7): "29b70e4696f4ec1a1ccfbe11ba310089c90b574f295795ce09365d47e74c83e5",
+    ("expired_tunnel", 0): "7fabb1ee54a9964555a51b8f0112e7cd5c171531e1b1b90aecdf6598ac661b80",
+    ("expired_tunnel", 7): "66295612d3a125d68632670647eb56a7f6fe273439ec7723a3439db13194ddcb",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(REPORT_PINS))
+def test_bundled_reports_and_wires_are_pinned(name, seed):
+    report = run_scenario(load_scenario(name), seed=seed)
+    digest = hashlib.sha256((report.to_json() + report.render()).encode())
+    digest.update(b"".join(record.wire for record in report.transcript))
+    assert digest.hexdigest() == REPORT_PINS[name, seed], report.render()
 
 
 def test_wrong_password_leaves_no_credentials():

@@ -225,6 +225,25 @@ def test_delay_beyond_the_timeout_then_recovered():
     assert conn.recv() == b"echo:hi"  # still scheduled, arrives later
 
 
+def test_faults_on_one_frame_apply_in_a_fixed_order():
+    # every flip applies, a bit above 7 built in code is masked, the last delay counts
+    net = simnet(FlipBit(1, 4, 0), FlipBit(1, 5, 9), Delay(1, 5), Delay(1, 10))
+    conn = net.connect("svc", "c")
+    conn.send(b"hi")
+    assert conn.recv() == b"echo:" + bytes([ord("h") ^ 1, ord("i") ^ 2])
+    assert net.clock.now() == SIM_CLOCK_START + 10
+    # the last swap counts
+    net = simnet(Swap(1, 5), Swap(1, 2))
+    conn = net.connect("svc", "c")
+    conn.send(b"first")
+    conn.send(b"second")
+    assert [conn.recv(), conn.recv()] == [b"echo:second", b"echo:first"]
+    # a drop outranks a swap, a delay and a duplicate
+    net = simnet(Duplicate(1), Delay(1, 3), Swap(1, 2), Drop(1))
+    net.connect("svc", "c").send(b"hi")
+    assert [r.status for r in net.transcript] == ["dropped"]
+
+
 # ------------------------------------------------------------------- sockets
 
 @pytest.fixture
