@@ -92,6 +92,10 @@ class ReplayDetected(KerbPkError):
     pass
 
 
+class ReplayWindowLost(KerbPkError):
+    pass
+
+
 class PrincipalMismatch(KerbPkError):
     pass
 
@@ -213,10 +217,6 @@ class WrongDirection(KerbPkError):
 # --- transport / harness ---
 
 class FrameTooLarge(KerbPkError):
-    pass
-
-
-class FrameError(KerbPkError):
     pass
 
 

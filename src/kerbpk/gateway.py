@@ -146,8 +146,6 @@ class GatewayCore:
     policy: GatewayPolicy
     cache: Optional[ResponseCache]  # None disables caching entirely
     backends: list[tuple[str, Callable[[], object]]]
-    backend_hits: int = 0
-    cache_hits: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _idle: dict[Callable[[], object], list] = field(default_factory=dict, repr=False)
 
@@ -173,8 +171,6 @@ class GatewayCore:
         cached = (self.cache.get(request.method, request.resource)
                   if self.cache is not None else None)
         if cached is not None:
-            with self._lock:
-                self.cache_hits += 1
             return AppResponse(cached.status, cached.body, SERVED_CACHE)
         try:
             connector = self._connector(request.resource)
@@ -205,7 +201,6 @@ class GatewayCore:
                 conn = None
         with self._lock:
             self._idle.setdefault(connector, []).append(conn)
-            self.backend_hits += 1
         if self.cache is not None:
             self.cache.put(request.method, request.resource, response)
         return response

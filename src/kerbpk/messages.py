@@ -29,6 +29,7 @@ from .errors import (
     MalformedName,
     PrincipalMismatch,
     ReplayDetected,
+    ReplayWindowLost,
     RequestDigestMismatch,
     SchemaMismatch,
     SkewExceeded,
@@ -259,12 +260,14 @@ class ReplayCache:
     """Bounded, windowed set of (realm, client, timestamp, box digest) keys.
 
     Entries older than ``REPLAY_WINDOW`` are pruned; beyond ``REPLAY_CAPACITY``
-    entries the oldest inserted goes first.  Thread-safe.
+    entries the oldest inserted goes first, and from then on every timestamp at
+    or below the evicted one is refused (RFC 4120 3.2.3).  Thread-safe.
     """
 
     def __init__(self):
         self._seen: OrderedDict[tuple, int] = OrderedDict()
         self._lock = threading.Lock()
+        self._floor = -1    # no entry evicted yet
 
     def __len__(self) -> int:
         with self._lock:
@@ -280,9 +283,12 @@ class ReplayCache:
                 self._seen.popitem(last=False)
             if triple in self._seen:
                 raise ReplayDetected(f"authenticator triple {triple!r} seen before")
+            if triple[2] <= self._floor:
+                raise ReplayWindowLost(f"timestamp {triple[2]} not above evicted {self._floor}")
             self._seen[triple] = now
             while len(self._seen) > REPLAY_CAPACITY:
-                self._seen.popitem(last=False)
+                evicted, _ = self._seen.popitem(last=False)
+                self._floor = max(self._floor, evicted[2])
 
 
 def validate_authenticator(auth: Authenticator, expected: Principal, now: int,

@@ -58,6 +58,7 @@ from .transport import (
     SimNetwork,
     ThreadedFrameServer,
     call,
+    is_count,
     parse_fault,
 )
 
@@ -142,7 +143,7 @@ def parse_scenario(text: str, name: str = "inline") -> Script:
                     fail(lineno, "expected: step pipeline USER SERVICE TEXT1 TEXT2")
                 steps.append(Step(kind, tuple(rest), lineno))
             elif kind == "advance":
-                if len(rest) != 1 or not (rest[0].isascii() and rest[0].isdigit()):
+                if len(rest) != 1 or not is_count(rest[0]):
                     fail(lineno, "expected: step advance TICKS")
                 steps.append(Step(kind, (int(rest[0]),), lineno))
             else:

@@ -1,10 +1,12 @@
 """Framing and the two transports: real TCP sockets and a deterministic
 in-process network simulator.
 
-Every message travels as a frame: a 4-byte big-endian length followed by that
-many payload bytes, capped at 1 MiB.  The simulator numbers frames globally in
-transmission order (the first frame of a run is 1) and keeps one table of
-faults by frame index.  On one frame, every single-bit flip over the full wire
+Every message travels as a frame: a 4-byte big-endian length, then that many
+payload bytes (at most 1 MiB).  Both transports carry a byte stream, and every
+connection end cuts frames from its own buffer with ``take_frame``, so a bad
+length header fails alike on both.  The simulator numbers frames globally in
+transmission order (the first of a run is 1) and keeps one table of faults by
+frame index, acting on frames as sent: every single-bit flip over the wire
 image (header included) applies, then the first present of drop, swap, delay
 (in clock ticks) and duplicate, where the last added of each kind counts.
 
@@ -30,7 +32,6 @@ from typing import Callable, Optional, Union, get_args
 from . import codec
 from .errors import (
     ConnectionClosed,
-    FrameError,
     FrameTooLarge,
     ScenarioParseError,
     Timeout,
@@ -54,29 +55,35 @@ def pack_frame(payload: bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-def unpack_frame(wire: bytes) -> bytes:
-    """Split a complete wire image back into its payload."""
-    if len(wire) < _LEN.size:
-        raise FrameError("frame shorter than its length header")
-    (length,) = _LEN.unpack_from(wire)
+def take_frame(buf: bytearray) -> Optional[bytes]:
+    """Cut the next frame's payload off the front of ``buf``; None while the
+    frame is incomplete, leaving ``buf`` as it was.  A header that claims more
+    than MAX_FRAME raises FrameTooLarge."""
+    if len(buf) < _LEN.size:
+        return None
+    (length,) = _LEN.unpack_from(buf)
     if length > MAX_FRAME:
         raise FrameTooLarge(f"frame header claims {length} bytes")
-    if len(wire) - _LEN.size != length:
-        raise FrameError(f"frame header claims {length} bytes, carried {len(wire) - _LEN.size}")
-    return wire[_LEN.size:]
+    end = _LEN.size + length
+    if len(buf) < end:
+        return None
+    payload = bytes(buf[_LEN.size:end])
+    del buf[:end]
+    return payload
 
 
-def serve_frame(session, wire: bytes, now: int) -> tuple[list[bytes], bool]:
-    """Feed one received wire image to a server session: ``(replies, close)``.
+def serve_frame(session, buf: bytearray, now: int) -> Optional[tuple[list[bytes], bool]]:
+    """Feed the next frame in a connection's receive buffer to its server
+    session: ``(replies, close)``, or None while the frame is incomplete.
 
-    A mangled frame never reaches the session; it gets one ErrorReply, and
-    then the connection closes.
+    A header over MAX_FRAME never reaches the session; it gets one
+    ErrorReply, and then the connection closes.
     """
     try:
-        payload = unpack_frame(wire)
-    except (FrameError, FrameTooLarge) as exc:
+        payload = take_frame(buf)
+    except FrameTooLarge as exc:
         return [error_reply(exc)], True
-    return session.feed(payload, now)
+    return None if payload is None else session.feed(payload, now)
 
 
 def call(conn, request, expected: codec.SchemaId):
@@ -84,21 +91,6 @@ def call(conn, request, expected: codec.SchemaId):
     ``expected``; a transported ErrorReply raises its named error."""
     conn.send(codec.encode(request))
     return decode_reply(conn.recv(), expected)
-
-
-def _take_wire(buf: bytearray) -> Optional[bytes]:
-    """Cut the next frame's wire image off the front of ``buf``, or return
-    None while it is incomplete.  A header that claims more than MAX_FRAME
-    comes back alone, because none of its body will be read."""
-    if len(buf) < _LEN.size:
-        return None
-    (length,) = _LEN.unpack_from(buf)
-    end = _LEN.size + length if length <= MAX_FRAME else _LEN.size
-    if len(buf) < end:
-        return None
-    wire = bytes(buf[:end])
-    del buf[:end]
-    return wire
 
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -157,16 +149,17 @@ class Delay:
 Fault = Union[Drop, Duplicate, Swap, FlipBit, Delay]
 
 
+def is_count(token: str) -> bool:
+    """Whether a scenario number is ASCII digits only: no sign, underscore or other script."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_fault(tokens: list[str]) -> Fault:
     """Parse the word list after the ``fault`` keyword of a scenario line."""
     def arg(i: int, what: str) -> int:
-        try:
-            value = int(tokens[i])
-        except (IndexError, ValueError):
-            raise ScenarioParseError(f"fault {tokens[0]}: expected integer {what}") from None
-        if value < 0:
-            raise ScenarioParseError(f"fault {tokens[0]}: {what} must be non-negative")
-        return value
+        if i >= len(tokens) or not is_count(tokens[i]):
+            raise ScenarioParseError(f"fault {tokens[0]}: expected {what} as a count")
+        return int(tokens[i])
 
     if not tokens:
         raise ScenarioParseError("empty fault specification")
@@ -211,7 +204,8 @@ class SimConnection:
         self.channel = channel
         self.internal = internal
         self.session = session
-        self.inbox: list[bytes] = []    # wire images awaiting client recv
+        self.inbox = bytearray()            # bytes the client has yet to read
+        self.server_inbox = bytearray()     # bytes the session has yet to read
         self.server_closed = False
         self.client_closed = False
 
@@ -223,12 +217,11 @@ class SimConnection:
     def recv(self) -> bytes:
         if self.client_closed:
             raise ConnectionClosed("connection already closed by this side")
-        wire = self.network._await_frame(self, DEFAULT_RECV_TIMEOUT)
-        return unpack_frame(wire)
+        return self.network._await_frame(self, DEFAULT_RECV_TIMEOUT)
 
     def peer_closed(self) -> bool:
         """True when this idle connection is unfit for reuse: the server side
-        closed it, or a reply nobody asked for waits in the inbox."""
+        closed it, or bytes nobody asked for wait in the inbox."""
         return self.server_closed or bool(self.inbox)
 
     def close(self) -> None:
@@ -323,18 +316,21 @@ class SimNetwork:
 
     def _deliver(self, record: FrameRecord, conn: SimConnection) -> None:
         if record.direction == "s->c":
-            conn.inbox.append(record.wire)
+            conn.inbox += record.wire
             return
         if conn.server_closed:
             record.status = "stale"
             record.note = (record.note + " " if record.note else "") + "server side closed"
             return
-        replies, close = serve_frame(conn.session, record.wire, self.clock.now())
-        # a frame released while the last replies go out finds the server closed
-        if close:
-            conn.server_closed = True
-        for reply in replies:
-            self._transmit(conn, "s->c", pack_frame(reply))
+        conn.server_inbox += record.wire
+        while not conn.server_closed:
+            served = serve_frame(conn.session, conn.server_inbox, self.clock.now())
+            if served is None:
+                return
+            # a frame released while the last replies go out finds the server closed
+            replies, conn.server_closed = served
+            for reply in replies:
+                self._transmit(conn, "s->c", pack_frame(reply))
 
     def _pump(self) -> None:
         now = self.clock.now()
@@ -351,8 +347,8 @@ class SimNetwork:
         deadline = self.clock.now() + timeout
         while True:
             self._pump()
-            if conn.inbox:
-                return conn.inbox.pop(0)
+            if (payload := take_frame(conn.inbox)) is not None:
+                return payload
             if conn.server_closed:
                 raise ConnectionClosed("server side closed the connection")
             upcoming = [ready for ready, *_ in self._pending if ready <= deadline]
@@ -439,8 +435,8 @@ class ThreadedFrameServer:
         buf = bytearray()
         deadline = None     # set while buf holds part of a frame
         while True:
-            wire = _take_wire(buf)
-            if wire is None:
+            served = serve_frame(session, buf, self.now_fn())
+            if served is None:
                 wait = DEFAULT_RECV_TIMEOUT
                 if buf:
                     if deadline is None:
@@ -458,7 +454,7 @@ class ThreadedFrameServer:
                 buf += chunk
                 continue
             deadline = None
-            replies, close = serve_frame(session, wire, self.now_fn())
+            replies, close = served
             try:
                 for reply in replies:
                     send_frame(conn, reply)
@@ -502,7 +498,7 @@ class FrameClient:
             raise ConnectionClosed("peer closed the connection") from None
 
     def recv(self) -> bytes:
-        while (wire := _take_wire(self._buf)) is None:
+        while (payload := take_frame(self._buf)) is None:
             try:
                 chunk = self._sock.recv(_RECV_CHUNK)
             except socket.timeout:
@@ -513,7 +509,7 @@ class FrameClient:
                 raise ConnectionClosed("peer closed the connection mid-frame"
                                        if self._buf else "peer closed the connection")
             self._buf += chunk
-        return unpack_frame(wire)
+        return payload
 
     def peer_closed(self) -> bool:
         """True when this idle connection is unfit for reuse: the peer closed

@@ -91,6 +91,17 @@ def gateway_endpoint(realm, core):
     return lambda: GatewaySession(core, protected())
 
 
+class RecordingEcho:
+    """The echo handler, recording every request that reaches the backend."""
+
+    def __init__(self):
+        self.requests = []  # appended from server threads: list.append is atomic
+
+    def __call__(self, request):
+        self.requests.append(request)
+        return echo_handler(request)
+
+
 def sim_backend(session=BackendSession):
     """A simulated network whose backend serves ``session``s, and a connector to it."""
     net = SimNetwork(SimClock())
@@ -100,14 +111,16 @@ def sim_backend(session=BackendSession):
 
 def gateway_stack(realm, capacity=4):
     """A simulated gateway, bypassing /public, in front of an echo backend,
-    plus alice's client for it.  ``capacity=None`` turns the cache off."""
-    net, connector = sim_backend()
+    plus alice's client for it and the backend's ``RecordingEcho``.
+    ``capacity=None`` turns the cache off."""
+    echo = RecordingEcho()
+    net, connector = sim_backend(lambda: BackendSession(echo))
     cache = ResponseCache(capacity) if capacity is not None else None
     core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), cache, [("/", connector)])
     net.register("gw", gateway_endpoint(realm, core))
     client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
                            initiator_factory(realm), net.clock.now)
-    return net, core, client
+    return net, core, client, echo
 
 
 def recv_frame(sock, timeout=None):

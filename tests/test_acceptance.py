@@ -15,6 +15,7 @@ from conftest import REALM, gateway_stack
 from kerbpk import cli, codec
 from kerbpk.crypto import SealLabel, get_provider
 from kerbpk.errors import IntegrityError, ProviderMismatch, Truncated
+from kerbpk.gateway import SERVED_CACHE
 from kerbpk.kdc import PrincipalDb
 from kerbpk.messages import Authenticator
 from kerbpk.scenario import load_scenario, parse_scenario, run_scenario
@@ -100,7 +101,7 @@ def test_replayed_and_reordered_frames_are_always_caught(capsys):
 
 # SHA-256 of every flipped run's render(), back to back in sweep order: the
 # sweep answers each flip exactly as it did when this was pinned.
-SWEEP_RENDERS_SHA256 = "51966aa7e642d5254402c60e1a2ab5da151f3ac28074e789ab062896b48a3fc2"
+SWEEP_RENDERS_SHA256 = "3ae851f7141af101c78ba0980f81325266859e41698c8bae476c287053e741d1"
 
 
 def test_every_wire_bit_flip_is_rejected(capsys):
@@ -164,15 +165,12 @@ def test_key_store_grows_with_principals_not_pairs(capsys, tmp_path):
 
 def test_response_cache_cuts_backend_traffic(capsys, logged_in):
     with scored(capsys, 6, "response cache cuts backend traffic"):
-        net, core, client = gateway_stack(logged_in, 16)
-        for _ in range(10):
-            assert client.fetch("/data/report").status == 200
-        assert (core.backend_hits, core.cache_hits) == (1, 9)
-
-        net, core, client = gateway_stack(logged_in, None)  # caching switched off
-        for _ in range(10):
-            assert client.fetch("/data/report").status == 200
-        assert (core.backend_hits, core.cache_hits) == (10, 0)
+        for capacity, trips in ((16, 1), (None, 10)):  # None switches caching off
+            net, core, client, echo = gateway_stack(logged_in, capacity)
+            responses = [client.fetch("/data/report") for _ in range(10)]
+            assert all(response.status == 200 for response in responses)
+            cached = sum(response.served_from == SERVED_CACHE for response in responses)
+            assert (len(echo.requests), cached) == (trips, 10 - trips)
 
 
 def test_protected_payloads_stay_off_the_wire(capsys, logged_in):
@@ -191,7 +189,7 @@ def test_protected_payloads_stay_off_the_wire(capsys, logged_in):
             assert all(w not in record.wire for w in windows)
 
         # gateway path: hidden on the public hop, visible only gateway-side
-        net, core, client = gateway_stack(logged_in, 4)
+        net, core, client, _ = gateway_stack(logged_in, 4)
         assert client.fetch("/data/acct", method="POST", body=secret).body == secret
         external = [r for r in net.transcript if not r.internal]
         assert external

@@ -7,15 +7,15 @@ import time
 
 import pytest
 
-from conftest import (NOW, gateway_endpoint, gateway_stack, initiator_factory, recv_frame,
-                      service_endpoint, sim_backend)
-from kerbpk import codec, gateway, transport
+from conftest import (NOW, RecordingEcho, gateway_endpoint, gateway_stack, initiator_factory,
+                      recv_frame, service_endpoint, sim_backend)
+from kerbpk import codec, gateway, messages, transport
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseError,
                            ReplayDetected, Timeout, UnknownService)
 from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
                             AppRequest, AppResponse, BackendSession,
                             GatewayClient, GatewayCore, GatewayPolicy,
-                            ResponseCache, echo_handler)
+                            ResponseCache)
 from kerbpk.messages import CLOCK_SKEW, ErrorReply
 from kerbpk.transport import (Drop, Duplicate, FrameClient, ThreadedFrameServer, call,
                               send_frame)
@@ -88,21 +88,23 @@ def test_cache_capacity_must_be_positive():
 # ----------------------------------------------------------------------- core
 
 def test_core_routes_and_counts():
-    net, connector = sim_backend()
+    echo = RecordingEcho()
+    net, connector = sim_backend(lambda: BackendSession(echo))
     core = GatewayCore(GatewayPolicy(), ResponseCache(4), [("/", connector)])
     first = core.handle(AppRequest("GET", "/data", b"payload"))
     assert (first.status, first.body, first.served_from) == (200, b"payload", SERVED_BACKEND)
     second = core.handle(AppRequest("GET", "/data", b"payload"))
     assert second.served_from == SERVED_CACHE
-    assert (core.backend_hits, core.cache_hits) == (1, 1)
+    assert len(echo.requests) == 1
 
 
 def test_core_post_bypasses_the_cache():
-    net, connector = sim_backend()
+    echo = RecordingEcho()
+    net, connector = sim_backend(lambda: BackendSession(echo))
     core = GatewayCore(GatewayPolicy(), ResponseCache(4), [("/", connector)])
-    core.handle(AppRequest("POST", "/data", b"x"))
-    assert core.handle(AppRequest("POST", "/data", b"x")).served_from == SERVED_BACKEND
-    assert core.backend_hits == 2 and core.cache_hits == 0
+    served = [core.handle(AppRequest("POST", "/data", b"x")).served_from for _ in range(2)]
+    assert served == [SERVED_BACKEND, SERVED_BACKEND]
+    assert len(echo.requests) == 2
 
 
 def test_core_answers_502_when_nothing_listens():
@@ -177,13 +179,13 @@ def test_protected_session_rejects_wrap_before_handshake(logged_in):
 
 
 def test_gateway_session_answers_a_malformed_plain_request_and_closes(logged_in):
-    net, core, _ = gateway_stack(logged_in, None)
+    net, core, _, echo = gateway_stack(logged_in, None)
     session = gateway_endpoint(logged_in, core)()
     truncated = codec.encode(AppRequest("GET", "/public/page", b"hi"))[:-1]
     replies, close = session.feed(truncated, NOW)
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "Truncated"
-    assert core.backend_hits == 0
+    assert echo.requests == []
 
 
 # --------------------------------------------------------------- full gateway
@@ -198,16 +200,16 @@ def handshake_frames(net):
 
 
 def test_plain_fetch_of_bypass_resource(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, _ = gateway_stack(logged_in)
     response = client.fetch_plain("/public/page", body=b"welcome")
     assert (response.status, response.body) == (200, b"welcome")
 
 
 def test_plain_fetch_of_protected_resource_is_401(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, echo = gateway_stack(logged_in)
     response = client.fetch_plain("/data/secret")
     assert response.status == 401
-    assert core.backend_hits == 0  # never even consulted the backend
+    assert echo.requests == []  # never even consulted the backend
 
 
 def test_plain_fetch_waits_only_as_long_as_its_connection():
@@ -222,26 +224,26 @@ def test_plain_fetch_waits_only_as_long_as_its_connection():
 
 
 def test_authenticated_fetch_reaches_the_backend(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, echo = gateway_stack(logged_in)
     response = client.fetch("/data/report", body=b"quarterly")
     assert (response.status, response.body, response.served_from) == \
         (200, b"quarterly", SERVED_BACKEND)
     repeat = client.fetch("/data/report", body=b"quarterly")
     assert repeat.served_from == SERVED_CACHE
-    assert (core.backend_hits, core.cache_hits) == (1, 1)
+    assert len(echo.requests) == 1
     assert not [r for r in net.transcript
                 if codec.schema_id_of(r.wire[4:]) == codec.SchemaId.ERROR_REPLY]
 
 
 def test_channel_is_reused_across_fetches(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, _ = gateway_stack(logged_in)
     client.fetch("/data/a")
     client.fetch("/data/b")
     assert handshake_frames(net) == 2  # one handshake: leg out, leg back
 
 
 def test_client_reconnects_when_the_channel_dies(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, _ = gateway_stack(logged_in)
     assert client.fetch("/data/a").status == 200
     client._channel.conn.close()  # the connection quietly goes away
     assert client.fetch("/data/b").status == 200  # retried on a fresh channel
@@ -249,7 +251,7 @@ def test_client_reconnects_when_the_channel_dies(logged_in):
 
 
 def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
-    net, core, _ = gateway_stack(logged_in)
+    net, core, _, echo = gateway_stack(logged_in)
     endpoint = gateway_endpoint(logged_in, core)
     listener = socket.create_server(("127.0.0.1", 0))
 
@@ -279,18 +281,13 @@ def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
         server.join(timeout=5.0)
         listener.close()
     assert not server.is_alive()
-    assert core.backend_hits == 2
+    assert len(echo.requests) == 2
 
 
 def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, logged_in):
     monkeypatch.setattr(transport, "DEFAULT_RECV_TIMEOUT", 0.3)
-    seen = []
-
-    def record(request):
-        seen.append(request.method)
-        return echo_handler(request)
-
-    backend = ThreadedFrameServer(lambda: BackendSession(record)).start()
+    echo = RecordingEcho()
+    backend = ThreadedFrameServer(lambda: BackendSession(echo)).start()
     core = GatewayCore(GatewayPolicy(), None,
                        [("/", gateway.backend_connector(backend.host, backend.port))])
     server = ThreadedFrameServer(gateway_endpoint(logged_in, core),
@@ -302,7 +299,7 @@ def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, lo
         time.sleep(0.6)  # past the gateway's idle timeout: it has hung up
         response = client.fetch("/data/b", method="POST", body=b"pay once")
         assert (response.status, response.body) == (200, b"pay once")
-        assert seen == ["GET", "POST"]
+        assert [request.method for request in echo.requests] == ["GET", "POST"]
     finally:
         client.close()
         server.stop()
@@ -311,14 +308,19 @@ def test_client_replaces_a_channel_the_gateway_closed_while_idle(monkeypatch, lo
 
 
 def test_kept_channel_ends_with_its_ticket(logged_in):
-    net, core, client = gateway_stack(logged_in)
-    assert client.fetch("/data/a").status == 200
+    net, core, client, echo = gateway_stack(logged_in)
+    first = client.fetch("/data/a")
+    assert (first.status, first.served_from) == (200, SERVED_BACKEND)
     till = logged_in.agent.cache.peek_service("echo").validity.till
     net.clock.advance(till + CLOCK_SKEW + 1 - net.clock.now())
     with pytest.raises(FetchError) as info:
         client.fetch("/data/a")  # cached, but the tunnel has ended
     assert isinstance(info.value.cause, NoTicket)  # nor is there a fresh ticket to retry with
-    assert (core.backend_hits, core.cache_hits) == (1, 0)
+    assert len(echo.requests) == 1
+    # the gateway answered the handshake and the first fetch, then only the error
+    assert [codec.schema_id_of(r.wire[4:]) for r in net.transcript
+            if r.direction == "s->c" and not r.internal] == \
+        [codec.SchemaId.CONTEXT_TOKEN, codec.SchemaId.WRAP_TOKEN, codec.SchemaId.ERROR_REPLY]
     errors = [codec.decode(r.wire[4:], codec.SchemaId.ERROR_REPLY).error
               for r in net.transcript
               if codec.schema_id_of(r.wire[4:]) == codec.SchemaId.ERROR_REPLY]
@@ -326,7 +328,7 @@ def test_kept_channel_ends_with_its_ticket(logged_in):
 
 
 def test_fresh_channel_that_fails_is_not_retried(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, echo = gateway_stack(logged_in)
     endpoint = gateway_endpoint(logged_in, core)
 
     class HangUpAfterHandshake:
@@ -343,13 +345,13 @@ def test_fresh_channel_that_fails_is_not_retried(logged_in):
     assert info.value.step == "channel"
     assert isinstance(info.value.cause, ConnectionClosed)
     assert handshake_frames(net) == 2  # one handshake, no second attempt
-    assert core.backend_hits == 0 and client._channel is None
+    assert echo.requests == [] and client._channel is None
 
 
 def test_lost_reply_to_a_post_on_a_reused_channel_is_not_resent(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, echo = gateway_stack(logged_in)
     assert client.fetch("/data/a").status == 200
-    hits, sent = core.backend_hits, len(net.transcript)
+    hits, sent = len(echo.requests), len(net.transcript)
     # the POST, the backend hop out and back, then the gateway's reply: lost
     net.add_fault(Drop(sent + 4))
     with pytest.raises(FetchError) as info:
@@ -357,13 +359,13 @@ def test_lost_reply_to_a_post_on_a_reused_channel_is_not_resent(logged_in):
     assert info.value.step == "channel"
     assert isinstance(info.value.cause, Timeout)
     assert net.transcript[-1].status == "dropped"
-    assert core.backend_hits == hits + 1  # the backend saw the POST exactly once
+    assert len(echo.requests) == hits + 1  # the backend saw the POST exactly once
     assert handshake_frames(net) == 2  # no second handshake
     assert client._channel is None
 
 
 def test_fetch_without_a_ticket_names_the_failing_step(realm):
-    net, core, client = gateway_stack(realm)  # never logged in
+    net, core, client, _ = gateway_stack(realm)  # never logged in
     with pytest.raises(FetchError) as info:
         client.fetch("/data/x")
     assert info.value.step == "handshake"
@@ -371,7 +373,7 @@ def test_fetch_without_a_ticket_names_the_failing_step(realm):
 
 
 def test_tunnel_hides_plaintext_from_the_external_wire(logged_in):
-    net, core, client = gateway_stack(logged_in)
+    net, core, client, _ = gateway_stack(logged_in)
     secret = b"net-position-snapshot-7731"
     response = client.fetch("/data/positions", method="POST", body=secret)
     assert response.body == secret
@@ -399,15 +401,28 @@ def test_first_leg_replayed_on_a_second_tcp_connection_is_refused(logged_in, end
         server.stop()
 
 
+def test_first_leg_replayed_after_a_flood_is_refused(monkeypatch, logged_in):
+    monkeypatch.setattr(messages, "REPLAY_CAPACITY", 4)
+    endpoint, initiator = service_endpoint(logged_in), initiator_factory(logged_in)
+    captured, _ = initiator(NOW).step(None, NOW)
+    # fresh first legs in the same second push the captured one out
+    for leg1 in [captured] + [initiator(NOW).step(None, NOW)[0] for _ in range(4)]:
+        replies, close = endpoint().feed(codec.encode(leg1), NOW)
+        assert codec.schema_id_of(replies[0]) == codec.SchemaId.CONTEXT_TOKEN and not close
+    replies, close = endpoint().feed(codec.encode(captured), NOW + 10)
+    assert close
+    assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "ReplayWindowLost"
+
+
 def test_cache_eviction_under_capacity_pressure(logged_in):
-    net, core, client = gateway_stack(logged_in, 2)
-    for resource in ("/data/a", "/data/b", "/data/c"):
-        client.fetch(resource)
-    assert core.backend_hits == 3
-    client.fetch("/data/a")  # evicted by /c, so it costs a backend trip again
-    assert core.backend_hits == 4
-    client.fetch("/data/c")  # still resident
-    assert (core.backend_hits, core.cache_hits) == (4, 1)
+    net, core, client, echo = gateway_stack(logged_in, 2)
+    served = [client.fetch(resource).served_from for resource in ("/data/a", "/data/b", "/data/c")]
+    assert len(echo.requests) == 3
+    served.append(client.fetch("/data/a").served_from)  # evicted by /c: a backend trip again
+    assert len(echo.requests) == 4
+    served.append(client.fetch("/data/c").served_from)  # still resident
+    assert len(echo.requests) == 4
+    assert served == [SERVED_BACKEND] * 4 + [SERVED_CACHE]
 
 
 # ------------------------------------------------------- backend keep-alive
@@ -458,7 +473,8 @@ class FailsOnSecondRequest:
 
 
 def test_misses_reuse_one_backend_connection(tcp_backend):
-    backend = tcp_backend()
+    echo = RecordingEcho()
+    backend = tcp_backend(lambda: BackendSession(echo))
     core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
     try:
         for i in range(20):
@@ -466,21 +482,22 @@ def test_misses_reuse_one_backend_connection(tcp_backend):
             assert (response.status, response.body) == (200, b"%d" % i)
     finally:
         core.close()
-    assert core.backend_hits == 20
+    assert len(echo.requests) == 20
     assert len(backend.made) == 1
 
 
 def test_idle_connection_closed_by_the_backend_is_not_reused(monkeypatch, tcp_backend):
     monkeypatch.setattr(transport, "DEFAULT_RECV_TIMEOUT", 0.3)
-    backend = tcp_backend()
+    echo = RecordingEcho()
+    backend = tcp_backend(lambda: BackendSession(echo))
     core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
     try:
         assert core.handle(AppRequest("GET", "/data", b"")).status == 200
         time.sleep(0.6)  # past the backend's idle timeout: it has hung up
-        hits = core.backend_hits
+        hits = len(echo.requests)
         response = core.handle(AppRequest("POST", "/data", b"pay once"))
         assert (response.status, response.body) == (200, b"pay once")
-        assert core.backend_hits == hits + 1
+        assert len(echo.requests) == hits + 1
         assert len(backend.made) == 2
     finally:
         core.close()
@@ -519,7 +536,8 @@ def test_pooled_connection_that_times_out_is_not_retried(tcp_backend):
 
 
 def test_concurrent_misses_each_get_their_own_reply(tcp_backend):
-    backend = tcp_backend()
+    echo = RecordingEcho()
+    backend = tcp_backend(lambda: BackendSession(echo))
     core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
     errors = []
 
@@ -545,17 +563,18 @@ def test_concurrent_misses_each_get_their_own_reply(tcp_backend):
         core.close()
     assert not any(thread.is_alive() for thread in clients)
     assert errors == []
-    assert core.backend_hits == 400
+    assert len(echo.requests) == 400
     # a connection is made only when every earlier one is busy
     assert 1 <= len(backend.made) <= 8
 
 
 def test_close_leaves_no_backend_connection_open(tcp_backend):
     both_arrived = threading.Barrier(2, timeout=5.0)
+    echo = RecordingEcho()
 
     def wait_for_the_other(request):
         both_arrived.wait()
-        return echo_handler(request)
+        return echo(request)
 
     backend = tcp_backend(lambda: BackendSession(wait_for_the_other))
     core = GatewayCore(GatewayPolicy(), None, [("/", backend.connect)])
@@ -566,7 +585,7 @@ def test_close_leaves_no_backend_connection_open(tcp_backend):
     for thread in clients:
         thread.join(timeout=10.0)
     assert not any(thread.is_alive() for thread in clients)
-    assert core.backend_hits == 2 and len(backend.made) == 2
+    assert len(echo.requests) == 2 and len(backend.made) == 2
     core.close()
     deadline = time.monotonic() + 2.0
     while backend.server._conns and time.monotonic() < deadline:

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library or test module imports is used in that
-module, only one function makes a replay cache, and every name the benchmark
-takes from the library resolves."""
+module, only one function makes a replay cache, only one function reads a
+frame's length header, and every name the benchmark takes from the library
+resolves."""
 
 import ast
 import os
@@ -36,6 +37,11 @@ def replay_cache_calls(tree: ast.AST) -> int:
                for node in ast.walk(tree))
 
 
+def length_header_reads(tree: ast.AST) -> int:
+    return sum(isinstance(node, ast.Attribute) and node.attr.startswith("unpack")
+               and getattr(node.value, "id", None) == "_LEN" for node in ast.walk(tree))
+
+
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES,
                          ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_every_imported_name_is_used(path):
@@ -56,6 +62,15 @@ def test_only_protected_endpoint_makes_a_replay_cache():
     builder = next(node for tree in trees for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "protected_endpoint")
     assert sum(replay_cache_calls(tree) for tree in trees) == replay_cache_calls(builder) == 1
+
+
+def test_only_take_frame_reads_a_length_header():
+    # Every connection end, sim or TCP, client or server, cuts frames with
+    # take_frame, so a corrupted header fails the same way on both transports.
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    cutter = next(node for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "take_frame")
+    assert sum(length_header_reads(tree) for tree in trees) == length_header_reads(cutter) == 1
 
 
 def test_the_benchmark_resolves_against_src():

@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 
 from conftest import NOW, REALM, Realm
-from kerbpk import codec
+from kerbpk import codec, messages
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import SealedBox, SealLabel
 from kerbpk.errors import (AddressMismatch, AuthenticatorIntegrityError,
                            BadValidityWindow, CertificateMismatch, DbParseError,
                            DuplicatePrincipal, NoCertificateOnFile,
-                           PrincipalMismatch, ReplayDetected,
+                           PrincipalMismatch, ReplayDetected, ReplayWindowLost,
                            RequestDigestMismatch, SignatureInvalid, SkewExceeded,
                            TicketExpired, TicketIntegrityError, UnknownPrincipal,
                            UnknownService)
@@ -217,6 +217,18 @@ def test_tgs_rejects_replayed_request(realm):
     handle_tgs_request(realm.db, req, NOW, cache, realm.provider)
     with pytest.raises(ReplayDetected):
         handle_tgs_request(realm.db, req, NOW + 1, cache, realm.provider)
+
+
+def test_tgs_refuses_a_replay_once_a_flood_has_evicted_it(monkeypatch, realm):
+    monkeypatch.setattr(messages, "REPLAY_CAPACITY", 8)
+    entry = tgt_of(realm)
+    captured = make_tgs_request(realm, entry, NOW)
+    realm.send_tgs(captured)
+    for i in range(8):  # honest requests in the same second push it out
+        realm.send_tgs(make_tgs_request(realm, entry, NOW, nonce2=bytes([i]) * 8))
+    with pytest.raises(ReplayWindowLost):
+        realm.send_tgs(captured, now=NOW + 10)
+    realm.send_tgs(make_tgs_request(realm, entry, NOW + 10), now=NOW + 10)  # later ones pass
 
 
 def test_tgs_rejects_unknown_service(realm):

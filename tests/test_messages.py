@@ -7,8 +7,8 @@ import pytest
 from kerbpk import codec
 from kerbpk.crypto import SealedBox
 from kerbpk.errors import (MalformedName, PrincipalMismatch, ReplayDetected,
-                           SkewExceeded, TicketExpired, TicketNotYetValid,
-                           UnknownPrincipal, UnknownRemoteError)
+                           ReplayWindowLost, SkewExceeded, TicketExpired,
+                           TicketNotYetValid, UnknownPrincipal, UnknownRemoteError)
 from kerbpk import messages
 from kerbpk.messages import (CLOCK_SKEW, ApRequest, AsRequest, Authenticator,
                              Certificate, ErrorReply, Principal, ReplayCache, SealedTicket,
@@ -76,9 +76,13 @@ def test_replay_cache_capacity_evicts_oldest(monkeypatch):
     for i in range(4):
         cache.check_and_insert(("R", "u", i, b""), now=i)
     assert len(cache) == 3
-    cache.check_and_insert(("R", "u", 0, b""), now=10)  # evicted, re-accepted
+    with pytest.raises(ReplayWindowLost):
+        cache.check_and_insert(("R", "u", 0, b""), now=10)  # evicted, so at the floor
     with pytest.raises(ReplayDetected):
         cache.check_and_insert(("R", "u", 3, b""), now=10)
+    cache.check_and_insert(("R", "u", 1, b"other"), now=10)  # above the floor
+    with pytest.raises(ReplayWindowLost):
+        cache.check_and_insert(("R", "u", 1, b""), now=10)  # evicted just now
 
 
 # -------------------------------------------------------- authenticator checks

@@ -8,14 +8,16 @@ import time
 
 import pytest
 
-from conftest import recv_frame
+from conftest import NOW, recv_frame
 from kerbpk import codec, transport
-from kerbpk.errors import (ConnectionClosed, FrameError, FrameTooLarge,
-                           ScenarioParseError, Timeout)
+from kerbpk.errors import (ConnectionClosed, FrameTooLarge, ScenarioParseError,
+                           Timeout, Truncated)
+from kerbpk.kdc import ROLE_AS, KdcFrameSession
+from kerbpk.messages import Validity, decode_reply
 from kerbpk.transport import (MAX_FRAME, SIM_CLOCK_START, Delay, Drop,
                               Duplicate, FlipBit, FrameClient, SimClock,
                               SimNetwork, Swap, ThreadedFrameServer,
-                              pack_frame, parse_fault, unpack_frame)
+                              pack_frame, parse_fault, take_frame)
 
 
 class EchoSession:
@@ -36,25 +38,38 @@ def simnet(*faults):
 # -------------------------------------------------------------------- framing
 
 def test_frame_roundtrip():
-    assert unpack_frame(pack_frame(b"payload")) == b"payload"
-    assert unpack_frame(pack_frame(b"")) == b""
+    buf = bytearray(pack_frame(b"payload") + pack_frame(b""))  # two frames in one buffer
+    assert take_frame(buf) == b"payload"
+    assert take_frame(buf) == b""
+    assert buf == b"" and take_frame(buf) is None
 
 
 def test_frame_size_limit():
-    pack_frame(b"x" * MAX_FRAME)  # at the limit: fine
+    at_limit = bytearray(pack_frame(b"x" * MAX_FRAME))  # at the limit: fine
+    assert take_frame(at_limit) == b"x" * MAX_FRAME
     with pytest.raises(FrameTooLarge):
         pack_frame(b"x" * (MAX_FRAME + 1))
-    with pytest.raises(FrameTooLarge):
-        unpack_frame(struct.pack(">I", MAX_FRAME + 1))  # claimed, not carried
+    claimed = bytearray(struct.pack(">I", MAX_FRAME + 1))  # claimed, not carried
+    with pytest.raises(FrameTooLarge, match=f"frame header claims {MAX_FRAME + 1} bytes"):
+        take_frame(claimed)
 
 
 def test_frame_header_mismatches():
-    with pytest.raises(FrameError):
-        unpack_frame(b"\x00\x00")  # shorter than the header itself
-    with pytest.raises(FrameError):
-        unpack_frame(struct.pack(">I", 3) + b"ab")  # claims 3, carries 2
-    with pytest.raises(FrameError):
-        unpack_frame(struct.pack(">I", 1) + b"ab")  # claims 1, carries 2
+    # an incomplete frame leaves the buffer untouched
+    for partial in (b"\x00\x00", struct.pack(">I", 3) + b"ab"):
+        buf = bytearray(partial)
+        assert take_frame(buf) is None and buf == partial
+    # a header that claims less than follows cuts a short frame; the rest waits
+    buf = bytearray(struct.pack(">I", 1) + b"ab")
+    assert take_frame(buf) == b"a" and buf == b"b"
+    # a split frame comes back whole once its last byte arrives
+    wire = pack_frame(b"split")
+    buf = bytearray()
+    for part in (wire[:2], wire[2:6]):
+        buf += part
+        assert take_frame(buf) is None
+    buf += wire[6:]
+    assert take_frame(buf) == b"split" and buf == b""
 
 
 def test_sim_clock():
@@ -79,6 +94,7 @@ def test_parse_fault_forms():
 @pytest.mark.parametrize("tokens", [
     [], ["jitter", "1"], ["drop"], ["drop", "x"], ["drop", "-1"],
     ["swap", "1"], ["drop", "1", "2"], ["flip", "1", "2"], ["flip", "1", "2", "8"],
+    ["drop", "\u0661\u0662"], ["delay", "1", "+5"], ["drop", "1_0"],  # ASCII digits only
 ])
 def test_parse_fault_rejects_bad_specs(tokens):
     with pytest.raises(ScenarioParseError):
@@ -96,7 +112,7 @@ def test_sim_request_reply_transcript():
     assert (first.index, first.direction, first.status) == (1, "c->s", "delivered")
     assert (second.index, second.direction, second.status) == (2, "s->c", "delivered")
     assert first.channel == "client/svc"
-    assert unpack_frame(first.wire) == b"hi"
+    assert first.wire == pack_frame(b"hi")
 
 
 def test_sim_connect_requires_a_listener():
@@ -183,14 +199,23 @@ def test_swap_inverts_delivery_order():
     assert [r.index for r in releases] == [1]
 
 
+class ValiditySession:
+    """Answers every frame with one encoded Validity, 31 bytes long."""
+
+    def feed(self, payload, now):
+        return [codec.encode(Validity(1, 2))], False
+
+
 def test_flipped_length_header_is_a_frame_error():
-    net = simnet(FlipBit(1, 3, 0))  # low bit of the length word
-    conn = net.connect("svc", "c")
-    conn.send(b"hi")
-    err = codec.decode(conn.recv(), codec.SchemaId.ERROR_REPLY)
-    assert err.error == "FrameError"
-    with pytest.raises(ConnectionClosed):
-        conn.recv()  # one report, then the server hangs up
+    # the reply's header claims 63 or 15 bytes: the client waits for the
+    # rest, or cuts a short frame, as it would from a TCP stream
+    for bit, error in ((5, Timeout), (4, Truncated)):
+        net = SimNetwork(SimClock(), (FlipBit(2, 3, bit),))
+        net.register("svc", ValiditySession)
+        conn = net.connect("svc", "c")
+        conn.send(b"hi")
+        with pytest.raises(error):
+            codec.decode(conn.recv(), codec.SchemaId.VALIDITY)
 
 
 def test_flipped_high_length_bit_is_too_large():
@@ -199,6 +224,36 @@ def test_flipped_high_length_bit_is_too_large():
     conn.send(b"hi")
     err = codec.decode(conn.recv(), codec.SchemaId.ERROR_REPLY)
     assert err.error == "FrameTooLarge"
+    with pytest.raises(ConnectionClosed):
+        conn.recv()  # one report, then the server hangs up
+
+
+@pytest.mark.parametrize("bit,error", [(0, Timeout), (4, Truncated)], ids=["longer", "shorter"])
+def test_corrupted_length_header_fails_alike_on_sim_and_tcp(realm, bit, error):
+    request = codec.encode(realm.agent.build_as_request("krbtgt", Validity(NOW, NOW + 3600)))
+    assert len(request) == 240  # the flip makes the header claim 241 or 224 bytes
+
+    def session():
+        return KdcFrameSession(realm.kdc, ROLE_AS)
+
+    net = SimNetwork(SimClock(), (FlipBit(1, 3, bit),))
+    net.register("kdc", session)
+    conn = net.connect("kdc", "alice/kdc")
+    conn.send(request)
+    with pytest.raises(error):
+        decode_reply(conn.recv(), codec.SchemaId.AS_REPLY)
+
+    wire = bytearray(pack_frame(request))
+    wire[3] ^= 1 << bit
+    server = ThreadedFrameServer(session, now_fn=lambda: NOW).start()
+    client = FrameClient(server.host, server.port, timeout=0.5)
+    try:
+        client._sock.sendall(wire)
+        with pytest.raises(error):
+            decode_reply(client.recv(), codec.SchemaId.AS_REPLY)
+    finally:
+        client.close()
+        server.stop()
 
 
 def test_flip_beyond_the_wire_image_is_harmless():
