@@ -14,9 +14,10 @@ a password prompt, say) exits 130.  ``KERBPK_DB``, ``KERBPK_CCACHE``, and
 ``KERBPK_REALM`` supply defaults for the corresponding flags.
 
 Each process runs one command, so this module imports only what every command
-shares; a command imports the ``client``, ``gss``, ``gateway`` or ``scenario``
-names it uses when it runs, and a server starts without the modules it never
-calls.
+shares: ``codec``, ``errors`` and ``transport``.  A command imports the rest
+of what it runs when it runs, so ``service serve-echo --plain`` and ``client
+fetch --plain`` load no crypto provider and no ticket layer, and only a command
+that builds a standard provider loads ``cryptography``.
 """
 
 from __future__ import annotations
@@ -31,25 +32,11 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from . import __version__, codec
-from .crypto import get_provider
 from .errors import FetchError, KerbPkError, NoTgt, PolicyParseError, ScenarioParseError
-from .kdc import (
-    DEFAULT_AS_PORT,
-    DEFAULT_TGS_PORT,
-    KdcFrameSession,
-    KdcService,
-    PrincipalDb,
-    RecordKind,
-    ROLE_AS,
-    ROLE_TGS,
-    load_service_key,
-    save_service_key,
-)
-from .messages import DEFAULT_LIFETIME, Principal, Validity
-from .transport import FrameClient, ThreadedFrameServer, call
+from .transport import FrameClient, ThreadedFrameServer, call, is_count
 
-_KIND_NAMES = {int(RecordKind.USER): "user", int(RecordKind.SERVICE): "service",
-               int(RecordKind.TGS_SERVICE): "tgs"}
+DEFAULT_AS_PORT = 8801
+DEFAULT_TGS_PORT = 8802
 
 
 def _now() -> int:
@@ -75,6 +62,7 @@ def _realm(args) -> str:
 
 
 def _provider_of(args):
+    from .crypto import get_provider
     return get_provider(args.provider, seed=args.seed)
 
 
@@ -110,6 +98,7 @@ def _serve(servers: list[ThreadedFrameServer], banner: str) -> int:
 
 
 def cmd_kdc_serve(args) -> int:
+    from .kdc import ROLE_AS, ROLE_TGS, KdcFrameSession, KdcService, PrincipalDb
     db = PrincipalDb.load(_db_path(args))
     service = KdcService(db, _provider_of(args))
     as_server = ThreadedFrameServer(lambda: KdcFrameSession(service, ROLE_AS),
@@ -122,11 +111,12 @@ def cmd_kdc_serve(args) -> int:
 
 
 @contextmanager
-def _registering(args, provider) -> Iterator[PrincipalDb]:
+def _registering(args, provider) -> Iterator:
     """The db at ``_db_path(args)``, or a fresh one, saved when the block ends.
     A lock on ``<db>.lock`` held from load to save keeps overlapping runs from
     losing principals; ``kdc serve`` needs none, as a save is an atomic rename."""
     import fcntl  # only the register commands lock
+    from .kdc import PrincipalDb
     path = _db_path(args)
     with open(f"{path}.lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -155,6 +145,7 @@ def cmd_kdc_register_user(args) -> int:
 
 
 def cmd_kdc_register_service(args) -> int:
+    from .kdc import save_service_key
     provider = _provider_of(args)
     with _registering(args, provider) as db:
         record = db.register_service(args.name, provider)
@@ -172,6 +163,7 @@ def cmd_kdc_register_service(args) -> int:
 
 def cmd_client_kinit(args) -> int:
     from .client import ClientAgent, CredentialCache, load_identity
+    from .messages import Validity
     provider = _provider_of(args)
     password = args.password if args.password is not None else getpass.getpass("password: ")
     identity = load_identity(args.identity, password)
@@ -182,7 +174,8 @@ def cmd_client_kinit(args) -> int:
     def send_as(request):
         return _call(args.as_host, args.as_port, request, codec.SchemaId.AS_REPLY)
 
-    entry = agent.kinit(send_as, now, requested_validity=Validity(now, now + args.lifetime))
+    validity = Validity(now, now + args.lifetime) if args.lifetime is not None else None
+    entry = agent.kinit(send_as, now, requested_validity=validity)
     cache.save(_ccache_path(args))
     print(f"kinit ok principal={identity.principal.name}@{identity.principal.realm} "
           f"tgt_till={entry.validity.till} ccache={_ccache_path(args)}")
@@ -208,43 +201,13 @@ def cmd_client_get_ticket(args) -> int:
 
 
 def cmd_client_fetch(args) -> int:
-    from .client import CredentialCache, request_service_ticket
-    from .gateway import SERVED_CACHE, GatewayClient
-    from .gss import initiator_for
-    provider = _provider_of(args)
-
-    def connect():
-        return FrameClient(args.gateway_host, args.gateway_port)
-
+    from .app import SERVED_CACHE, AppRequest
+    request = AppRequest(args.method, args.resource, args.body.encode())
     if args.plain:
-        client = GatewayClient(connect, None, _now)
-        response = client.fetch_plain(args.resource, args.method, args.body.encode())
+        response = _call(args.gateway_host, args.gateway_port, request,
+                         codec.SchemaId.APP_RESPONSE)
     else:
-        path = _ccache_path(args)
-        cache = CredentialCache.load(path)
-        send_tgs = _tgs_sender(args)
-
-        def ticket_source(target: Principal, now: int):
-            entry = cache.get_service(target.name, now)
-            if entry is None:
-                try:
-                    entry = request_service_ticket(cache, provider, target.name,
-                                                   now, send_tgs)
-                except NoTgt as exc:
-                    raise FetchError("AS", exc) from exc
-                except KerbPkError as exc:
-                    raise FetchError("TGS", exc) from exc
-                cache.save(path)
-            return entry.ticket, entry.key
-
-        client = GatewayClient(
-            connect, lambda now: initiator_for(cache, args.service, provider, ticket_source),
-            _now)
-        try:
-            response = client.fetch(args.resource, args.method, args.body.encode())
-        finally:
-            client.close()
-
+        response = _fetch_protected(args, request)
     served = "cache" if response.served_from == SERVED_CACHE else "backend"
     if args.json:
         print(json.dumps({"status": response.status, "served_from": served,
@@ -255,21 +218,52 @@ def cmd_client_fetch(args) -> int:
     return 0 if response.status < 400 else 1
 
 
+def _fetch_protected(args, request):
+    from .client import CredentialCache, request_service_ticket
+    from .gateway import GatewayClient
+    from .gss import initiator_for
+    provider = _provider_of(args)
+    path = _ccache_path(args)
+    cache = CredentialCache.load(path)
+    send_tgs = _tgs_sender(args)
+
+    def ticket_source(target, now: int):
+        entry = cache.get_service(target.name, now)
+        if entry is None:
+            try:
+                entry = request_service_ticket(cache, provider, target.name,
+                                               now, send_tgs)
+            except NoTgt as exc:
+                raise FetchError("AS", exc) from exc
+            except KerbPkError as exc:
+                raise FetchError("TGS", exc) from exc
+            cache.save(path)
+        return entry.ticket, entry.key
+
+    client = GatewayClient(
+        lambda: FrameClient(args.gateway_host, args.gateway_port),
+        lambda now: initiator_for(cache, args.service, provider, ticket_source), _now)
+    try:
+        return client.fetch(request.resource, request.method, request.body)
+    finally:
+        client.close()
+
+
 # -- service / gateway -------------------------------------------------------
 
 
 def cmd_service_serve_echo(args) -> int:
-    from .gateway import BackendSession, echo_handler, protected_endpoint
-    provider = _provider_of(args)
     if args.plain:
-        server = ThreadedFrameServer(lambda: BackendSession(echo_handler),
-                                     now_fn=_now, port=args.port).start()
+        from .app import BackendSession
+        server = ThreadedFrameServer(BackendSession, now_fn=_now, port=args.port).start()
         return _serve([server], f"service listening mode=plain port={server.port}")
     if not args.keytab:
         raise KerbPkError("a protected service needs --keytab (or use --plain)")
+    from .gateway import protected_endpoint
+    from .kdc import load_service_key
     keyfile = load_service_key(args.keytab)
     server = ThreadedFrameServer(
-        protected_endpoint(keyfile.key, provider),
+        protected_endpoint(keyfile.key, _provider_of(args)),
         now_fn=_now, port=args.port).start()
     return _serve([server],
                   f"service listening name={keyfile.principal.name}"
@@ -279,14 +273,17 @@ def cmd_service_serve_echo(args) -> int:
 def _parse_backend(spec: str):
     prefix, sep, hostport = spec.partition("=")
     host, sep2, port = hostport.rpartition(":")
-    if not sep or not sep2 or not prefix.startswith("/") or not port.isdigit():
-        raise KerbPkError(f"backend spec must look like /prefix=host:port, got {spec!r}")
+    if (not sep or not sep2 or not prefix.startswith("/") or not is_count(port)
+            or not 1 <= int(port) <= 65535):
+        raise KerbPkError(f"backend spec must look like /prefix=host:port with a port "
+                          f"of 1..65535, got {spec!r}")
     return prefix, (host, int(port))
 
 
 def cmd_gateway(args) -> int:
     from .gateway import (GatewayCore, GatewayPolicy, GatewaySession, ResponseCache,
                           backend_connector, protected_endpoint)
+    from .kdc import load_service_key
     provider = _provider_of(args)
     policy = GatewayPolicy.parse(codec.read_text(args.policy, PolicyParseError, "policy"))
     keyfile = load_service_key(args.keytab)
@@ -324,6 +321,9 @@ def cmd_scenario_run(args) -> int:
 
 
 def cmd_db_inspect(args) -> int:
+    from .kdc import PrincipalDb, RecordKind
+    kind_names = {int(RecordKind.USER): "user", int(RecordKind.SERVICE): "service",
+                  int(RecordKind.TGS_SERVICE): "tgs"}
     db = PrincipalDb.load(_db_path(args))
     records = sorted(db.records(), key=lambda r: r.principal.name)
     if args.json:
@@ -332,7 +332,7 @@ def cmd_db_inspect(args) -> int:
             "tgs": db.tgs_name,
             "principals": [{
                 "name": r.principal.name,
-                "kind": _KIND_NAMES.get(r.kind, str(r.kind)),
+                "kind": kind_names.get(r.kind, str(r.kind)),
                 "serial": r.certificate.serial if r.certificate else None,
             } for r in records],
         }, indent=2))
@@ -341,11 +341,19 @@ def cmd_db_inspect(args) -> int:
     for record in records:
         serial = record.certificate.serial if record.certificate else "-"
         print(f"principal={record.principal.name} "
-              f"kind={_KIND_NAMES.get(record.kind, record.kind)} serial={serial}")
+              f"kind={kind_names.get(record.kind, record.kind)} serial={serial}")
     return 0
 
 
 # -- wiring ------------------------------------------------------------------
+
+
+def _entries(text: str) -> int:
+    """An argument that counts entries: an integer, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--password", default=None)
     p.add_argument("--as-host", default="127.0.0.1")
     p.add_argument("--as-port", type=int, default=DEFAULT_AS_PORT)
-    p.add_argument("--lifetime", type=int, default=DEFAULT_LIFETIME)
+    p.add_argument("--lifetime", type=int, default=None)
     p.add_argument("--ccache", default=None, help="credential cache path (env KERBPK_CCACHE)")
     _crypto_args(p)
     p.set_defaults(func=cmd_client_kinit)
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--backend", action="append", default=None,
                    metavar="/prefix=host:port")
-    p.add_argument("--cache-capacity", type=int, default=16,
+    p.add_argument("--cache-capacity", type=_entries, default=16,
                    help="response cache entries; 0 turns caching off")
     _crypto_args(p)
     p.set_defaults(func=cmd_gateway)

@@ -13,7 +13,7 @@ public-key-encrypted session key found inside it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import codec
@@ -52,7 +52,7 @@ from .messages import (
 @dataclass(frozen=True)
 class ClientIdentity:
     principal: Principal
-    password: str
+    password: str = field(repr=False)
     keypair: KeyPair
     certificate: Certificate
 
@@ -92,7 +92,7 @@ class IdentityFile:
     """On-disk identity: everything but the password, which the user types."""
     principal: Principal
     public_key: bytes
-    private_key: bytes
+    private_key: bytes = field(repr=False)
     certificate: Certificate
 
 

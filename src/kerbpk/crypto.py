@@ -14,27 +14,25 @@ Two profiles ship:
 Both sides of a conversation must use the same provider; keys carry their
 provider id and every operation checks it.
 
+The first ``StandardProvider`` built in a process imports ``cryptography``
+(its OpenSSL bindings cost about 10 MiB of memory), so a process that only
+runs the toy provider, such as a scenario run or the tamper sweep, never
+loads it.
+
 Sealing is labeled: a box sealed for one purpose (for example TICKET) never
 opens under another label even with the correct key.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as hmac_mod
 import secrets
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from random import Random
-
-from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
 from . import codec
 from .errors import (
@@ -65,7 +63,7 @@ class SealLabel(IntEnum):
 @codec.structure(codec.SchemaId.SYMMETRIC_KEY)
 @dataclass(frozen=True)
 class SymmetricKey:
-    data: bytes
+    data: bytes = field(repr=False)
     provider_id: str
 
 
@@ -73,7 +71,7 @@ class SymmetricKey:
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
-    private_key: bytes
+    private_key: bytes = field(repr=False)
 
 
 @codec.structure(codec.SchemaId.SEALED_BOX)
@@ -215,6 +213,21 @@ class ToyProvider(CryptoProvider):
         return KeyPair(self._PUB_PREFIX + self._core_from_private(private), private)
 
 
+@functools.cache
+def _import_cryptography() -> None:
+    """Bind the ``cryptography`` names StandardProvider uses as globals of
+    this module; runs once, from the first StandardProvider built."""
+    global InvalidSignature, InvalidTag, hashes, Ed25519PrivateKey, Ed25519PublicKey
+    global X25519PrivateKey, X25519PublicKey, AESGCM, HKDF, PBKDF2HMAC
+    from cryptography.exceptions import InvalidSignature, InvalidTag
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+    from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
+
+
 class StandardProvider(CryptoProvider):
     """Production profile on well-reviewed primitives.
 
@@ -226,6 +239,9 @@ class StandardProvider(CryptoProvider):
     _GCM_NONCE = 12
     _PBKDF2_ITERATIONS = 50_000
     _random_bytes = staticmethod(secrets.token_bytes)
+
+    def __init__(self):
+        _import_cryptography()
 
     def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
         if not password:

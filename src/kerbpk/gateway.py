@@ -1,11 +1,11 @@
-"""Caching application gateway demo plus the generic app-server sessions.
+"""Caching application gateway and the ticket-protected app sessions.
 
-The gateway fronts one or more plain backends.  Resources are matched against
-an ordered prefix policy: ``protect`` entries demand an established security
-context (plain requests get a 401), ``bypass`` entries are served in the
-clear.  GET responses with status 200 are cached in a bounded LRU keyed by
-resource, and every response says whether it came from a backend or the
-cache, so hit counting is observable end to end.
+The gateway fronts one or more plain backends (``app.BackendSession``).
+Resources are matched against an ordered prefix policy: ``protect`` entries
+demand an established security context (plain requests get a 401), ``bypass``
+entries are served in the clear.  GET responses with status 200 are cached in
+a bounded LRU keyed by resource, and every response says whether it came from
+a backend or the cache, so hit counting is observable end to end.
 
 Sessions here all speak the frame protocol from transport: one request
 payload in, a list of reply payloads out.  Protocol failures answer with an
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import codec
+from .app import SERVED_BACKEND, SERVED_CACHE, AppRequest, AppResponse, echo_handler
 from .crypto import CryptoProvider, SymmetricKey
 from .errors import (
     BackendUnreachable,
@@ -32,11 +33,8 @@ from .errors import (
     StateError,
 )
 from .gss import ContextAcceptor, ContextInitiator, SecurityContext
-from .messages import ReplayCache, decode_reply, error_reply, validate_times
-from .transport import FrameClient, call
-
-SERVED_BACKEND = 1
-SERVED_CACHE = 2
+from .messages import ReplayCache, decode_reply, validate_times
+from .transport import FrameClient, call, error_reply
 
 PROTECT = "protect"
 BYPASS = "bypass"
@@ -45,27 +43,6 @@ DEFAULT_CACHE_CAPACITY = 16
 # Below FrameClient's default 5 s, so a client hears the gateway's 502 for a
 # backend that never answers before it gives up itself.
 BACKEND_TIMEOUT = 2.0
-
-
-@codec.structure(codec.SchemaId.APP_REQUEST)
-@dataclass(frozen=True)
-class AppRequest:
-    method: str
-    resource: str
-    body: bytes
-
-
-@codec.structure(codec.SchemaId.APP_RESPONSE)
-@dataclass(frozen=True)
-class AppResponse:
-    status: codec.U16
-    body: bytes
-    served_from: codec.U8
-
-
-def echo_handler(request: AppRequest) -> AppResponse:
-    """Reference app behavior: answer 200 with the request body."""
-    return AppResponse(200, request.body, SERVED_BACKEND)
 
 
 class GatewayPolicy:
@@ -212,23 +189,6 @@ class GatewayCore:
             self._idle.clear()
         for conn in idle:
             conn.close()
-
-
-class BackendSession:
-    """Plain app session: decode a request, run the handler, answer."""
-
-    def __init__(self, handler: Callable[[AppRequest], AppResponse] = echo_handler):
-        self.handler = handler
-
-    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
-        if codec.schema_id_of(payload) != codec.SchemaId.APP_REQUEST:
-            return [], True
-        try:
-            request = codec.decode(payload, codec.SchemaId.APP_REQUEST)
-            response = self.handler(request)
-        except KerbPkError as exc:
-            return [error_reply(exc)], True
-        return [codec.encode(response)], False
 
 
 class ProtectedAppSession:

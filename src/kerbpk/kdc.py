@@ -50,11 +50,8 @@ from .messages import (
     Validity,
     accept_ticket,
     as_request_signable,
-    error_reply,
 )
-
-DEFAULT_AS_PORT = 8801
-DEFAULT_TGS_PORT = 8802
+from .transport import error_reply
 
 
 class RecordKind(IntEnum):

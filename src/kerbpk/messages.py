@@ -25,7 +25,6 @@ from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
 from .errors import (
     AuthenticatorIntegrityError,
     IntegrityError,
-    KerbPkError,
     MalformedName,
     PrincipalMismatch,
     ReplayDetected,
@@ -36,8 +35,8 @@ from .errors import (
     TicketExpired,
     TicketIntegrityError,
     TicketNotYetValid,
-    raise_by_name,
 )
+from .transport import check_reply
 
 #: TicketBody.flags bit set only by the authentication server on fresh TGTs.
 FLAG_INITIAL = 0x1
@@ -216,24 +215,9 @@ class ApReply:
     enc_part: SealedBox
 
 
-@codec.structure(codec.SchemaId.ERROR_REPLY)
-@dataclass(frozen=True)
-class ErrorReply:
-    error: str
-    detail: str
-
-
 def decode_reply(payload: bytes, expected: codec.SchemaId):
     """Decode a reply frame; a transported ErrorReply raises its named error."""
-    if codec.schema_id_of(payload) == codec.SchemaId.ERROR_REPLY:
-        err: ErrorReply = codec.decode(payload, codec.SchemaId.ERROR_REPLY)
-        raise_by_name(err.error, err.detail)
-    return codec.decode(payload, expected)
-
-
-def error_reply(exc: KerbPkError) -> bytes:
-    """The encoded ErrorReply that reports ``exc`` to the peer."""
-    return codec.encode(ErrorReply(exc.name, str(exc)))
+    return codec.decode(check_reply(payload), expected)
 
 
 def as_request_signable(req: AsRequest) -> bytes:

@@ -16,6 +16,11 @@ uses the real clock and keeps the same session interface.  A session object
 consumes one request payload at a time via ``feed(payload, now) -> (replies,
 close)``; both transports reach it through ``serve_frame``, and a client makes
 each request/reply step with ``call``.
+
+A failure travels as the error frame, an ErrorReply naming the error class:
+``error_reply`` builds one and ``check_reply`` raises the error it names.
+This module needs only ``codec`` and ``errors``, so a plain server loads no
+crypto and no ticket layer.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ from . import codec
 from .errors import (
     ConnectionClosed,
     FrameTooLarge,
+    KerbPkError,
     ScenarioParseError,
     Timeout,
+    raise_by_name,
 )
-from .messages import decode_reply, error_reply
 
 MAX_FRAME = 1 << 20
 DEFAULT_RECV_TIMEOUT = 30   # also the TCP server's idle timeout, in seconds
@@ -72,6 +78,26 @@ def take_frame(buf: bytearray) -> Optional[bytes]:
     return payload
 
 
+@codec.structure(codec.SchemaId.ERROR_REPLY)
+@dataclass(frozen=True)
+class ErrorReply:
+    error: str
+    detail: str
+
+
+def error_reply(exc: KerbPkError) -> bytes:
+    """The encoded ErrorReply that reports ``exc`` to the peer."""
+    return codec.encode(ErrorReply(exc.name, str(exc)))
+
+
+def check_reply(payload: bytes) -> bytes:
+    """``payload`` itself, unless it is an ErrorReply: then the error it names raises."""
+    if codec.schema_id_of(payload) == codec.SchemaId.ERROR_REPLY:
+        err: ErrorReply = codec.decode(payload, codec.SchemaId.ERROR_REPLY)
+        raise_by_name(err.error, err.detail)
+    return payload
+
+
 def serve_frame(session, buf: bytearray, now: int) -> Optional[tuple[list[bytes], bool]]:
     """Feed the next frame in a connection's receive buffer to its server
     session: ``(replies, close)``, or None while the frame is incomplete.
@@ -90,7 +116,7 @@ def call(conn, request, expected: codec.SchemaId):
     """One client step: send ``request``, then decode the reply as
     ``expected``; a transported ErrorReply raises its named error."""
     conn.send(codec.encode(request))
-    return decode_reply(conn.recv(), expected)
+    return codec.decode(check_reply(conn.recv()), expected)
 
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:

@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 
 from kerbpk import codec
+from kerbpk.app import BackendSession, echo_handler
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import get_provider
 from kerbpk.errors import ConnectionClosed, NoTicket
-from kerbpk.gateway import (BackendSession, GatewayClient, GatewayCore, GatewayPolicy,
-                            GatewaySession, ResponseCache, echo_handler, protected_endpoint)
+from kerbpk.gateway import (GatewayClient, GatewayCore, GatewayPolicy, GatewaySession,
+                            ResponseCache, protected_endpoint)
 from kerbpk.gss import initiator_for
 from kerbpk.kdc import KdcService, PrincipalDb
 from kerbpk.messages import Principal

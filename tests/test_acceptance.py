@@ -15,7 +15,7 @@ from conftest import REALM, gateway_stack
 from kerbpk import cli, codec
 from kerbpk.crypto import SealLabel, get_provider
 from kerbpk.errors import IntegrityError, ProviderMismatch, Truncated
-from kerbpk.gateway import SERVED_CACHE
+from kerbpk.app import SERVED_CACHE
 from kerbpk.kdc import PrincipalDb
 from kerbpk.messages import Authenticator
 from kerbpk.scenario import load_scenario, parse_scenario, run_scenario

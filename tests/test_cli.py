@@ -1,10 +1,12 @@
 """The command line against real sockets, run in this process through ``cli.main``.
 
 Servers start through their own ``cmd_*`` functions; only ``cli._serve``, which
-would block until interrupted, is replaced by one that holds until the module's
-tests are done.  Four tests start a child process: the ``python -m kerbpk``
-entry point, a server's banner and shutdown, a usage error's exit status, and
-the set of modules a fresh interpreter loads at start-up.
+would block until interrupted, is replaced: by one that holds until the
+module's tests are done, or, where a server should not start at all, by one
+that stops it at once.  Some tests start a child process: the ``python -m kerbpk``
+entry point, a server's banner and shutdown (also with ``cryptography``
+unimportable), a usage error's exit status, and the modules a fresh
+interpreter loads at start-up and for a command.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ import kerbpk
 from kerbpk import cli, codec
 from kerbpk.client import CredentialCache
 from kerbpk.kdc import PrincipalDb
-from kerbpk.gateway import AppRequest, BackendSession
+from kerbpk.app import AppRequest, BackendSession
 from kerbpk.messages import Principal
 from kerbpk.transport import FrameClient, ThreadedFrameServer, call
 
@@ -242,6 +244,34 @@ def test_server_commands_reject_bad_configuration(stack):
     assert "backend spec must look like /prefix=host:port" in bad_backend.stderr
 
 
+def start_gateway(stack, monkeypatch, *extra) -> Result:
+    """``kerbpk gateway`` on the stack's policy and keytab; a gateway that
+    starts stops at once instead of serving."""
+    def stop_at_once(servers, banner):
+        for server in servers:
+            server.stop()
+        return 0
+    monkeypatch.setattr(cli, "_serve", stop_at_once)
+    return stack.cli("gateway", "--policy", str(stack.root / "policy.txt"),
+                     "--keytab", str(stack.root / "gateway.keytab"), "--port", "0", *extra)
+
+
+@pytest.mark.parametrize("port", ["\u00b2", "\u0661\u0662", "99999"],
+                         ids=["superscript", "arabic-indic", "above-65535"])
+def test_gateway_rejects_a_bad_backend_port(stack, monkeypatch, port):
+    result = start_gateway(stack, monkeypatch, "--backend", f"/=127.0.0.1:{port}")
+    assert result.returncode == 1
+    assert "error=KerbPkError detail=backend spec must look like /prefix=host:port" \
+        in result.stderr
+
+
+def test_gateway_refuses_a_negative_cache_capacity(stack, monkeypatch):
+    assert start_gateway(stack, monkeypatch, "--cache-capacity", "0").returncode == 0
+    result = start_gateway(stack, monkeypatch, "--cache-capacity", "-1")
+    assert result.returncode == 2
+    assert "--cache-capacity: must be 0 or more, got -1" in result.stderr
+
+
 def test_unreadable_policy_is_a_policy_error(stack):
     missing = str(stack.root / "no-such-policy.txt")
     result = stack.cli("gateway", "--policy", missing, "--keytab", "x")
@@ -372,23 +402,17 @@ def test_serve_stops_its_servers_when_interrupted(capsys, monkeypatch):
         FrameClient(server.host, server.port, timeout=1.0)
 
 
-def test_server_child_prints_its_banner_and_stops_on_interrupt(tmp_path):
-    proc = subprocess.Popen([sys.executable, "-m", "kerbpk", "service", "serve-echo",
-                             "--plain", "--port", "0"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+@contextlib.contextmanager
+def serving_child(argv, cwd):
+    """A server child started as ``argv``; yields its banner fields, then
+    interrupts it and checks that it stopped cleanly and quietly."""
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            cwd=str(cwd), env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
     try:
         with selectors.DefaultSelector() as sel:
             sel.register(proc.stdout, selectors.EVENT_READ)
             assert sel.select(15.0), "server printed no banner in time"
-        banner = banner_fields(proc.stdout.readline())
-        assert banner["mode"] == "plain"
-        conn = FrameClient("127.0.0.1", int(banner["port"]))
-        try:
-            reply = call(conn, AppRequest("POST", "/", b"hi"), codec.SchemaId.APP_RESPONSE)
-        finally:
-            conn.close()
-        assert (reply.status, reply.body) == (200, b"hi")
+        yield banner_fields(proc.stdout.readline())
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=15) == 0
         assert proc.stderr.read() == ""
@@ -400,9 +424,68 @@ def test_server_child_prints_its_banner_and_stops_on_interrupt(tmp_path):
         proc.stderr.close()
 
 
+def echo_once(port: str) -> None:
+    conn = FrameClient("127.0.0.1", int(port))
+    try:
+        reply = call(conn, AppRequest("POST", "/", b"hi"), codec.SchemaId.APP_RESPONSE)
+    finally:
+        conn.close()
+    assert (reply.status, reply.body) == (200, b"hi")
+
+
+def test_server_child_prints_its_banner_and_stops_on_interrupt(tmp_path):
+    argv = [sys.executable, "-m", "kerbpk", "service", "serve-echo", "--plain", "--port", "0"]
+    with serving_child(argv, tmp_path) as banner:
+        assert banner["mode"] == "plain"
+        echo_once(banner["port"])
+
+
+def test_plain_echo_serves_while_cryptography_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every import of that name fail
+    blocked = ("import sys\n"
+               "sys.modules['cryptography'] = None\n"
+               "from kerbpk.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    argv = [sys.executable, "-c", blocked, "service", "serve-echo", "--plain", "--port", "0"]
+    with serving_child(argv, tmp_path) as banner:
+        echo_once(banner["port"])
+
+
+# Runs one command in a fresh interpreter and prints its exit status and every
+# module it loaded; a server stops as soon as it is up instead of serving.
+LOADED_BY = (
+    "import contextlib, io, json, sys\n"
+    "from kerbpk import cli\n"
+    "def stop_at_once(servers, banner):\n"
+    "    for server in servers:\n"
+    "        server.stop()\n"
+    "    return 0\n"
+    "cli._serve = stop_at_once\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    status = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([status, sorted(sys.modules)]))\n")
+
+KERBEROS_LAYERS = {"kerbpk.crypto", "kerbpk.messages", "kerbpk.gss", "kerbpk.kdc",
+                   "kerbpk.client", "kerbpk.gateway", "kerbpk.scenario"}
+
+
+def modules_loaded_by(*args) -> tuple[int, set]:
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *args], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout)
+    return status, set(loaded)
+
+
+def cryptography_modules(loaded: set) -> set:
+    return {m for m in loaded if m == "cryptography" or m.startswith("cryptography.")}
+
+
 def test_start_up_loads_only_the_shared_modules():
-    """Every command pays for what ``import kerbpk.cli`` loads; the client,
-    gss, gateway and scenario layers load only in the commands that run them."""
+    """Every command pays for what ``import kerbpk.cli`` loads: the codec, the
+    errors and the transport.  Every other layer loads only in the commands
+    that run it."""
     probe = (
         "import json, sys\n"
         "import kerbpk\n"
@@ -414,7 +497,34 @@ def test_start_up_loads_only_the_shared_modules():
     assert proc.returncode == 0, proc.stderr
     bare, loaded = json.loads(proc.stdout)
     assert bare == []
-    assert "kerbpk.cli" in loaded and "kerbpk.kdc" in loaded
-    deferred = {"kerbpk.scenario", "kerbpk.client", "kerbpk.gss", "kerbpk.gateway",
-                "cryptography.hazmat.primitives.serialization"}
+    assert {m for m in loaded if m.startswith("kerbpk.")} == \
+        {"kerbpk.cli", "kerbpk.codec", "kerbpk.errors", "kerbpk.transport"}
+    deferred = KERBEROS_LAYERS | {"kerbpk.app", "_hashlib", "cryptography"}
     assert deferred.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("args", [
+    ("service", "serve-echo", "--plain", "--port", "0"),
+    ("client", "fetch", "/public/page", "--plain", "--gateway-port", "1"),
+], ids=["serve-echo", "fetch"])
+def test_plain_commands_load_no_crypto_or_ticket_layer(args):
+    status, loaded = modules_loaded_by(*args)
+    assert status == (0 if args[0] == "service" else 1)  # nothing listens on port 1
+    assert "kerbpk.app" in loaded
+    assert KERBEROS_LAYERS.isdisjoint(loaded)
+    assert "_hashlib" not in loaded
+    assert cryptography_modules(loaded) == set()
+
+
+def test_toy_scenario_run_loads_no_cryptography():
+    status, loaded = modules_loaded_by("scenario", "run", "happy_path")
+    assert status == 0
+    assert "kerbpk.crypto" in loaded and "kerbpk.scenario" in loaded
+    assert cryptography_modules(loaded) == set()
+
+
+def test_the_probe_sees_a_standard_provider_load_cryptography(tmp_path):
+    status, loaded = modules_loaded_by("kdc", "register-service", "echo",
+                                       "--db", str(tmp_path / "realm.db"))
+    assert status == 0
+    assert "cryptography.hazmat.primitives.ciphers.aead" in loaded

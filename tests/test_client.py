@@ -8,8 +8,9 @@ import pytest
 from conftest import NOW, REALM
 from kerbpk import codec
 from kerbpk.client import (ClientAgent, ClientIdentity, CredentialCache, CredEntry,
-                           load_identity, request_service_ticket, save_identity)
+                           IdentityFile, load_identity, request_service_ticket, save_identity)
 from kerbpk.crypto import SealedBox, SymmetricKey
+from kerbpk.kdc import ServiceKeyFile
 from kerbpk.errors import (CcacheParseError, NonceMismatch, NoTgt,
                            PkDecryptFailure, PrincipalMismatch, WrongPassword)
 from kerbpk.messages import DEFAULT_LIFETIME, Certificate, Principal, SealedTicket, Validity
@@ -208,6 +209,30 @@ def test_identity_file_roundtrip(realm, tmp_path):
     loaded = load_identity(path, "hunter2")
     assert loaded == realm.identity
     assert os.stat(path).st_mode & 0o077 == 0  # the private key is the owner's alone
+
+
+def test_secrets_stay_out_of_reprs(realm, tmp_path):
+    tgt = realm.agent.kinit(realm.send_as, NOW)
+    path = str(tmp_path / "alice.id")
+    save_identity(realm.identity, path)
+    identity_file = codec.load_record(path, codec.SchemaId.IDENTITY_FILE, ValueError, "id")
+    assert isinstance(identity_file, IdentityFile)
+    service = realm.service
+    cases = [
+        (service, service.long_term_key.data),
+        (ServiceKeyFile(service.principal, service.long_term_key), service.long_term_key.data),
+        (realm.user, realm.user.long_term_key.data),
+        (tgt, tgt.key.data),
+        (identity_file, identity_file.private_key),
+        (realm.keypair, realm.keypair.private_key),
+        (realm.identity, realm.keypair.private_key),
+    ]
+    for holder, secret in cases:
+        text = repr(holder)
+        assert type(holder).__name__ in text
+        assert repr(secret) not in text and secret.hex() not in text, text
+    assert "hunter2" not in repr(realm.identity)
+    assert realm.identity.password == "hunter2"  # hidden from repr, not from use
 
 
 def test_identity_loaded_with_wrong_password_fails_at_kinit(realm, tmp_path):

@@ -12,13 +12,11 @@ from conftest import (NOW, RecordingEcho, gateway_endpoint, gateway_stack, initi
 from kerbpk import codec, gateway, messages, transport
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseError,
                            ReplayDetected, Timeout, UnknownService)
-from kerbpk.gateway import (BYPASS, PROTECT, SERVED_BACKEND, SERVED_CACHE,
-                            AppRequest, AppResponse, BackendSession,
-                            GatewayClient, GatewayCore, GatewayPolicy,
-                            ResponseCache)
-from kerbpk.messages import CLOCK_SKEW, ErrorReply
-from kerbpk.transport import (Drop, Duplicate, FrameClient, ThreadedFrameServer, call,
-                              send_frame)
+from kerbpk.app import SERVED_BACKEND, SERVED_CACHE, AppRequest, AppResponse, BackendSession
+from kerbpk.gateway import BYPASS, PROTECT, GatewayClient, GatewayCore, GatewayPolicy, ResponseCache
+from kerbpk.messages import CLOCK_SKEW
+from kerbpk.transport import (Drop, Duplicate, ErrorReply, FrameClient, ThreadedFrameServer,
+                              call, send_frame)
 
 
 # --------------------------------------------------------------------- policy

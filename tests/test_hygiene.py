@@ -1,7 +1,7 @@
 """Source hygiene: every name a library or test module imports is used in that
 module, only one function makes a replay cache, only one function reads a
-frame's length header, and every name the benchmark takes from the library
-resolves."""
+frame's length header, no per-message path runs an import statement, and
+every name the benchmark takes from the library resolves."""
 
 import ast
 import os
@@ -71,6 +71,19 @@ def test_only_take_frame_reads_a_length_header():
     cutter = next(node for tree in trees for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "take_frame")
     assert sum(length_header_reads(tree) for tree in trees) == length_header_reads(cutter) == 1
+
+
+def test_no_per_message_path_imports():
+    # cryptography loads once, when the first StandardProvider is built; the
+    # functions that run once per message or request never import anything
+    per_message = {"seal", "open", "feed", "call", "handle", "wrap", "unwrap"}
+    functions = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name in per_message]
+    assert {node.name for node in functions} == per_message  # the names still exist
+    importing = [node.name for node in functions
+                 if any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                        for inner in ast.walk(node))]
+    assert importing == []
 
 
 def test_the_benchmark_resolves_against_src():

@@ -10,8 +10,9 @@ from kerbpk.errors import (MalformedName, PrincipalMismatch, ReplayDetected,
                            ReplayWindowLost, SkewExceeded, TicketExpired,
                            TicketNotYetValid, UnknownPrincipal, UnknownRemoteError)
 from kerbpk import messages
+from kerbpk.transport import ErrorReply
 from kerbpk.messages import (CLOCK_SKEW, ApRequest, AsRequest, Authenticator,
-                             Certificate, ErrorReply, Principal, ReplayCache, SealedTicket,
+                             Certificate, Principal, ReplayCache, SealedTicket,
                              TgsRequest, Validity, as_request_signable, decode_reply,
                              request_digest, validate_authenticator, validate_times)
 

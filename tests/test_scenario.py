@@ -7,7 +7,7 @@ import pytest
 
 from kerbpk import scenario
 from kerbpk.errors import ScenarioParseError
-from kerbpk.gateway import SERVED_BACKEND, AppResponse
+from kerbpk.app import SERVED_BACKEND, AppResponse
 from kerbpk.scenario import (list_scenarios, load_scenario, parse_scenario,
                              run_scenario)
 from kerbpk.transport import Delay, Drop, FlipBit
