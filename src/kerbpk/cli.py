@@ -16,8 +16,9 @@ a password prompt, say) exits 130.  ``KERBPK_DB``, ``KERBPK_CCACHE``, and
 Each process runs one command, so this module imports only what every command
 shares: ``codec``, ``errors`` and ``transport``.  A command imports the rest
 of what it runs when it runs, so ``service serve-echo --plain`` and ``client
-fetch --plain`` load no crypto provider and no ticket layer, and only a command
-that builds a standard provider loads ``cryptography``.
+fetch --plain`` load no crypto provider and no ticket layer.  Only a command
+that builds a standard provider loads ``cryptography``, and only one that
+builds a toy provider loads ``hashlib``, so no process maps two OpenSSLs.
 """
 
 from __future__ import annotations
@@ -273,8 +274,7 @@ def cmd_service_serve_echo(args) -> int:
 def _parse_backend(spec: str):
     prefix, sep, hostport = spec.partition("=")
     host, sep2, port = hostport.rpartition(":")
-    if (not sep or not sep2 or not prefix.startswith("/") or not is_count(port)
-            or not 1 <= int(port) <= 65535):
+    if not sep or not sep2 or not prefix.startswith("/") or not _is_port(port):
         raise KerbPkError(f"backend spec must look like /prefix=host:port with a port "
                           f"of 1..65535, got {spec!r}")
     return prefix, (host, int(port))
@@ -356,6 +356,23 @@ def _entries(text: str) -> int:
     return value
 
 
+def _is_port(text: str, low: int = 1) -> bool:
+    """Whether ``text`` is a port of ``low``..65535 in ASCII digits."""
+    return is_count(text) and low <= int(text) <= 65535
+
+
+def _port(text: str, low: int = 1) -> int:
+    """A port to connect to."""
+    if not _is_port(text, low):
+        raise argparse.ArgumentTypeError(f"must be a port of {low}..65535, got {text!r}")
+    return int(text)
+
+
+def _listen_port(text: str) -> int:
+    """A port to listen on; 0 lets the system pick a free one."""
+    return _port(text, low=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kerbpk",
                                      description="ticket-based auth playground")
@@ -366,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = kdc.add_parser("serve", help="serve the AS and TGS endpoints")
     p.add_argument("--db", default=None, help="principal db path (env KERBPK_DB)")
-    p.add_argument("--as-port", type=int, default=DEFAULT_AS_PORT)
-    p.add_argument("--tgs-port", type=int, default=DEFAULT_TGS_PORT)
+    p.add_argument("--as-port", type=_listen_port, default=DEFAULT_AS_PORT)
+    p.add_argument("--tgs-port", type=_listen_port, default=DEFAULT_TGS_PORT)
     _crypto_args(p)
     p.set_defaults(func=cmd_kdc_serve)
 
@@ -396,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", required=True, help="identity file from register-user")
     p.add_argument("--password", default=None)
     p.add_argument("--as-host", default="127.0.0.1")
-    p.add_argument("--as-port", type=int, default=DEFAULT_AS_PORT)
+    p.add_argument("--as-port", type=_port, default=DEFAULT_AS_PORT)
     p.add_argument("--lifetime", type=int, default=None)
     p.add_argument("--ccache", default=None, help="credential cache path (env KERBPK_CCACHE)")
     _crypto_args(p)
@@ -406,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("service")
     p.add_argument("--ccache", default=None)
     p.add_argument("--tgs-host", default="127.0.0.1")
-    p.add_argument("--tgs-port", type=int, default=DEFAULT_TGS_PORT)
+    p.add_argument("--tgs-port", type=_port, default=DEFAULT_TGS_PORT)
     _crypto_args(p)
     p.set_defaults(func=cmd_client_get_ticket)
 
     p = client.add_parser("fetch", help="request a resource through the gateway")
     p.add_argument("resource")
     p.add_argument("--gateway-host", default="127.0.0.1")
-    p.add_argument("--gateway-port", type=int, required=True)
+    p.add_argument("--gateway-port", type=_port, required=True)
     p.add_argument("--service", default="gateway",
                    help="gateway service principal name")
     p.add_argument("--method", default="GET")
@@ -422,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no authentication; bypass resources only")
     p.add_argument("--ccache", default=None)
     p.add_argument("--tgs-host", default="127.0.0.1")
-    p.add_argument("--tgs-port", type=int, default=DEFAULT_TGS_PORT)
+    p.add_argument("--tgs-port", type=_port, default=DEFAULT_TGS_PORT)
     p.add_argument("--json", action="store_true")
     _crypto_args(p)
     p.set_defaults(func=cmd_client_fetch)
@@ -431,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = service.add_parser("serve-echo", help="echo responder")
     p.add_argument("--keytab", default=None, help="service key file")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=_listen_port, default=0)
     p.add_argument("--plain", action="store_true",
                    help="no tickets; serve as a bare backend")
     _crypto_args(p)
@@ -440,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = top.add_parser("gateway", help="caching gateway in front of backends")
     p.add_argument("--policy", required=True, help="protect/bypass prefix rules")
     p.add_argument("--keytab", required=True, help="gateway service key file")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=_listen_port, default=0)
     p.add_argument("--backend", action="append", default=None,
                    metavar="/prefix=host:port")
     p.add_argument("--cache-capacity", type=_entries, default=16,

@@ -226,7 +226,7 @@ def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,
     nonce2 = provider.random_nonce()
     fields = (0, service_id, validity, nonce2, tgt.ticket)  # all but the authenticator box
     sealed = TgsAuthenticator(Authenticator(cache.client.name, cache.client.realm, now),
-                              request_digest(TgsRequest(*fields, None)))
+                              request_digest(TgsRequest(*fields, None), provider))
     box = provider.seal(tgt.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
     req = TgsRequest(*fields, box)
 

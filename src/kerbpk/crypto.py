@@ -11,13 +11,19 @@ Two profiles ship:
 * ``standard`` — AES-GCM sealing, Ed25519 signatures, X25519+HKDF+AES-GCM for
   the public-key wrap, PBKDF2 password derivation, OS randomness.
 
-Both sides of a conversation must use the same provider; keys carry their
-provider id and every operation checks it.
+Both profiles also compute SHA-256 (``digest``), which the request digests and
+replay-cache keys in ``messages`` go through.  Both sides of a conversation
+must use the same provider; keys carry their provider id and every operation
+checks it.
 
-The first ``StandardProvider`` built in a process imports ``cryptography``
-(its OpenSSL bindings cost about 10 MiB of memory), so a process that only
-runs the toy provider, such as a scenario run or the tamper sweep, never
-loads it.
+Each provider imports its own primitives when its first instance is built.
+The first ``StandardProvider`` imports ``cryptography`` (its OpenSSL bindings
+cost about 10 MiB of memory) and hashes with it too, so a standard-provider
+process maps one OpenSSL, and never loads ``hashlib``, ``hmac`` or
+``secrets``, which would map Python's own beside it.  The first
+``ToyProvider`` imports ``hashlib`` and ``hmac``, so a process that only runs
+the toy provider, such as a scenario run or the tamper sweep, never loads
+``cryptography``.
 
 Sealing is labeled: a box sealed for one purpose (for example TICKET) never
 opens under another label even with the correct key.
@@ -26,9 +32,7 @@ opens under another label even with the correct key.
 from __future__ import annotations
 
 import functools
-import hashlib
-import hmac as hmac_mod
-import secrets
+import os
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -84,9 +88,9 @@ class SealedBox:
 class CryptoProvider:
     """The key and label checks and the random draws both providers share.
 
-    Each provider supplies ``_random_bytes``, ``derive_key_from_password``,
-    ``seal``, ``open``, ``sign``, ``verify``, ``pk_encrypt``, ``pk_decrypt``
-    and ``generate_keypair``.
+    Each provider supplies ``_random_bytes``, ``digest`` (SHA-256),
+    ``derive_key_from_password``, ``seal``, ``open``, ``sign``, ``verify``,
+    ``pk_encrypt``, ``pk_decrypt`` and ``generate_keypair``.
     """
 
     provider_id = "abstract"
@@ -112,6 +116,15 @@ class CryptoProvider:
         return self._random_bytes(self.nonce_length)
 
 
+@functools.cache
+def _import_hashlib() -> None:
+    """Bind ``hashlib`` and ``hmac`` as globals of this module; runs once,
+    from the first ToyProvider built."""
+    global hashlib, hmac_mod
+    import hashlib
+    import hmac as hmac_mod
+
+
 def _sha(*parts: bytes) -> bytes:
     h = hashlib.sha256()
     for part in parts:
@@ -128,12 +141,16 @@ class ToyProvider(CryptoProvider):
     _PUB_PREFIX = b"TOYPK"
 
     def __init__(self, seed: int = 0):
+        _import_hashlib()
         self._rng = Random(seed)
         self._lock = threading.Lock()
 
     def _random_bytes(self, n: int) -> bytes:
         with self._lock:
             return self._rng.randbytes(n)
+
+    def digest(self, data: bytes) -> bytes:
+        return hashlib.sha256(data).digest()
 
     @staticmethod
     def _stream(secret: bytes, context: bytes, length: int) -> bytes:
@@ -238,10 +255,15 @@ class StandardProvider(CryptoProvider):
     provider_id = "standard"
     _GCM_NONCE = 12
     _PBKDF2_ITERATIONS = 50_000
-    _random_bytes = staticmethod(secrets.token_bytes)
+    _random_bytes = staticmethod(os.urandom)
 
     def __init__(self):
         _import_cryptography()
+
+    def digest(self, data: bytes) -> bytes:
+        h = hashes.Hash(hashes.SHA256())
+        h.update(data)
+        return h.finalize()
 
     def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
         if not password:
@@ -257,7 +279,7 @@ class StandardProvider(CryptoProvider):
     def seal(self, key: SymmetricKey, plaintext: bytes, label: int) -> SealedBox:
         self._check_key(key)
         label = self._check_label(label)
-        nonce = secrets.token_bytes(self._GCM_NONCE)
+        nonce = os.urandom(self._GCM_NONCE)
         body = AESGCM(key.data).encrypt(nonce, plaintext, bytes([label]))
         return SealedBox(nonce + body, label)
 
@@ -308,7 +330,7 @@ class StandardProvider(CryptoProvider):
             raise PayloadTooLarge(f"{len(payload)} bytes exceeds pk payload limit {self.pk_payload_limit}")
         ephemeral = X25519PrivateKey.generate()
         key = self._exchange_key(ephemeral, xpub)
-        nonce = secrets.token_bytes(self._GCM_NONCE)
+        nonce = os.urandom(self._GCM_NONCE)
         body = AESGCM(key).encrypt(nonce, payload, None)
         return ephemeral.public_key().public_bytes_raw() + nonce + body
 

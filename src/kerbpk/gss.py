@@ -238,7 +238,7 @@ class ContextInitiator:
             auth = Authenticator(self.cred.name.principal.name,
                                  self.cred.name.principal.realm, now)
             sealed = ContextAuthenticator(auth, ALL_FLAGS, initial_seq,
-                                          request_digest(ApRequest(*fields, None)))
+                                          request_digest(ApRequest(*fields, None), self.provider))
             box = self.provider.seal(session_key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
             request = ApRequest(*fields, box)
             ctx.session_key = session_key

@@ -9,12 +9,13 @@ presents the service ticket to the application acceptor (ApRequest/ApReply).
 Plaintext request fields are bound to the sealed authenticator through a
 SHA-256 digest of the request body, so no byte of a request can be altered
 without detection; replies bind their plaintext hints to sealed content via
-client-side cross checks.
+client-side cross checks.  Digests, the request digest and the replay-cache
+key alike, go through the caller's crypto provider, so this module imports no
+hash library of its own.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -225,11 +226,11 @@ def as_request_signable(req: AsRequest) -> bytes:
     return codec.encode_body(req, codec.SchemaId.AS_REQ_BODY)
 
 
-def request_digest(req: Union[TgsRequest, ApRequest]) -> bytes:
+def request_digest(req: Union[TgsRequest, ApRequest], provider: CryptoProvider) -> bytes:
     """Digest the sealed authenticator binds: all but the authenticator box."""
     body_id = (codec.SchemaId.TGS_REQ_BODY if isinstance(req, TgsRequest)
                else codec.SchemaId.AP_REQ_BODY)
-    return hashlib.sha256(codec.encode_body(req, body_id)).digest()
+    return provider.digest(codec.encode_body(req, body_id))
 
 
 def validate_times(validity: Validity, now: int) -> None:
@@ -276,7 +277,8 @@ class ReplayCache:
 
 
 def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
-                           replay_cache: ReplayCache, box: SealedBox) -> None:
+                           replay_cache: ReplayCache, box: SealedBox,
+                           provider: CryptoProvider) -> None:
     """Identity, freshness, then uniqueness; inserts into the cache only on ok.
 
     The replay key ends with a hash of ``box``, the sealed authenticator: a
@@ -291,7 +293,7 @@ def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
         raise SkewExceeded(f"authenticator timestamp {auth.timestamp}, now {now}, "
                            f"skew {CLOCK_SKEW}")
     replay_cache.check_and_insert((auth.client_realm, auth.client_id, auth.timestamp,
-                                   hashlib.sha256(box.ciphertext).digest()), now)
+                                   provider.digest(box.ciphertext)), now)
 
 
 def accept_ticket(req: Union[TgsRequest, ApRequest], key: SymmetricKey,
@@ -311,8 +313,8 @@ def accept_ticket(req: Union[TgsRequest, ApRequest], key: SymmetricKey,
                                             SealLabel.AUTHENTICATOR), sealed_id)
     except (IntegrityError, SchemaMismatch) as exc:
         raise AuthenticatorIntegrityError(str(exc)) from None
-    if sealed.request_digest != request_digest(req):
+    if sealed.request_digest != request_digest(req, provider):
         raise RequestDigestMismatch("request fields do not match the sealed digest")
     validate_authenticator(sealed.authenticator, Principal(body.client_id, body.client_realm),
-                           now, replay_cache, req.authenticator)
+                           now, replay_cache, req.authenticator, provider)
     return body, sealed

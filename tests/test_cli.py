@@ -244,13 +244,16 @@ def test_server_commands_reject_bad_configuration(stack):
     assert "backend spec must look like /prefix=host:port" in bad_backend.stderr
 
 
+def stop_at_once(servers, banner):
+    """Stands in for ``cli._serve`` where a server should not stay up."""
+    for server in servers:
+        server.stop()
+    return 0
+
+
 def start_gateway(stack, monkeypatch, *extra) -> Result:
     """``kerbpk gateway`` on the stack's policy and keytab; a gateway that
     starts stops at once instead of serving."""
-    def stop_at_once(servers, banner):
-        for server in servers:
-            server.stop()
-        return 0
     monkeypatch.setattr(cli, "_serve", stop_at_once)
     return stack.cli("gateway", "--policy", str(stack.root / "policy.txt"),
                      "--keytab", str(stack.root / "gateway.keytab"), "--port", "0", *extra)
@@ -270,6 +273,33 @@ def test_gateway_refuses_a_negative_cache_capacity(stack, monkeypatch):
     result = start_gateway(stack, monkeypatch, "--cache-capacity", "-1")
     assert result.returncode == 2
     assert "--cache-capacity: must be 0 or more, got -1" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("kdc", "serve", "--as-port", "-1"),
+    ("kdc", "serve", "--as-port", "0", "--tgs-port", "65536"),
+    ("service", "serve-echo", "--plain", "--port", "99999"),
+    ("gateway", "--policy", "policy.txt", "--keytab", "gateway.keytab", "--port", "99999"),
+], ids=["kdc-as", "kdc-tgs", "serve-echo", "gateway"])
+def test_listen_port_flags_take_0_to_65535(stack, monkeypatch, args):
+    monkeypatch.setattr(cli, "_serve", stop_at_once)
+    result = stack.cli(*args)
+    assert result.returncode == 2
+    assert f"argument {args[-2]}: must be a port of 0..65535, got {args[-1]!r}" \
+        in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("client", "kinit", "--identity", "alice.id", "--as-port", "0"),
+    ("client", "get-ticket", "gateway", "--tgs-port", "65536"),
+    ("client", "fetch", "/public/x", "--plain", "--gateway-port", "99999"),
+    ("client", "fetch", "/data/x", "--gateway-port", "1", "--tgs-port", "0"),
+], ids=["kinit-as", "get-ticket-tgs", "fetch-gateway", "fetch-tgs"])
+def test_client_port_flags_take_1_to_65535(stack, args):
+    result = stack.cli(*args)
+    assert result.returncode == 2
+    assert f"argument {args[-2]}: must be a port of 1..65535, got {args[-1]!r}" \
+        in result.stderr
 
 
 def test_unreadable_policy_is_a_policy_error(stack):
@@ -482,6 +512,11 @@ def cryptography_modules(loaded: set) -> set:
     return {m for m in loaded if m == "cryptography" or m.startswith("cryptography.")}
 
 
+# Python's own OpenSSL bindings and the modules that load them; a process that
+# runs the standard provider hashes through ``cryptography`` and needs none.
+PYTHON_OPENSSL = {"_hashlib", "hashlib", "hmac", "secrets"}
+
+
 def test_start_up_loads_only_the_shared_modules():
     """Every command pays for what ``import kerbpk.cli`` loads: the codec, the
     errors and the transport.  Every other layer loads only in the commands
@@ -521,6 +556,7 @@ def test_toy_scenario_run_loads_no_cryptography():
     assert status == 0
     assert "kerbpk.crypto" in loaded and "kerbpk.scenario" in loaded
     assert cryptography_modules(loaded) == set()
+    assert "_hashlib" in loaded  # the toy provider hashes with hashlib
 
 
 def test_the_probe_sees_a_standard_provider_load_cryptography(tmp_path):
@@ -528,3 +564,19 @@ def test_the_probe_sees_a_standard_provider_load_cryptography(tmp_path):
                                        "--db", str(tmp_path / "realm.db"))
     assert status == 0
     assert "cryptography.hazmat.primitives.ciphers.aead" in loaded
+    assert PYTHON_OPENSSL.isdisjoint(loaded)
+
+
+def test_servers_on_the_standard_provider_load_one_openssl(tmp_path):
+    assert run_cli("kdc", "register-service", "gateway", "--db", str(tmp_path / "realm.db"),
+                   "--realm", "EXAMPLE", "--keytab-out", str(tmp_path / "gateway.keytab")
+                   ).returncode == 0
+    (tmp_path / "policy.txt").write_text("bypass /public\n")
+    for args in [("kdc", "serve", "--db", str(tmp_path / "realm.db"),
+                  "--as-port", "0", "--tgs-port", "0"),
+                 ("gateway", "--policy", str(tmp_path / "policy.txt"),
+                  "--keytab", str(tmp_path / "gateway.keytab"), "--port", "0")]:
+        status, loaded = modules_loaded_by(*args)
+        assert status == 0
+        assert "cryptography.hazmat.primitives.ciphers.aead" in loaded
+        assert PYTHON_OPENSSL.isdisjoint(loaded), args[0]

@@ -1,11 +1,14 @@
 """Provider contract: both the toy and the standard profile must honor it."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerbpk.crypto import (KEY_LENGTH, NONCE_LENGTH, PK_PAYLOAD_LIMIT, SealedBox,
-                           SealLabel, SymmetricKey, ToyProvider, get_provider)
+                           SealLabel, StandardProvider, SymmetricKey, ToyProvider,
+                           get_provider)
 from kerbpk.errors import (DecryptFailure, EmptyPassword, IntegrityError,
                            MalformedKey, PayloadTooLarge, ProviderMismatch)
 
@@ -24,6 +27,15 @@ def test_get_provider_names():
         get_provider("standard", seed=1)
     with pytest.raises(ValueError):
         get_provider("rot13")
+
+
+# -------------------------------------------------------------------- digest
+
+@given(data=st.binary(max_size=1024))
+@settings(max_examples=50, deadline=None)
+def test_both_providers_digest_with_sha256(data):
+    assert ToyProvider().digest(data) == StandardProvider().digest(data) \
+        == hashlib.sha256(data).digest()
 
 
 # ------------------------------------------------------------------- sealing
@@ -246,7 +258,7 @@ def test_toy_seal_roundtrip_sizes(size):
     key = prov.random_session_key()
     plaintext = bytes(i % 251 for i in range(size))  # leading zero bytes must survive
     box = prov.seal(key, plaintext, SealLabel.WRAP)
-    stream = ToyProvider._stream(key.data, b"seal" + bytes([SealLabel.WRAP]), size)
+    stream = prov._stream(key.data, b"seal" + bytes([SealLabel.WRAP]), size)
     assert box.ciphertext[:-16] == _xor_bytewise(plaintext, stream)
     assert prov.open(key, box, SealLabel.WRAP) == plaintext
 
@@ -262,7 +274,7 @@ def test_toy_pk_roundtrip_sizes(size):
         return
     wrapped = prov.pk_encrypt(pair.public_key, payload)
     core = ToyProvider._pub_core(pair.public_key)
-    assert wrapped[:size] == _xor_bytewise(payload, ToyProvider._stream(core, b"pk-mask", size))
+    assert wrapped[:size] == _xor_bytewise(payload, prov._stream(core, b"pk-mask", size))
     assert prov.pk_decrypt(pair.private_key, wrapped) == payload
 
 
@@ -282,7 +294,8 @@ def test_every_toy_box_bit_flip_is_rejected(size):
 
 
 def test_toy_keystream_separates_secret_from_context():
-    assert ToyProvider._stream(b"ab", b"c", 64) != ToyProvider._stream(b"a", b"bc", 64)
-    assert ToyProvider._stream(b"", b"abc", 64) != ToyProvider._stream(b"abc", b"", 64)
-    assert len(ToyProvider._stream(b"k", b"c", 65536)) == 65536
-    assert ToyProvider._stream(b"k", b"c", 0) == b""
+    prov = ToyProvider()
+    assert prov._stream(b"ab", b"c", 64) != prov._stream(b"a", b"bc", 64)
+    assert prov._stream(b"", b"abc", 64) != prov._stream(b"abc", b"", 64)
+    assert len(prov._stream(b"k", b"c", 65536)) == 65536
+    assert prov._stream(b"k", b"c", 0) == b""

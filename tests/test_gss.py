@@ -230,7 +230,8 @@ def test_acceptor_rejects_request_outside_sealed_digest(logged_in):
 def test_acceptor_requires_all_flags_asserted(logged_in):
     entry = logged_in.agent.cache.peek_service("echo")
     sealed = ContextAuthenticator(Authenticator("alice", REALM, NOW), 0x3, 17,
-                                  request_digest(ApRequest(0, entry.ticket, None)))
+                                  request_digest(ApRequest(0, entry.ticket, None),
+                                                 logged_in.provider))
     box = logged_in.provider.seal(entry.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
     token = ContextToken(LEG_INIT, codec.encode(ApRequest(0, entry.ticket, box)))
     cache = ReplayCache()

@@ -29,7 +29,8 @@ def make_tgs_request(realm, entry, now, service_id="echo", *, auth=None,
     """Hand-rolled ticket-granting request so tests can bend each field."""
     if digest is None:
         digest = request_digest(
-            TgsRequest(options, service_id, validity, nonce2, entry.ticket, None))
+            TgsRequest(options, service_id, validity, nonce2, entry.ticket, None),
+            realm.provider)
     if auth is None:
         auth = Authenticator("alice", REALM, now)
     sealed = TgsAuthenticator(auth, digest)
@@ -181,7 +182,8 @@ def test_tgs_rejects_wrong_structure_inside_authenticator(realm):
 def test_tgs_rejects_request_not_matching_sealed_digest(realm):
     entry = tgt_of(realm)
     wrong = request_digest(
-        TgsRequest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket, None))
+        TgsRequest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket, None),
+        realm.provider)
     req = make_tgs_request(realm, entry, NOW, digest=wrong)
     with pytest.raises(RequestDigestMismatch):
         handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)

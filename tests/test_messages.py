@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from kerbpk import codec
-from kerbpk.crypto import SealedBox
+from kerbpk.crypto import SealedBox, ToyProvider, get_provider
 from kerbpk.errors import (MalformedName, PrincipalMismatch, ReplayDetected,
                            ReplayWindowLost, SkewExceeded, TicketExpired,
                            TicketNotYetValid, UnknownPrincipal, UnknownRemoteError)
@@ -44,10 +44,11 @@ def test_request_bodies_are_pinned():
     assert hashlib.sha256(signable).hexdigest() == \
         "2b9239304a5ceb2f0f1f84e6e170d007fcd6be0cf9334ca744dd6b4e5393e0f4"
     tgs_req = TgsRequest(0, "echo", validity, b"\x03" * 16, ticket, box)
-    assert request_digest(tgs_req).hex() == \
-        "3d5dd19e23ca077ad79f3d324c0c5a729aecb584be44094e1f4ed435156332fc"
-    assert request_digest(ApRequest(0, ticket, box)).hex() == \
-        "3c656e4a609cde23de4d0eccd79c1875ca53751ffa6bf988f5f33bd7d49ef1f2"
+    for provider in (get_provider("toy"), get_provider("standard")):  # the same SHA-256
+        assert request_digest(tgs_req, provider).hex() == \
+            "3d5dd19e23ca077ad79f3d324c0c5a729aecb584be44094e1f4ed435156332fc"
+        assert request_digest(ApRequest(0, ticket, box), provider).hex() == \
+            "3c656e4a609cde23de4d0eccd79c1875ca53751ffa6bf988f5f33bd7d49ef1f2"
 
 
 # --------------------------------------------------------------- replay cache
@@ -90,11 +91,13 @@ def test_replay_cache_capacity_evicts_oldest(monkeypatch):
 
 ALICE = Principal("alice", "EXAMPLE")
 BOX = SealedBox(b"\x01" * 32, 4)  # the sealed authenticator, as it came off the wire
+PROVIDER = ToyProvider()  # hashes the replay key
 
 
 def test_authenticator_accepts_matching_fresh_unique():
     cache = ReplayCache()
-    validate_authenticator(Authenticator("alice", "EXAMPLE", 1000), ALICE, 1000, cache, BOX)
+    validate_authenticator(Authenticator("alice", "EXAMPLE", 1000), ALICE, 1000, cache, BOX,
+                           PROVIDER)
     assert len(cache) == 1
 
 
@@ -102,27 +105,27 @@ def test_authenticator_identity_checked_before_freshness():
     # a stale AND misnamed authenticator reports the name problem
     stale_wrong = Authenticator("mallory", "EXAMPLE", 0)
     with pytest.raises(PrincipalMismatch):
-        validate_authenticator(stale_wrong, ALICE, 10_000, ReplayCache(), BOX)
+        validate_authenticator(stale_wrong, ALICE, 10_000, ReplayCache(), BOX, PROVIDER)
     with pytest.raises(PrincipalMismatch):
         validate_authenticator(Authenticator("alice", "ELSEWHERE", 1000), ALICE,
-                               1000, ReplayCache(), BOX)
+                               1000, ReplayCache(), BOX, PROVIDER)
 
 
 def test_authenticator_freshness_checked_before_uniqueness():
     cache = ReplayCache()
     stale = Authenticator("alice", "EXAMPLE", 1000)
     with pytest.raises(SkewExceeded):
-        validate_authenticator(stale, ALICE, 1000 + CLOCK_SKEW + 1, cache, BOX)
+        validate_authenticator(stale, ALICE, 1000 + CLOCK_SKEW + 1, cache, BOX, PROVIDER)
     assert len(cache) == 0  # failed checks leave no trace
 
 
 def test_authenticator_replay_detected():
     cache = ReplayCache()
     auth = Authenticator("alice", "EXAMPLE", 1000)
-    validate_authenticator(auth, ALICE, 1000, cache, BOX)
+    validate_authenticator(auth, ALICE, 1000, cache, BOX, PROVIDER)
     with pytest.raises(ReplayDetected):
-        validate_authenticator(auth, ALICE, 1001, cache, BOX)
-    validate_authenticator(auth, ALICE, 1001, cache, SealedBox(b"\x02" * 32, 4))
+        validate_authenticator(auth, ALICE, 1001, cache, BOX, PROVIDER)
+    validate_authenticator(auth, ALICE, 1001, cache, SealedBox(b"\x02" * 32, 4), PROVIDER)
 
 
 # ------------------------------------------------------------ name validation
