@@ -16,9 +16,10 @@ a password prompt, say) exits 130.  ``KERBPK_DB``, ``KERBPK_CCACHE``, and
 Each process runs one command, so this module imports only what every command
 shares: ``codec``, ``errors`` and ``transport``.  A command imports the rest
 of what it runs when it runs, so ``service serve-echo --plain`` and ``client
-fetch --plain`` load no crypto provider and no ticket layer.  Only a command
-that builds a standard provider loads ``cryptography``, and only one that
-builds a toy provider loads ``hashlib``, so no process maps two OpenSSLs.
+fetch --plain`` load no crypto provider and no ticket layer.  A command that
+handles keys builds a standard provider, which loads ``cryptography``; only
+``scenario run`` builds a toy provider, which loads ``hashlib``, so no process
+maps two OpenSSLs.
 """
 
 from __future__ import annotations
@@ -62,18 +63,6 @@ def _realm(args) -> str:
     return _env(args.realm, "KERBPK_REALM", "EXAMPLE")
 
 
-def _provider_of(args):
-    from .crypto import get_provider
-    return get_provider(args.provider, seed=args.seed)
-
-
-def _crypto_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--provider", choices=("toy", "standard"), default="standard",
-                        help="crypto provider (default: standard)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="deterministic seed, toy provider only")
-
-
 def _call(host: str, port: int, request, expected: codec.SchemaId):
     conn = FrameClient(host, port)
     try:
@@ -99,9 +88,10 @@ def _serve(servers: list[ThreadedFrameServer], banner: str) -> int:
 
 
 def cmd_kdc_serve(args) -> int:
+    from .crypto import StandardProvider
     from .kdc import ROLE_AS, ROLE_TGS, KdcFrameSession, KdcService, PrincipalDb
     db = PrincipalDb.load(_db_path(args))
-    service = KdcService(db, _provider_of(args))
+    service = KdcService(db, StandardProvider())
     as_server = ThreadedFrameServer(lambda: KdcFrameSession(service, ROLE_AS),
                                     now_fn=_now, port=args.as_port).start()
     tgs_server = ThreadedFrameServer(lambda: KdcFrameSession(service, ROLE_TGS),
@@ -129,7 +119,8 @@ def _registering(args, provider) -> Iterator:
 
 def cmd_kdc_register_user(args) -> int:
     from .client import ClientIdentity, save_identity
-    provider = _provider_of(args)
+    from .crypto import StandardProvider
+    provider = StandardProvider()
     password = args.password if args.password is not None else getpass.getpass("password: ")
     keypair = provider.generate_keypair()
     with _registering(args, provider) as db:
@@ -146,8 +137,9 @@ def cmd_kdc_register_user(args) -> int:
 
 
 def cmd_kdc_register_service(args) -> int:
+    from .crypto import StandardProvider
     from .kdc import save_service_key
-    provider = _provider_of(args)
+    provider = StandardProvider()
     with _registering(args, provider) as db:
         record = db.register_service(args.name, provider)
     line = (f"registered principal={record.principal.name}@{record.principal.realm} "
@@ -164,8 +156,9 @@ def cmd_kdc_register_service(args) -> int:
 
 def cmd_client_kinit(args) -> int:
     from .client import ClientAgent, CredentialCache, load_identity
+    from .crypto import StandardProvider
     from .messages import Validity
-    provider = _provider_of(args)
+    provider = StandardProvider()
     password = args.password if args.password is not None else getpass.getpass("password: ")
     identity = load_identity(args.identity, password)
     cache = CredentialCache(identity.principal)
@@ -191,7 +184,8 @@ def _tgs_sender(args):
 
 def cmd_client_get_ticket(args) -> int:
     from .client import CredentialCache, request_service_ticket
-    provider = _provider_of(args)
+    from .crypto import StandardProvider
+    provider = StandardProvider()
     path = _ccache_path(args)
     cache = CredentialCache.load(path)
     entry = request_service_ticket(cache, provider, args.service, _now(),
@@ -221,9 +215,10 @@ def cmd_client_fetch(args) -> int:
 
 def _fetch_protected(args, request):
     from .client import CredentialCache, request_service_ticket
+    from .crypto import StandardProvider
     from .gateway import GatewayClient
     from .gss import initiator_for
-    provider = _provider_of(args)
+    provider = StandardProvider()
     path = _ccache_path(args)
     cache = CredentialCache.load(path)
     send_tgs = _tgs_sender(args)
@@ -260,11 +255,12 @@ def cmd_service_serve_echo(args) -> int:
         return _serve([server], f"service listening mode=plain port={server.port}")
     if not args.keytab:
         raise KerbPkError("a protected service needs --keytab (or use --plain)")
+    from .crypto import StandardProvider
     from .gateway import protected_endpoint
     from .kdc import load_service_key
     keyfile = load_service_key(args.keytab)
     server = ThreadedFrameServer(
-        protected_endpoint(keyfile.key, _provider_of(args)),
+        protected_endpoint(keyfile.key, StandardProvider()),
         now_fn=_now, port=args.port).start()
     return _serve([server],
                   f"service listening name={keyfile.principal.name}"
@@ -283,8 +279,9 @@ def _parse_backend(spec: str):
 def cmd_gateway(args) -> int:
     from .gateway import (GatewayCore, GatewayPolicy, GatewaySession, ResponseCache,
                           backend_connector, protected_endpoint)
+    from .crypto import StandardProvider
     from .kdc import load_service_key
-    provider = _provider_of(args)
+    provider = StandardProvider()
     policy = GatewayPolicy.parse(codec.read_text(args.policy, PolicyParseError, "policy"))
     keyfile = load_service_key(args.keytab)
     backends = []
@@ -385,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default=None, help="principal db path (env KERBPK_DB)")
     p.add_argument("--as-port", type=_listen_port, default=DEFAULT_AS_PORT)
     p.add_argument("--tgs-port", type=_listen_port, default=DEFAULT_TGS_PORT)
-    _crypto_args(p)
     p.set_defaults(func=cmd_kdc_serve)
 
     p = kdc.add_parser("register-user", help="add a user principal")
@@ -395,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realm", default=None, help="realm for a fresh db (env KERBPK_REALM)")
     p.add_argument("--identity-out", default=None,
                    help="also write the client identity file here")
-    _crypto_args(p)
     p.set_defaults(func=cmd_kdc_register_user)
 
     p = kdc.add_parser("register-service", help="add a service principal")
@@ -404,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realm", default=None)
     p.add_argument("--keytab-out", default=None,
                    help="also write the service key file here")
-    _crypto_args(p)
     p.set_defaults(func=cmd_kdc_register_service)
 
     client = top.add_parser("client", help="user-side operations").add_subparsers(
@@ -416,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as-port", type=_port, default=DEFAULT_AS_PORT)
     p.add_argument("--lifetime", type=int, default=None)
     p.add_argument("--ccache", default=None, help="credential cache path (env KERBPK_CCACHE)")
-    _crypto_args(p)
     p.set_defaults(func=cmd_client_kinit)
 
     p = client.add_parser("get-ticket", help="fetch a service ticket")
@@ -424,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ccache", default=None)
     p.add_argument("--tgs-host", default="127.0.0.1")
     p.add_argument("--tgs-port", type=_port, default=DEFAULT_TGS_PORT)
-    _crypto_args(p)
     p.set_defaults(func=cmd_client_get_ticket)
 
     p = client.add_parser("fetch", help="request a resource through the gateway")
@@ -441,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgs-host", default="127.0.0.1")
     p.add_argument("--tgs-port", type=_port, default=DEFAULT_TGS_PORT)
     p.add_argument("--json", action="store_true")
-    _crypto_args(p)
     p.set_defaults(func=cmd_client_fetch)
 
     service = top.add_parser("service", help="application server").add_subparsers(
@@ -451,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=_listen_port, default=0)
     p.add_argument("--plain", action="store_true",
                    help="no tickets; serve as a bare backend")
-    _crypto_args(p)
     p.set_defaults(func=cmd_service_serve_echo)
 
     p = top.add_parser("gateway", help="caching gateway in front of backends")
@@ -462,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="/prefix=host:port")
     p.add_argument("--cache-capacity", type=_entries, default=16,
                    help="response cache entries; 0 turns caching off")
-    _crypto_args(p)
     p.set_defaults(func=cmd_gateway)
 
     scenario = top.add_parser("scenario", help="scripted runs").add_subparsers(
@@ -488,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None and getattr(args, "provider", "") == "standard":
-        parser.error("--seed requires --provider toy")
     try:
         return args.func(args)
     except KerbPkError as exc:

@@ -169,7 +169,7 @@ class ClientAgent:
 
     def build_as_request(self, tgs_id: str, requested_validity: Validity) -> AsRequest:
         """Fresh nonce; signature covers every other request field."""
-        fields = (0, self.identity.principal, tgs_id, requested_validity,
+        fields = (self.identity.principal, tgs_id, requested_validity,
                   self.provider.random_nonce(), self.identity.certificate)
         signature = self.provider.sign(self.identity.keypair.private_key,
                                        as_request_signable(AsRequest(*fields, b"")))
@@ -224,7 +224,7 @@ def request_service_ticket(cache: CredentialCache, provider: CryptoProvider,
         raise NoTgt("no fresh ticket-granting ticket in the cache")
     validity = Validity(now, now + DEFAULT_LIFETIME)
     nonce2 = provider.random_nonce()
-    fields = (0, service_id, validity, nonce2, tgt.ticket)  # all but the authenticator box
+    fields = (service_id, validity, nonce2, tgt.ticket)  # all but the authenticator box
     sealed = TgsAuthenticator(Authenticator(cache.client.name, cache.client.realm, now),
                               request_digest(TgsRequest(*fields, None), provider))
     box = provider.seal(tgt.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)

@@ -7,9 +7,11 @@ names its kind: ``U8``/``U16``/``U32``/``U64`` for fixed-width integers,
 of one.  Field order is the wire order and never changes once published.  The
 encoding of a structure is one outer TLV whose tag is the schema id and whose
 value is the concatenation of its field TLVs in that order, field tags
-numbered 1..n.  All integers are fixed-width big-endian, strings are UTF-8,
-nested structures embed their own complete encoding.  There are no defaults
-and no skipped fields, so equal values encode to identical bytes and
+numbered 1..n.  A nested structure has one header, its field header: the
+field's value is the nested field TLVs, and its position names its schema.
+Each list item keeps its schema-id header, as a whole encoding does.  All
+integers are fixed-width big-endian, strings are UTF-8.  There are no
+defaults and no skipped fields, so equal values encode to identical bytes and
 decode(encode(x)) == x.
 
 Field header layout: tag (u8) then length (u32, big-endian), then the value.
@@ -72,7 +74,6 @@ class SchemaId(IntEnum):
     TICKET_BODY = 0x13
     SEALED_BOX = 0x14
     SYMMETRIC_KEY = 0x15
-    KEY_PAIR = 0x16
     CONTEXT_AUTHENTICATOR = 0x17
     WRAP_BODY = 0x18
     AP_REQ_BODY = 0x19
@@ -185,18 +186,12 @@ def _struct_codec(tag: int, cls: type, optional: bool):
             if optional and value is None:
                 return _HEADER.pack(tag, 0)
             raise MalformedValue(f"expected {cls.__name__}, got {type(value).__name__}")
-        raw = _encode_fields(sub.schema_id, sub.encoders, value)
-        if len(raw) > _MAX_FIELD:
-            raise _too_large(len(raw))
-        return _HEADER.pack(tag, len(raw)) + raw
+        return _encode_fields(tag, sub.encoders, value)
 
     def decode_struct(data: bytes, start: int, stop: int):
         if optional and start == stop:
             return None
-        obj, end = sub.decode_at(data, start, start, stop)
-        if end != stop:
-            raise TrailingGarbage(f"{stop - end} bytes after {cls.__name__}")
-        return obj
+        return sub.decode_fields(data, start, stop)
     return encode_struct, decode_struct
 
 
@@ -262,16 +257,16 @@ class _Schema:
         self._decoders = tuple(decoders)
 
     def decode_at(self, data: bytes, off: int, base: int, limit: int) -> tuple[Any, int]:
-        """Decode the structure at ``off`` inside the value ``data[base:limit]``.
+        """Decode the structure whose schema-id header is at ``off`` inside the
+        value ``data[base:limit]``.
 
         Returns the object and the offset just after it.  Nothing the structure
         declares may reach past ``limit``; error messages give offsets from the
         start of the value that holds the header at fault.
         """
-        unpack_from = _HEADER.unpack_from
         if off + _HEADER_SIZE > limit:
             raise _short_header(off - base, limit - off)
-        tag, length = unpack_from(data, off)
+        tag, length = _HEADER.unpack_from(data, off)
         pos = off + _HEADER_SIZE
         end = pos + length
         if end > limit:
@@ -280,6 +275,11 @@ class _Schema:
             if tag in _KNOWN_IDS:
                 raise SchemaMismatch(f"expected schema {self.schema_id:#x}, found {tag:#x}")
             raise UnknownTag(f"unknown schema tag {tag:#x}")
+        return self.decode_fields(data, pos, end), end
+
+    def decode_fields(self, data: bytes, pos: int, end: int) -> Any:
+        """Decode the field TLVs that fill ``data[pos:end]`` exactly."""
+        unpack_from = _HEADER.unpack_from
         body = pos
         values = []
         for index, name, decode_field in self._decoders:
@@ -297,7 +297,7 @@ class _Schema:
             values.append(decode_field(data, start, pos))
         if pos != end:
             raise TrailingGarbage(f"{end - pos} unread bytes inside {self.cls.__name__}")
-        return self.cls(*values), end
+        return self.cls(*values)
 
 
 _by_type: dict[type, _Schema] = {}

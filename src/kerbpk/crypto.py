@@ -71,7 +71,6 @@ class SymmetricKey:
     provider_id: str
 
 
-@codec.structure(codec.SchemaId.KEY_PAIR)
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes

@@ -234,7 +234,7 @@ class ContextInitiator:
                 raise StateError("first initiator step takes no input token")
             ticket, session_key = self.ticket_source(self.target.principal, now)
             initial_seq = int.from_bytes(self.provider.random_nonce(), "big") >> 1
-            fields = (0, ticket)  # all but the authenticator box
+            fields = (ticket,)  # all but the authenticator box
             auth = Authenticator(self.cred.name.principal.name,
                                  self.cred.name.principal.realm, now)
             sealed = ContextAuthenticator(auth, ALL_FLAGS, initial_seq,

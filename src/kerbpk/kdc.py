@@ -39,7 +39,6 @@ from .messages import (
     AsReply,
     AsRequest,
     Certificate,
-    FLAG_INITIAL,
     Principal,
     ReplayCache,
     SealedTicket,
@@ -196,8 +195,7 @@ def handle_as_request(db: PrincipalDb, req: AsRequest, now: int, provider: Crypt
         raise UnknownPrincipal(f"no ticket-granting service named {req.tgs_id}")
 
     session_key = provider.random_session_key()
-    body = TicketBody(FLAG_INITIAL, session_key, req.client.realm, req.client.name,
-                      client_address, granted)
+    body = TicketBody(session_key, req.client.realm, req.client.name, client_address, granted)
     ticket = SealedTicket(tgs.principal,
                           provider.seal(tgs.long_term_key, codec.encode(body), SealLabel.TICKET))
     enc = AsEncPart(provider.pk_encrypt(record.certificate.public_key, session_key.data),
@@ -220,7 +218,7 @@ def handle_tgs_request(db: PrincipalDb, req: TgsRequest, now: int, replay_cache:
     # a service ticket never outlives the ticket-granting ticket (RFC 4120 3.3.3)
     granted = _grant(req.requested_validity, now, min(now + MAX_LIFETIME, body.validity.till))
     session_key = provider.random_session_key()
-    service_body = TicketBody(0, session_key, body.client_realm, body.client_id,
+    service_body = TicketBody(session_key, body.client_realm, body.client_id,
                               body.client_address, granted)
     ticket = SealedTicket(service.principal,
                           provider.seal(service.long_term_key, codec.encode(service_body),

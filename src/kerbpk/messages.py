@@ -39,9 +39,6 @@ from .errors import (
 )
 from .transport import check_reply
 
-#: TicketBody.flags bit set only by the authentication server on fresh TGTs.
-FLAG_INITIAL = 0x1
-
 #: Realm-wide clock-skew allowance, in seconds, for every time check.
 CLOCK_SKEW = 300
 
@@ -103,7 +100,6 @@ class Validity:
 @codec.structure(codec.SchemaId.TICKET_BODY)
 @dataclass(frozen=True)
 class TicketBody:
-    flags: codec.U32
     session_key: SymmetricKey
     client_realm: str
     client_id: str
@@ -130,7 +126,6 @@ class Authenticator:
 @codec.structure(codec.SchemaId.AS_REQUEST)
 @dataclass(frozen=True)
 class AsRequest:
-    options: codec.U32
     client: Principal
     tgs_id: str
     requested_validity: Validity
@@ -160,7 +155,6 @@ class AsReply:
 @codec.structure(codec.SchemaId.TGS_REQUEST)
 @dataclass(frozen=True)
 class TgsRequest:
-    options: codec.U32
     service_id: str
     requested_validity: Validity
     nonce2: bytes
@@ -197,7 +191,6 @@ class TgsReply:
 @codec.structure(codec.SchemaId.AP_REQUEST)
 @dataclass(frozen=True)
 class ApRequest:
-    options: codec.U32
     ticket: SealedTicket
     authenticator: SealedBox
 
@@ -245,14 +238,15 @@ class ReplayCache:
     """Bounded, windowed set of (realm, client, timestamp, box digest) keys.
 
     Entries older than ``REPLAY_WINDOW`` are pruned; beyond ``REPLAY_CAPACITY``
-    entries the oldest inserted goes first, and from then on every timestamp at
-    or below the evicted one is refused (RFC 4120 3.2.3).  Thread-safe.
+    entries the oldest inserted goes first, and from then on every timestamp of
+    its (realm, client) at or below the evicted one is refused (RFC 4120 3.2.3).
+    A flood thus locks out only its sender.  Thread-safe.
     """
 
     def __init__(self):
         self._seen: OrderedDict[tuple, int] = OrderedDict()
         self._lock = threading.Lock()
-        self._floor = -1    # no entry evicted yet
+        self._floors: dict[tuple, int] = {}    # (realm, client) -> highest evicted timestamp
 
     def __len__(self) -> int:
         with self._lock:
@@ -268,12 +262,16 @@ class ReplayCache:
                 self._seen.popitem(last=False)
             if triple in self._seen:
                 raise ReplayDetected(f"authenticator triple {triple!r} seen before")
-            if triple[2] <= self._floor:
-                raise ReplayWindowLost(f"timestamp {triple[2]} not above evicted {self._floor}")
+            who, floor = triple[:2], self._floors.get(triple[:2], -1)
+            if floor < cutoff:
+                # every timestamp at or below it is outside the skew already
+                self._floors.pop(who, None)
+            elif triple[2] <= floor:
+                raise ReplayWindowLost(f"timestamp {triple[2]} not above evicted {floor}")
             self._seen[triple] = now
             while len(self._seen) > REPLAY_CAPACITY:
                 evicted, _ = self._seen.popitem(last=False)
-                self._floor = max(self._floor, evicted[2])
+                self._floors[evicted[:2]] = max(self._floors.get(evicted[:2], -1), evicted[2])
 
 
 def validate_authenticator(auth: Authenticator, expected: Principal, now: int,

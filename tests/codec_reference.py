@@ -1,16 +1,26 @@
 """Interpretive reference codec that the compiled ``kerbpk.codec`` must match.
 
-This walks each schema's declared field list on every call and copies each
-nested value out of its parent.  It reads the schemas registered with
-``kerbpk.codec`` and is used only by tests, which compare bytes, decoded
-objects, exception classes and messages between the two.
+It states the wire format on its own terms and imports nothing of
+``kerbpk.codec``: it keeps its own table of schema ids, reads each field's kind
+from the class annotations on every call, and copies each nested value out of
+its parent.  Tests compare bytes, decoded objects, exception classes and
+messages between the two.
+
+The rule: a whole encoding is one TLV tagged with the schema id, around the
+field TLVs tagged 1..n.  A nested structure's field value is its field TLVs
+alone, with no header of its own; an optional one that is absent is empty.  A
+list's value is its items' whole encodings, back to back.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import dataclasses
+import struct
+from typing import Annotated, Any, Union, get_args, get_origin, get_type_hints
 
-from kerbpk import codec
+from kerbpk.app import AppRequest, AppResponse
+from kerbpk.client import CredentialCacheFile, CredEntry, IdentityFile, ServiceCred
+from kerbpk.crypto import SealedBox, SymmetricKey
 from kerbpk.errors import (
     FieldTooLarge,
     MalformedValue,
@@ -19,10 +29,57 @@ from kerbpk.errors import (
     Truncated,
     UnknownTag,
 )
+from kerbpk.gss import ContextAuthenticator, ContextToken, WrapBody, WrapToken
+from kerbpk.kdc import PrincipalRecord, ServiceKeyFile
+from kerbpk.messages import (ApEncPart, ApReply, ApRequest, AsEncPart, AsReply, AsRequest,
+                             Authenticator, Certificate, Principal, SealedTicket, TgsAuthenticator,
+                             TgsEncPart, TgsReply, TgsRequest, TicketBody, Validity)
+from kerbpk.transport import ErrorReply
 
-_HEADER = codec._HEADER
+_HEADER = struct.Struct(">BI")
 _MAX_FIELD = 0xFFFFFFFF
 _INT_WIDTH = {"u8": 1, "u16": 2, "u32": 4, "u64": 8}
+
+#: Every structure on the wire or on disk, by schema id.
+SCHEMAS = {
+    0x01: AsRequest, 0x02: AsReply, 0x03: TgsRequest, 0x04: TgsReply,
+    0x05: ApRequest, 0x06: ApReply, 0x07: SealedTicket, 0x08: Authenticator,
+    0x09: ContextToken, 0x0A: WrapToken, 0x0B: AsEncPart, 0x0C: TgsEncPart,
+    0x0D: ApEncPart,
+    0x10: Principal, 0x11: Certificate, 0x12: Validity, 0x13: TicketBody,
+    0x14: SealedBox, 0x15: SymmetricKey, 0x17: ContextAuthenticator, 0x18: WrapBody,
+    0x1B: TgsAuthenticator,
+    0x20: PrincipalRecord, 0x21: CredentialCacheFile, 0x22: CredEntry,
+    0x23: ServiceKeyFile, 0x24: IdentityFile, 0x25: ServiceCred,
+    0x30: AppRequest, 0x31: AppResponse, 0x3F: ErrorReply,
+}
+SCHEMA_ID = {cls: schema_id for schema_id, cls in SCHEMAS.items()}
+
+#: The request bodies that signatures and digests cover: known, not decodable.
+BODY_IDS = {"AP_REQ_BODY": 0x19, "TGS_REQ_BODY": 0x1A, "AS_REQ_BODY": 0x1C}
+KNOWN_IDS = set(SCHEMAS) | set(BODY_IDS.values())
+
+
+def fields(cls: type) -> list[tuple[str, str, Any]]:
+    """(name, kind, nested class or None) for each init field of ``cls``, in order."""
+    hints = get_type_hints(cls, include_extras=True)
+    out = []
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        hint = hints[f.name]
+        origin, args = get_origin(hint), get_args(hint)
+        if hint in (bytes, str):
+            out.append((f.name, hint.__name__, None))
+        elif origin is Annotated:
+            out.append((f.name, args[1], None))
+        elif origin is Union:
+            out.append((f.name, "opt", args[0]))
+        elif origin is list:
+            out.append((f.name, "list", args[0]))
+        else:
+            out.append((f.name, "struct", hint))
+    return out
 
 
 def _field(tag: int, value: bytes) -> bytes:
@@ -47,21 +104,31 @@ def _encode_value(kind: str, arg, value: Any) -> bytes:
         if not isinstance(value, str):
             raise MalformedValue(f"expected str, got {type(value).__name__}")
         return value.encode("utf-8")
-    if kind == "struct":
-        return encode(value)
-    if kind == "opt":
-        return b"" if value is None else encode(value)
-    return b"".join(encode(item) for item in value)
+    if kind == "opt" and value is None:
+        return b""
+    if kind in ("struct", "opt"):
+        if type(value) is not arg:
+            raise MalformedValue(f"expected {arg.__name__}, got {type(value).__name__}")
+        return encode_fields(value)
+    items = []
+    for item in value:
+        if type(item) is not arg:
+            raise MalformedValue(f"expected {arg.__name__} items, got {type(item).__name__}")
+        items.append(encode(item))
+    return b"".join(items)
+
+
+def encode_fields(obj: Any) -> bytes:
+    """The field TLVs of ``obj``, with no header around them."""
+    return b"".join(_field(index, _encode_value(kind, arg, getattr(obj, name)))
+                    for index, (name, kind, arg) in enumerate(fields(type(obj)), start=1))
 
 
 def encode(obj: Any) -> bytes:
-    schema = codec._by_type.get(type(obj))
-    if schema is None:
+    schema_id = SCHEMA_ID.get(type(obj))
+    if schema_id is None:
         raise TypeError(f"no schema registered for {type(obj).__name__}")
-    parts = []
-    for index, (name, kind, arg) in enumerate(schema.fields, start=1):
-        parts.append(_field(index, _encode_value(kind, arg, getattr(obj, name))))
-    return _field(schema.schema_id, b"".join(parts))
+    return _field(schema_id, encode_fields(obj))
 
 
 def _read_tlv(data: bytes, off: int) -> tuple[int, bytes, int]:
@@ -87,57 +154,49 @@ def _decode_value(kind: str, arg, value: bytes):
             return value.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedValue(f"invalid UTF-8 in string field: {exc}") from None
-    if kind == "struct":
-        return _decode_exact(value, _require_schema(arg))
-    if kind == "opt":
-        if not value:
-            return None
-        return _decode_exact(value, _require_schema(arg))
+    if kind == "opt" and not value:
+        return None
+    if kind in ("struct", "opt"):
+        return decode_fields(value, arg)
     items = []
     pos = 0
-    schema = _require_schema(arg)
     while pos < len(value):
-        item, pos = _decode_at(value, pos, schema)
+        item, pos = _decode_at(value, pos, arg)
         items.append(item)
     return items
 
 
-def _require_schema(cls: type):
-    schema = codec._by_type.get(cls)
-    if schema is None:
-        raise TypeError(f"no schema registered for {cls.__name__}")
-    return schema
-
-
-def _decode_at(data: bytes, off: int, schema) -> tuple[Any, int]:
-    tag, value, end = _read_tlv(data, off)
-    if tag != schema.schema_id:
-        if tag in codec._KNOWN_IDS:
-            raise SchemaMismatch(f"expected schema {schema.schema_id:#x}, found {tag:#x}")
-        raise UnknownTag(f"unknown schema tag {tag:#x}")
+def decode_fields(value: bytes, cls: type) -> Any:
+    """A ``cls`` from field TLVs that fill ``value`` exactly."""
     kwargs = {}
     pos = 0
-    for index, (name, kind, arg) in enumerate(schema.fields, start=1):
+    for index, (name, kind, arg) in enumerate(fields(cls), start=1):
         if pos >= len(value):
-            raise Truncated(f"missing field {index} ({name}) of {schema.cls.__name__}")
+            raise Truncated(f"missing field {index} ({name}) of {cls.__name__}")
         ftag, fval, pos = _read_tlv(value, pos)
         if ftag != index:
-            raise UnknownTag(f"expected field tag {index} in {schema.cls.__name__}, found {ftag}")
+            raise UnknownTag(f"expected field tag {index} in {cls.__name__}, found {ftag}")
         kwargs[name] = _decode_value(kind, arg, fval)
     if pos != len(value):
-        raise TrailingGarbage(f"{len(value) - pos} unread bytes inside {schema.cls.__name__}")
-    return schema.cls(**kwargs), end
+        raise TrailingGarbage(f"{len(value) - pos} unread bytes inside {cls.__name__}")
+    return cls(**kwargs)
 
 
-def _decode_exact(data: bytes, schema) -> Any:
-    obj, end = _decode_at(data, 0, schema)
-    if end != len(data):
-        raise TrailingGarbage(f"{len(data) - end} bytes after {schema.cls.__name__}")
-    return obj
+def _decode_at(data: bytes, off: int, cls: type) -> tuple[Any, int]:
+    tag, value, end = _read_tlv(data, off)
+    if tag != SCHEMA_ID[cls]:
+        if tag in KNOWN_IDS:
+            raise SchemaMismatch(f"expected schema {SCHEMA_ID[cls]:#x}, found {tag:#x}")
+        raise UnknownTag(f"unknown schema tag {tag:#x}")
+    return decode_fields(value, cls), end
 
 
 def decode(data: bytes, expected: int) -> Any:
-    schema = codec._by_id.get(int(expected))
-    if schema is None:
+    cls = SCHEMAS.get(int(expected))
+    if cls is None:
         raise TypeError(f"no schema registered for id {int(expected):#x}")
-    return _decode_exact(bytes(data), schema)
+    data = bytes(data)
+    obj, end = _decode_at(data, 0, cls)
+    if end != len(data):
+        raise TrailingGarbage(f"{len(data) - end} bytes after {cls.__name__}")
+    return obj

@@ -36,6 +36,12 @@ class Realm:
         self.agent = ClientAgent(self.identity, provider)
         self.sent = Counter()  # requests carried to the KDC, by endpoint role
 
+    def enroll(self, name: str) -> ClientAgent:
+        """One more user, on alice's key pair, and that user's agent."""
+        record = self.db.register_user(name, "pw", self.keypair.public_key, self.provider)
+        identity = ClientIdentity(record.principal, "pw", self.keypair, record.certificate)
+        return ClientAgent(identity, self.provider)
+
     # The KDC decodes wire payloads itself, so the in-process path re-encodes.
     def send_as(self, request, now: int = NOW):
         self.sent["as"] += 1

@@ -101,7 +101,7 @@ def test_replayed_and_reordered_frames_are_always_caught(capsys):
 
 # SHA-256 of every flipped run's render(), back to back in sweep order: the
 # sweep answers each flip exactly as it did when this was pinned.
-SWEEP_RENDERS_SHA256 = "3ae851f7141af101c78ba0980f81325266859e41698c8bae476c287053e741d1"
+SWEEP_RENDERS_SHA256 = "00064acda4c471191c03a0b8fa93496033c08be75b8285475197a2e0ac70ee61"
 
 
 def test_every_wire_bit_flip_is_rejected(capsys):

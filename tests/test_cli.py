@@ -17,6 +17,7 @@ import queue
 import selectors
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -165,6 +166,22 @@ def test_db_inspect(stack):
     kinds = {p["name"]: p["kind"] for p in data["principals"]}
     assert kinds == {"alice": "user", "gateway": "service", "krbtgt": "tgs"}
     assert kinds and data["realm"] == "EXAMPLE"
+
+
+def test_a_db_in_the_old_nested_layout_is_refused(tmp_path):
+    # the layout before a nested structure's field header became its only one:
+    # the field held the nested structure's whole encoding, schema id and all
+    def tlv(tag, value):
+        return struct.pack(">BI", tag, len(value)) + value
+    principal = tlv(0x10, tlv(1, b"krbtgt") + tlv(2, b"EXAMPLE"))
+    key = tlv(0x15, tlv(1, bytes(32)) + tlv(2, b"standard"))
+    path = tmp_path / "old.db"
+    path.write_text(tlv(0x20, tlv(1, principal) + tlv(2, key) + tlv(3, b"") + tlv(4, b"\x03"))
+                    .hex() + "\n")
+    result = run_cli("db", "inspect", "--db", str(path))
+    assert result.returncode == 1
+    assert result.stderr == (f"error=DbParseError detail={path}:1: "
+                             "expected field tag 1 in Principal, found 16\n")
 
 
 def test_wrong_password_exits_1_and_writes_nothing(stack):
@@ -317,8 +334,7 @@ def test_unreadable_scenario_is_a_scenario_error(stack):
 
 def test_overlapping_registrations_keep_both_principals(tmp_path, monkeypatch):
     db_path = str(tmp_path / "realm.db")
-    assert run_cli("kdc", "register-service", "echo", "--db", db_path,
-                   "--provider", "toy").returncode == 0
+    assert run_cli("kdc", "register-service", "echo", "--db", db_path).returncode == 0
     first_saving, second_loaded = threading.Event(), threading.Event()
     load, save = PrincipalDb.load.__func__, PrincipalDb.save
 
@@ -341,7 +357,7 @@ def test_overlapping_registrations_keep_both_principals(tmp_path, monkeypatch):
 
     def register(name):
         codes.append(cli.main(["kdc", "register-user", name, "--password", "pw",
-                               "--db", db_path, "--provider", "toy"]))
+                               "--db", db_path]))
 
     first = threading.Thread(target=register, args=("alice",))
     first.start()
@@ -410,7 +426,13 @@ def test_usage_errors_exit_2(stack):
     assert stack.cli("nonsense").returncode == 2
     seeded = stack.cli("kdc", "register-service", "x", "--seed", "7")
     assert seeded.returncode == 2
-    assert "--seed requires --provider toy" in seeded.stderr
+    assert "unrecognized arguments: --seed 7" in seeded.stderr
+    # every key a command writes comes from the standard provider's OS randomness
+    for command in (("kdc", "register-user", "x", "--password", "pw"),
+                    ("kdc", "register-service", "x")):
+        toy = stack.cli(*command, "--provider", "toy")
+        assert toy.returncode == 2
+        assert "unrecognized arguments: --provider toy" in toy.stderr
     assert run_child("nonsense", cwd=stack.root).returncode == 2
 
 

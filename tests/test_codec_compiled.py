@@ -24,7 +24,7 @@ from kerbpk.messages import (ApRequest, AsRequest, Principal, TgsRequest,
                              as_request_signable, request_digest)
 from kerbpk.scenario import load_scenario, run_scenario
 
-SCHEMA_IDS = sorted(codec._by_id)
+SCHEMA_IDS = sorted(reference.SCHEMAS)
 SCHEMA_NAMES = [codec.SchemaId(sid).name for sid in SCHEMA_IDS]
 
 
@@ -36,7 +36,7 @@ def outcome(decode, data: bytes, schema_id: int):
 
 
 def assert_same_as_reference(obj) -> None:
-    schema_id = codec._by_type[type(obj)].schema_id
+    schema_id = reference.SCHEMA_ID[type(obj)]
     data = codec.encode(obj)
     assert data == reference.encode(obj)
     assert codec.decode(data, schema_id) == reference.decode(data, schema_id) == obj
@@ -48,6 +48,15 @@ def assert_same_as_reference(obj) -> None:
         flipped[bit // 8] ^= 1 << (bit % 8)
         assert outcome(codec.decode, bytes(flipped), schema_id) == \
             outcome(reference.decode, bytes(flipped), schema_id), f"bit {bit} flipped"
+
+
+def test_registry_matches_reference_table():
+    assert {sid: schema.cls for sid, schema in codec._by_id.items()} == reference.SCHEMAS
+    assert set(codec._KNOWN_IDS) == reference.KNOWN_IDS
+    for name, body_id in reference.BODY_IDS.items():
+        assert codec.SchemaId[name] == body_id
+    for schema in codec._by_id.values():
+        assert list(schema.fields) == reference.fields(schema.cls), schema.cls.__name__
 
 
 # ------------------------------------------------------- a real protocol run
@@ -71,7 +80,7 @@ def happy_path_values():
 
 
 def test_happy_path_values_cover_every_exchange(happy_path_values):
-    covered = {codec._by_type[type(obj)].schema_id for obj in happy_path_values}
+    covered = {reference.SCHEMA_ID[type(obj)] for obj in happy_path_values}
     wire = {codec.SchemaId.AS_REQUEST, codec.SchemaId.AS_REPLY, codec.SchemaId.TGS_REQUEST,
             codec.SchemaId.TGS_REPLY, codec.SchemaId.CONTEXT_TOKEN, codec.SchemaId.WRAP_TOKEN}
     sealed = {codec.SchemaId.TICKET_BODY, codec.SchemaId.ENC_PART_AS, codec.SchemaId.ENC_PART_TGS,
@@ -95,9 +104,9 @@ def value_strategy(cls):
     if cls is Principal:  # its name rules reject most text
         return st.builds(Principal, _NAME, _REALM)
     fields = {}
-    for name, kind, arg in codec._by_type[cls].fields:
-        if kind in codec._INT_CODECS:
-            size = codec._INT_CODECS[kind].size
+    for name, kind, arg in reference.fields(cls):
+        if kind in reference._INT_WIDTH:
+            size = reference._INT_WIDTH[kind]
             fields[name] = st.integers(min_value=0, max_value=(1 << (8 * size)) - 1)
         elif kind == "bytes":
             fields[name] = st.binary(max_size=12)
@@ -116,13 +125,13 @@ def value_strategy(cls):
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_generated_values_match_reference(schema_id, data):
-    cls = codec._by_id[schema_id].cls
+    cls = reference.SCHEMAS[schema_id]
     assert_same_as_reference(data.draw(value_strategy(cls)))
 
 
 def reference_body(req, body_id: int) -> bytes:
     """The reference encoding of ``req`` with its last field dropped, tagged ``body_id``."""
-    fields = codec._by_type[type(req)].fields
+    fields = reference.fields(type(req))
     name, kind, arg = fields[-1]
     last = reference._field(len(fields), reference._encode_value(kind, arg, getattr(req, name)))
     whole = reference.encode(req)

@@ -7,13 +7,14 @@ import time
 
 import pytest
 
-from conftest import (NOW, RecordingEcho, gateway_endpoint, gateway_stack, initiator_factory,
-                      recv_frame, service_endpoint, sim_backend)
+from conftest import (NOW, RecordingEcho, cache_ticket_source, gateway_endpoint, gateway_stack,
+                      initiator_factory, recv_frame, service_endpoint, sim_backend)
 from kerbpk import codec, gateway, messages, transport
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseError,
                            ReplayDetected, Timeout, UnknownService)
 from kerbpk.app import SERVED_BACKEND, SERVED_CACHE, AppRequest, AppResponse, BackendSession
 from kerbpk.gateway import BYPASS, PROTECT, GatewayClient, GatewayCore, GatewayPolicy, ResponseCache
+from kerbpk.gss import initiator_for
 from kerbpk.messages import CLOCK_SKEW
 from kerbpk.transport import (Drop, Duplicate, ErrorReply, FrameClient, ThreadedFrameServer,
                               call, send_frame)
@@ -410,6 +411,25 @@ def test_first_leg_replayed_after_a_flood_is_refused(monkeypatch, logged_in):
     replies, close = endpoint().feed(codec.encode(captured), NOW + 10)
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "ReplayWindowLost"
+
+
+def test_first_leg_flood_by_one_principal_locks_out_only_that_principal(monkeypatch,
+                                                                         logged_in):
+    monkeypatch.setattr(messages, "REPLAY_CAPACITY", 4)
+    endpoint, initiator = service_endpoint(logged_in), initiator_factory(logged_in)
+    bob = logged_in.enroll("bob")
+    bob.kinit(logged_in.send_as, NOW)
+    bob.get_service_ticket("echo", NOW, logged_in.send_tgs)
+    source = cache_ticket_source(bob.cache)
+    # bob's first legs, dated at the far edge of the skew, overflow the cache
+    for _ in range(5):
+        leg1, _ = initiator_for(bob.cache, "echo", logged_in.provider, source).step(
+            None, NOW + CLOCK_SKEW)
+        replies, close = endpoint().feed(codec.encode(leg1), NOW)
+        assert codec.schema_id_of(replies[0]) == codec.SchemaId.CONTEXT_TOKEN and not close
+    leg1, _ = initiator(NOW + 10).step(None, NOW + 10)
+    replies, close = endpoint().feed(codec.encode(leg1), NOW + 10)
+    assert codec.schema_id_of(replies[0]) == codec.SchemaId.CONTEXT_TOKEN and not close
 
 
 def test_cache_eviction_under_capacity_pressure(logged_in):

@@ -222,7 +222,9 @@ def test_acceptor_rejects_tampered_authenticator(logged_in):
 def test_acceptor_rejects_request_outside_sealed_digest(logged_in):
     _, acc, token = leg1(logged_in)
     request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
-    forged = dataclasses.replace(request, options=1)  # sealed digest says 0
+    # the box still opens, but the plaintext server hint is covered by the digest
+    forged = dataclasses.replace(
+        request, ticket=dataclasses.replace(request.ticket, server=Principal("other", REALM)))
     with pytest.raises(TokenIntegrityError):
         acc.step(retoken(token, forged), NOW)
 
@@ -230,10 +232,10 @@ def test_acceptor_rejects_request_outside_sealed_digest(logged_in):
 def test_acceptor_requires_all_flags_asserted(logged_in):
     entry = logged_in.agent.cache.peek_service("echo")
     sealed = ContextAuthenticator(Authenticator("alice", REALM, NOW), 0x3, 17,
-                                  request_digest(ApRequest(0, entry.ticket, None),
+                                  request_digest(ApRequest(entry.ticket, None),
                                                  logged_in.provider))
     box = logged_in.provider.seal(entry.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
-    token = ContextToken(LEG_INIT, codec.encode(ApRequest(0, entry.ticket, box)))
+    token = ContextToken(LEG_INIT, codec.encode(ApRequest(entry.ticket, box)))
     cache = ReplayCache()
     acc = ContextAcceptor(logged_in.service.long_term_key, logged_in.provider, cache)
     with pytest.raises(RequiredFlagMissing):

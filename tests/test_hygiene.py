@@ -1,10 +1,13 @@
 """Source hygiene: every name a library or test module imports is used in that
 module, only one function makes a replay cache, only one function reads a
-frame's length header, no per-message path runs an import statement, and
-every name the benchmark takes from the library resolves."""
+frame's length header, no per-message path runs an import statement, every
+registered structure is reachable, and every name the benchmark takes from the
+library resolves."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +88,28 @@ def test_no_per_message_path_imports():
                  if any(isinstance(inner, (ast.Import, ast.ImportFrom))
                         for inner in ast.walk(node))]
     assert importing == []
+
+
+def test_every_registered_structure_is_reachable():
+    # A structure is used where a src/ line other than its decorator names its
+    # schema id (to decode or load it), or where a used structure holds it.
+    from kerbpk import codec
+    lines = [line for path in MODULES for line in path.read_text().splitlines()]
+    decorated = [line for line in lines if line.lstrip().startswith("@codec.structure(")]
+    for path in MODULES:
+        importlib.import_module(f"kerbpk.{path.stem}")
+    assert len(decorated) == len(codec._by_id)  # the scan sees every registration
+    named = {name for line in lines if line not in decorated
+             for name in re.findall(r"SchemaId\.([A-Z_]+)", line)}
+    reachable, todo = set(), [codec._by_id[codec.SchemaId[name]] for name in named
+                              if codec.SchemaId[name] in codec._by_id]
+    while todo:
+        schema = todo.pop()
+        if schema.cls not in reachable:
+            reachable.add(schema.cls)
+            todo += [codec._by_type[nested] for _, _, nested in schema.fields if nested]
+    assert sorted(schema.cls.__name__ for schema in codec._by_id.values()
+                  if schema.cls not in reachable) == []
 
 
 def test_the_benchmark_resolves_against_src():

@@ -17,25 +17,24 @@ from kerbpk.errors import (AddressMismatch, AuthenticatorIntegrityError,
                            UnknownService)
 from kerbpk.kdc import (KdcFrameSession, PrincipalDb, RecordKind, handle_as_request,
                         handle_tgs_request, load_service_key, save_service_key)
-from kerbpk.messages import (FLAG_INITIAL, Authenticator, Principal, ReplayCache,
-                             TgsAuthenticator, TgsRequest, Validity,
-                             request_digest)
+from kerbpk.messages import (Authenticator, Principal, ReplayCache, TgsAuthenticator,
+                             TgsRequest, Validity, request_digest)
 
 HOUR = Validity(NOW, NOW + 3600)
 
 
 def make_tgs_request(realm, entry, now, service_id="echo", *, auth=None,
-                     digest=None, nonce2=b"\x11" * 8, options=0, validity=HOUR):
+                     digest=None, nonce2=b"\x11" * 8, validity=HOUR):
     """Hand-rolled ticket-granting request so tests can bend each field."""
     if digest is None:
         digest = request_digest(
-            TgsRequest(options, service_id, validity, nonce2, entry.ticket, None),
+            TgsRequest(service_id, validity, nonce2, entry.ticket, None),
             realm.provider)
     if auth is None:
         auth = Authenticator("alice", REALM, now)
     sealed = TgsAuthenticator(auth, digest)
     box = realm.provider.seal(entry.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
-    return TgsRequest(options, service_id, validity, nonce2, entry.ticket, box)
+    return TgsRequest(service_id, validity, nonce2, entry.ticket, box)
 
 
 # -------------------------------------------------------------- initial auth
@@ -129,7 +128,6 @@ def test_as_issues_capped_initial_ticket(realm):
     body = codec.decode(realm.provider.open(tgs_key, reply.ticket.box, SealLabel.TICKET),
                         codec.SchemaId.TICKET_BODY)
     assert body.validity == Validity(NOW, NOW + 28800)  # capped, not the full ask
-    assert body.flags == FLAG_INITIAL
     assert (body.client_id, body.client_realm) == ("alice", REALM)
 
 
@@ -182,7 +180,7 @@ def test_tgs_rejects_wrong_structure_inside_authenticator(realm):
 def test_tgs_rejects_request_not_matching_sealed_digest(realm):
     entry = tgt_of(realm)
     wrong = request_digest(
-        TgsRequest(0, "other-service", HOUR, b"\x11" * 8, entry.ticket, None),
+        TgsRequest("other-service", HOUR, b"\x11" * 8, entry.ticket, None),
         realm.provider)
     req = make_tgs_request(realm, entry, NOW, digest=wrong)
     with pytest.raises(RequestDigestMismatch):
@@ -233,6 +231,20 @@ def test_tgs_refuses_a_replay_once_a_flood_has_evicted_it(monkeypatch, realm):
     realm.send_tgs(make_tgs_request(realm, entry, NOW + 10), now=NOW + 10)  # later ones pass
 
 
+def test_tgs_flood_by_one_principal_locks_out_only_that_principal(monkeypatch, realm):
+    monkeypatch.setattr(messages, "REPLAY_CAPACITY", 8)
+    bob_tgt = realm.enroll("bob").kinit(realm.send_as, NOW)
+
+    def bob_at_the_skew_edge(i):
+        return make_tgs_request(realm, bob_tgt, NOW, nonce2=bytes([i]) * 8,
+                                auth=Authenticator("bob", REALM, NOW + 300))
+    for i in range(9):  # one more than fits: his first entry is evicted
+        realm.send_tgs(bob_at_the_skew_edge(i))
+    realm.send_tgs(make_tgs_request(realm, tgt_of(realm), NOW))  # alice is still served
+    with pytest.raises(ReplayWindowLost):
+        realm.send_tgs(bob_at_the_skew_edge(9))  # the loss was bob's
+
+
 def test_tgs_rejects_unknown_service(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW, service_id="missing")
@@ -254,7 +266,6 @@ def test_tgs_issues_service_ticket(realm):
         realm.provider.open(realm.service.long_term_key, reply.ticket.box, SealLabel.TICKET),
         codec.SchemaId.TICKET_BODY)
     assert (body.client_id, body.client_realm) == ("alice", REALM)
-    assert body.flags == 0  # not an initial-auth ticket
     assert body.session_key != entry.key  # fresh key per service leg
 
 

@@ -37,18 +37,18 @@ def test_request_bodies_are_pinned():
     validity = Validity(1_000_000, 1_028_800)
     ticket = SealedTicket(Principal("krbtgt", "EXAMPLE"), SealedBox(b"\xa5" * 48, 1))
     box = SealedBox(b"\x5a" * 40, 3)
-    as_req = AsRequest(0, alice, "krbtgt", validity, b"\x01" * 16,
+    as_req = AsRequest(alice, "krbtgt", validity, b"\x01" * 16,
                        Certificate(alice, bytes(range(32)), 7), b"\x02" * 64)
     signable = as_request_signable(as_req)
-    assert signable[:5] == bytes.fromhex("1c000000c9")  # AS_REQ_BODY, 201 bytes
+    assert signable[:5] == bytes.fromhex("1c000000ac")  # AS_REQ_BODY, 172 bytes
     assert hashlib.sha256(signable).hexdigest() == \
-        "2b9239304a5ceb2f0f1f84e6e170d007fcd6be0cf9334ca744dd6b4e5393e0f4"
-    tgs_req = TgsRequest(0, "echo", validity, b"\x03" * 16, ticket, box)
+        "ff7f09a1f8b35bc920e4a77ec1efc7aacb3c35cc2caa6c9fcbcadc71293a0110"
+    tgs_req = TgsRequest("echo", validity, b"\x03" * 16, ticket, box)
     for provider in (get_provider("toy"), get_provider("standard")):  # the same SHA-256
         assert request_digest(tgs_req, provider).hex() == \
-            "3d5dd19e23ca077ad79f3d324c0c5a729aecb584be44094e1f4ed435156332fc"
-        assert request_digest(ApRequest(0, ticket, box), provider).hex() == \
-            "3c656e4a609cde23de4d0eccd79c1875ca53751ffa6bf988f5f33bd7d49ef1f2"
+            "a2cd5d44670844a04860cb9bdb6e24f33edcf3c0cc97241f4f10edf8b433621e"
+        assert request_digest(ApRequest(ticket, box), provider).hex() == \
+            "578167eccc29345bcb110bb6ce1d3cbc5a2663eebe29f821146eedf8c91689c4"
 
 
 # --------------------------------------------------------------- replay cache
@@ -85,6 +85,18 @@ def test_replay_cache_capacity_evicts_oldest(monkeypatch):
     cache.check_and_insert(("R", "u", 1, b"other"), now=10)  # above the floor
     with pytest.raises(ReplayWindowLost):
         cache.check_and_insert(("R", "u", 1, b""), now=10)  # evicted just now
+
+
+def test_replay_cache_floor_is_the_evicted_principals_alone(monkeypatch):
+    monkeypatch.setattr(messages, "REPLAY_CAPACITY", 2)
+    cache = ReplayCache()
+    for i in range(3):  # bob's entry at 100 is evicted
+        cache.check_and_insert(("R", "bob", 100 + i, bytes([i])), now=100)
+    cache.check_and_insert(("R", "alice", 50, b""), now=100)  # below bob's floor: no matter
+    with pytest.raises(ReplayWindowLost):  # evicting bob's 101 raised his floor
+        cache.check_and_insert(("R", "bob", 101, b"new"), now=100)
+    late = 100 + messages.REPLAY_WINDOW + 2  # the floor fell out of the window
+    cache.check_and_insert(("R", "bob", 101, b"new"), now=late)
 
 
 # -------------------------------------------------------- authenticator checks

@@ -180,14 +180,14 @@ def test_tunnel_ends_with_its_ticket():
 # SHA-256 of to_json() + render() and then every transcript wire image, in
 # order: any change to a byte on the wire or in a report shows here.
 REPORT_PINS = {
-    ("happy_path", 0): "1ceda652f62a9b75f6d42ca72fc94fa934f123b89f8af237d8df2d249bbf456b",
-    ("happy_path", 7): "2c4dadbfa824486b24b7fbc3189abb64c8feec8ef5a323a7882f9de14c29a7f0",
-    ("replay_attack", 0): "0e13492775a547f8a04d3a3d2b92e3c610724074f624aa17dae1ad88f8045836",
-    ("replay_attack", 7): "1cd2cc54d3af3dea54c771284512023857452cf525430b64f3c06931be91837d",
-    ("expired_ticket", 0): "e259f4f0497ec1c7d961e7058a49b8f3a72f569ac33b12d62fedd709747ffd8d",
-    ("expired_ticket", 7): "29b70e4696f4ec1a1ccfbe11ba310089c90b574f295795ce09365d47e74c83e5",
-    ("expired_tunnel", 0): "7fabb1ee54a9964555a51b8f0112e7cd5c171531e1b1b90aecdf6598ac661b80",
-    ("expired_tunnel", 7): "66295612d3a125d68632670647eb56a7f6fe273439ec7723a3439db13194ddcb",
+    ("happy_path", 0): "35e50c575350c79d4e3e1414b036bd977809058f3ff608d861b37a3f5305ded5",
+    ("happy_path", 7): "2d760227582fc7f5ad179cf1e721c67da230b5d7d617f1c7ea1e02db0db0f737",
+    ("replay_attack", 0): "84d0dbdee8a458436c55689185353c9a8c688eaaca61a05482ca64eb58e16549",
+    ("replay_attack", 7): "f1a197f05b0a50c07b140b4f8696eaba44409a083d5d4e8275cf03377f18bd1b",
+    ("expired_ticket", 0): "39ad71b415914aa3ee5c61cbcfc3b870f756401db7fc90479025cc3c09b7ce21",
+    ("expired_ticket", 7): "e01cbf134972c3ab0dcddfe0f6951d24b287452d775fc739f5ea36ed798f25ce",
+    ("expired_tunnel", 0): "ed7d59f16dad10f0b648ec310aa2663dc4684d4875366f2fea663e2c1de54236",
+    ("expired_tunnel", 7): "234b8f0cc85d17153175937e92ca9d18a0064734c16b47a6a8e1b7c62fa60097",
 }
 
 
