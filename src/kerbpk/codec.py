@@ -24,10 +24,13 @@ import.  Decoding walks the one input buffer by offsets and copies out only
 leaf values.  An encoded nested value must be an instance of exactly the
 declared class.
 
-A request's signature or digest covers every field but the last, under its
-body's own schema id (``encode_body``).  Every ``SchemaId`` is a known tag,
-registered or not.  On disk, each structure is one line of hex, in files that
-only their owner may read, because they hold keys.
+A sealed part is a plain ``bytes`` field, its bare ciphertext: the seal binds
+its label and any associated data, so the codec carries neither.  A request's
+signature or digest covers every field but the last, under its body's own
+schema id (``encode_body``).  Every ``SchemaId`` is a known tag, registered or
+not; retired ids (0x14 sealed box, 0x16 key pair, 0x18 wrap body) are never
+reused.  On disk, each structure is one line of hex, in files that only their
+owner may read, because they hold keys.
 """
 
 from __future__ import annotations
@@ -72,10 +75,8 @@ class SchemaId(IntEnum):
     CERTIFICATE = 0x11
     VALIDITY = 0x12
     TICKET_BODY = 0x13
-    SEALED_BOX = 0x14
     SYMMETRIC_KEY = 0x15
     CONTEXT_AUTHENTICATOR = 0x17
-    WRAP_BODY = 0x18
     AP_REQ_BODY = 0x19
     TGS_REQ_BODY = 0x1A
     TGS_AUTHENTICATOR = 0x1B

@@ -25,8 +25,11 @@ process maps one OpenSSL, and never loads ``hashlib``, ``hmac`` or
 the toy provider, such as a scenario run or the tamper sweep, never loads
 ``cryptography``.
 
-Sealing is labeled: a box sealed for one purpose (for example TICKET) never
-opens under another label even with the correct key.
+A sealed part travels as bare ciphertext.  The opener names the label it
+expects and the seal binds it (AES-GCM associated data; the toy keystream
+context and tag), so a part sealed for one purpose (say TICKET) opens under no
+other.  Optional associated data (``aad``) is bound alike: AES-GCM
+authenticates the label byte then the data, and the toy tag length-prefixes it.
 """
 
 from __future__ import annotations
@@ -77,15 +80,8 @@ class KeyPair:
     private_key: bytes = field(repr=False)
 
 
-@codec.structure(codec.SchemaId.SEALED_BOX)
-@dataclass(frozen=True)
-class SealedBox:
-    ciphertext: bytes
-    label: codec.U8
-
-
 class CryptoProvider:
-    """The key and label checks and the random draws both providers share.
+    """The key check and the random draws both providers share.
 
     Each provider supplies ``_random_bytes``, ``digest`` (SHA-256),
     ``derive_key_from_password``, ``seal``, ``open``, ``sign``, ``verify``,
@@ -104,9 +100,6 @@ class CryptoProvider:
             raise ProviderMismatch(f"key from provider {key.provider_id!r} used with {self.provider_id!r}")
         if len(key.data) != self.key_length:
             raise MalformedKey(f"key length {len(key.data)}, expected {self.key_length}")
-
-    def _check_label(self, label: int) -> int:
-        return int(SealLabel(label))
 
     def random_session_key(self) -> SymmetricKey:
         return SymmetricKey(self._random_bytes(self.key_length), self.provider_id)
@@ -161,8 +154,9 @@ class ToyProvider(CryptoProvider):
         stream = cls._stream(secret, context, len(data))
         return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
-    def _seal_tag(self, key: SymmetricKey, label: int, body: bytes) -> bytes:
-        return hmac_mod.digest(key.data, b"tag" + bytes([label]) + body, "sha256")[: self._TAG_LEN]
+    def _seal_tag(self, key: SymmetricKey, label: int, aad: bytes, body: bytes) -> bytes:
+        message = b"tag" + bytes([label]) + len(aad).to_bytes(4, "big") + aad + body
+        return hmac_mod.digest(key.data, message, "sha256")[: self._TAG_LEN]
 
     def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
         if not password:
@@ -170,21 +164,19 @@ class ToyProvider(CryptoProvider):
         data = _sha(b"toy-pw", realm.encode(), b"|", name.encode(), b"|", password.encode())
         return SymmetricKey(data, self.provider_id)
 
-    def seal(self, key: SymmetricKey, plaintext: bytes, label: int) -> SealedBox:
+    def seal(self, key: SymmetricKey, plaintext: bytes, label: int, aad: bytes = b"") -> bytes:
         self._check_key(key)
-        label = self._check_label(label)
+        label = SealLabel(label)
         body = self._xor_stream(key.data, b"seal" + bytes([label]), plaintext)
-        return SealedBox(body + self._seal_tag(key, label, body), label)
+        return body + self._seal_tag(key, label, aad, body)
 
-    def open(self, key: SymmetricKey, box: SealedBox, label: int) -> bytes:
+    def open(self, key: SymmetricKey, ciphertext: bytes, label: int, aad: bytes = b"") -> bytes:
         self._check_key(key)
-        label = self._check_label(label)
-        if box.label != label:
-            raise IntegrityError(f"box labeled {box.label}, expected {label}")
-        if len(box.ciphertext) < self._TAG_LEN:
-            raise IntegrityError("sealed box shorter than its tag")
-        body, tag = box.ciphertext[: -self._TAG_LEN], box.ciphertext[-self._TAG_LEN:]
-        if not hmac_mod.compare_digest(tag, self._seal_tag(key, label, body)):
+        label = SealLabel(label)
+        if len(ciphertext) < self._TAG_LEN:
+            raise IntegrityError("sealed part shorter than its tag")
+        body, tag = ciphertext[: -self._TAG_LEN], ciphertext[-self._TAG_LEN:]
+        if not hmac_mod.compare_digest(tag, self._seal_tag(key, label, aad, body)):
             raise IntegrityError("seal tag mismatch")
         return self._xor_stream(key.data, b"seal" + bytes([label]), body)
 
@@ -275,23 +267,19 @@ class StandardProvider(CryptoProvider):
         )
         return SymmetricKey(kdf.derive(password.encode()), self.provider_id)
 
-    def seal(self, key: SymmetricKey, plaintext: bytes, label: int) -> SealedBox:
+    def seal(self, key: SymmetricKey, plaintext: bytes, label: int, aad: bytes = b"") -> bytes:
         self._check_key(key)
-        label = self._check_label(label)
         nonce = os.urandom(self._GCM_NONCE)
-        body = AESGCM(key.data).encrypt(nonce, plaintext, bytes([label]))
-        return SealedBox(nonce + body, label)
+        return nonce + AESGCM(key.data).encrypt(nonce, plaintext, bytes([SealLabel(label)]) + aad)
 
-    def open(self, key: SymmetricKey, box: SealedBox, label: int) -> bytes:
+    def open(self, key: SymmetricKey, ciphertext: bytes, label: int, aad: bytes = b"") -> bytes:
         self._check_key(key)
-        label = self._check_label(label)
-        if box.label != label:
-            raise IntegrityError(f"box labeled {box.label}, expected {label}")
-        if len(box.ciphertext) < self._GCM_NONCE + 16:
-            raise IntegrityError("sealed box too short")
-        nonce, body = box.ciphertext[: self._GCM_NONCE], box.ciphertext[self._GCM_NONCE:]
+        label = SealLabel(label)
+        if len(ciphertext) < self._GCM_NONCE + 16:
+            raise IntegrityError("sealed part too short")
+        nonce, body = ciphertext[: self._GCM_NONCE], ciphertext[self._GCM_NONCE:]
         try:
-            return AESGCM(key.data).decrypt(nonce, body, bytes([label]))
+            return AESGCM(key.data).decrypt(nonce, body, bytes([label]) + aad)
         except InvalidTag:
             raise IntegrityError("seal tag mismatch") from None
 

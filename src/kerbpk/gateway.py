@@ -76,7 +76,8 @@ class GatewayPolicy:
 
 
 class ResponseCache:
-    """LRU over (method, resource); only successful GETs are stored."""
+    """LRU over (method, resource); only successful GETs are stored, each
+    once, in the form a hit answers with (served from the cache)."""
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
         if capacity < 1:
@@ -95,8 +96,9 @@ class ResponseCache:
     def put(self, method: str, resource: str, response: AppResponse) -> None:
         if method != "GET" or response.status != 200:
             return
+        entry = AppResponse(response.status, response.body, SERVED_CACHE)
         with self._lock:
-            self._entries[(method, resource)] = response
+            self._entries[(method, resource)] = entry
             self._entries.move_to_end((method, resource))
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -148,7 +150,7 @@ class GatewayCore:
         cached = (self.cache.get(request.method, request.resource)
                   if self.cache is not None else None)
         if cached is not None:
-            return AppResponse(cached.status, cached.body, SERVED_CACHE)
+            return cached
         try:
             connector = self._connector(request.resource)
         except BackendUnreachable as exc:

@@ -10,10 +10,11 @@ subkey, and its initial sequence number.
 
 Mutual authentication, replay detection, and sequence checking are all
 mandatory; an initiator asking for less is refused.  Established contexts
-exchange WrapTokens sealed under the subkey only, with the sequence number and
-direction bound into the sealed bytes, and deliver strictly in order: each
-side expects exactly the next sequence number, so a lower one is a replay and
-a higher one is out of sequence.
+exchange WrapTokens, each its payload sealed under the subkey only with the
+token's header (sequence number, direction) as associated data: the seal
+protects the header, not a copy of it (RFC 4121 4.2.4).  Tokens deliver
+strictly in order: each side expects exactly the next sequence number, so a
+lower one is a replay and a higher one is out of sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum, IntEnum
 from typing import Callable, Optional
 
 from . import codec
-from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
+from .crypto import CryptoProvider, SealLabel, SymmetricKey
 from .errors import (
     AuthenticatorIntegrityError,
     IntegrityError,
@@ -137,22 +138,21 @@ class ContextToken:
 class WrapToken:
     seq: codec.U64
     direction: codec.U8
-    box: SealedBox
+    box: bytes  # the payload, sealed with wrap_header(seq, direction) as associated data
 
 
-@codec.structure(codec.SchemaId.WRAP_BODY)
-@dataclass(frozen=True)
-class WrapBody:
-    seq: codec.U64
-    direction: codec.U8
-    payload: bytes
+def wrap_header(seq: int, direction: int) -> bytes:
+    """The associated data a wrap token's seal binds: seq (u64) then direction (u8)."""
+    return seq.to_bytes(8, "big") + bytes([direction])
 
 
 class SecurityContext:
     """State shared by both roles once the handshake settles."""
 
     def __init__(self, role: CredentialUsage, provider: CryptoProvider):
-        self.role = role
+        initiator = role == CredentialUsage.INITIATE
+        self._send_dir = DIR_INITIATOR_TO_ACCEPTOR if initiator else DIR_ACCEPTOR_TO_INITIATOR
+        self._recv_dir = DIR_ACCEPTOR_TO_INITIATOR if initiator else DIR_INITIATOR_TO_ACCEPTOR
         self.provider = provider
         self.state = ContextState.INITIAL
         self.session_key: Optional[SymmetricKey] = None
@@ -167,44 +167,36 @@ class SecurityContext:
     def established(self) -> bool:
         return self.state is ContextState.COMPLETE
 
-    def _send_direction(self) -> int:
-        return (DIR_INITIATOR_TO_ACCEPTOR if self.role == CredentialUsage.INITIATE
-                else DIR_ACCEPTOR_TO_INITIATOR)
-
     def wrap(self, payload: bytes) -> WrapToken:
-        """Seal a payload under the subkey, tagged with seq and direction."""
+        """Seal a payload under the subkey, binding its seq and direction."""
         if not self.established:
             raise StateError("wrap before the context is complete")
         with self._lock:
             seq = self.send_seq
             self.send_seq += 1
-        direction = self._send_direction()
-        body = codec.encode(WrapBody(seq, direction, payload))
-        return WrapToken(seq, direction, self.provider.seal(self.subkey, body, SealLabel.WRAP))
+        box = self.provider.seal(self.subkey, payload, SealLabel.WRAP,
+                                 wrap_header(seq, self._send_dir))
+        return WrapToken(seq, self._send_dir, box)
 
     def unwrap(self, token: WrapToken) -> bytes:
-        """Direction, integrity, binding, then the strict sequence check."""
+        """Direction, integrity (seq and direction included), then the strict sequence check."""
         if not self.established:
             raise StateError("unwrap before the context is complete")
-        expected_dir = (DIR_ACCEPTOR_TO_INITIATOR if self.role == CredentialUsage.INITIATE
-                        else DIR_INITIATOR_TO_ACCEPTOR)
-        if token.direction != expected_dir:
-            raise WrongDirection(f"token direction {token.direction}, expected {expected_dir}")
+        if token.direction != self._recv_dir:
+            raise WrongDirection(f"token direction {token.direction}, expected {self._recv_dir}")
         try:
-            plain = self.provider.open(self.subkey, token.box, SealLabel.WRAP)
+            payload = self.provider.open(self.subkey, token.box, SealLabel.WRAP,
+                                         wrap_header(token.seq, token.direction))
         except IntegrityError as exc:
             raise WrapIntegrityError(str(exc)) from None
-        body: WrapBody = codec.decode(plain, codec.SchemaId.WRAP_BODY)
-        if body.seq != token.seq or body.direction != token.direction:
-            raise WrapIntegrityError("sealed seq/direction do not match the token header")
         with self._lock:
             # below the next expected number: accepted before, or never sealed
-            if body.seq < self.recv_seq:
-                raise ReplayDetected(f"wrap token seq {body.seq} already accepted")
-            if body.seq > self.recv_seq:
-                raise OutOfSequence(f"wrap token seq {body.seq}, expected {self.recv_seq}")
+            if token.seq < self.recv_seq:
+                raise ReplayDetected(f"wrap token seq {token.seq} already accepted")
+            if token.seq > self.recv_seq:
+                raise OutOfSequence(f"wrap token seq {token.seq}, expected {self.recv_seq}")
             self.recv_seq += 1
-        return body.payload
+        return payload
 
 
 class ContextInitiator:

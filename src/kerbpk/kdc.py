@@ -1,9 +1,10 @@
 """Key distribution center: principal database plus the two issuing services.
 
 The authentication service checks a certificate-backed signature on the
-request and answers with a ticket-granting ticket whose session key travels
-doubly protected: wrapped under the client's public key, inside a box sealed
-under the client's password-derived key.  The ticket-granting service opens a
+request, whose signed ``from_time`` must be within the skew and unseen, and
+answers with a ticket-granting ticket whose session key travels doubly
+protected: wrapped under the client's public key, inside a part sealed under
+the client's password-derived key.  The ticket-granting service opens a
 presented ticket, validates the sealed authenticator (freshness, identity,
 uniqueness, request digest) and issues a service ticket.
 
@@ -29,10 +30,12 @@ from .errors import (
     KerbPkError,
     NoCertificateOnFile,
     SignatureInvalid,
+    SkewExceeded,
     UnknownPrincipal,
     UnknownService,
 )
 from .messages import (
+    CLOCK_SKEW,
     MAX_LIFETIME,
     TGS_NAME,
     AsEncPart,
@@ -173,9 +176,9 @@ def _grant(requested: Validity, now: int, latest: int) -> Validity:
     return granted
 
 
-def handle_as_request(db: PrincipalDb, req: AsRequest, now: int, provider: CryptoProvider,
-                      client_address: str = "") -> AsReply:
-    """Initial authentication: certificate check, signature check, TGT issue."""
+def handle_as_request(db: PrincipalDb, req: AsRequest, now: int, replay_cache: ReplayCache,
+                      provider: CryptoProvider, client_address: str = "") -> AsReply:
+    """Initial authentication: certificate, signature, freshness, uniqueness, TGT issue."""
     if req.client.realm != db.realm:
         raise UnknownPrincipal(f"realm {req.client.realm} not served here")
     record = db.lookup(req.client.name)
@@ -189,6 +192,11 @@ def handle_as_request(db: PrincipalDb, req: AsRequest, now: int, provider: Crypt
         raise CertificateMismatch("certificate subject does not name the requesting client")
     if not provider.verify(record.certificate.public_key, as_request_signable(req), req.signature):
         raise SignatureInvalid(f"request signature does not verify for {req.client.name}")
+    signed_at = req.requested_validity.from_time
+    if abs(now - signed_at) > CLOCK_SKEW:
+        raise SkewExceeded(f"request signed at {signed_at}, now {now}, skew {CLOCK_SKEW}")
+    replay_cache.check_and_insert((req.client.realm, req.client.name, signed_at,
+                                   provider.digest(req.signature)), now)
     granted = _grant(req.requested_validity, now, now + MAX_LIFETIME)
     tgs = db.lookup(req.tgs_id)
     if tgs is None or tgs.kind != int(RecordKind.TGS_SERVICE):
@@ -245,7 +253,8 @@ class KdcService:
         """Decode one request for the given endpoint role, return the reply."""
         if role == ROLE_AS:
             req = codec.decode(payload, codec.SchemaId.AS_REQUEST)
-            return handle_as_request(self.db, req, now, self.provider, client_address)
+            return handle_as_request(self.db, req, now, self.replay_cache, self.provider,
+                                     client_address)
         if role == ROLE_TGS:
             req = codec.decode(payload, codec.SchemaId.TGS_REQUEST)
             return handle_tgs_request(self.db, req, now, self.replay_cache, self.provider,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from . import codec
-from .crypto import CryptoProvider, SealedBox, SealLabel, SymmetricKey
+from .crypto import CryptoProvider, SealLabel, SymmetricKey
 from .errors import (
     AuthenticatorIntegrityError,
     IntegrityError,
@@ -112,7 +112,7 @@ class TicketBody:
 class SealedTicket:
     # server is a plaintext routing hint; everything that matters is in box.
     server: Principal
-    box: SealedBox
+    box: bytes
 
 
 @codec.structure(codec.SchemaId.AUTHENTICATOR)
@@ -149,7 +149,7 @@ class AsEncPart:
 class AsReply:
     client: Principal
     ticket: SealedTicket
-    enc_part: SealedBox
+    enc_part: bytes
 
 
 @codec.structure(codec.SchemaId.TGS_REQUEST)
@@ -159,7 +159,7 @@ class TgsRequest:
     requested_validity: Validity
     nonce2: bytes
     ticket: SealedTicket
-    authenticator: SealedBox
+    authenticator: bytes
 
 
 @codec.structure(codec.SchemaId.TGS_AUTHENTICATOR)
@@ -185,14 +185,14 @@ class TgsEncPart:
 class TgsReply:
     client: Principal
     ticket: SealedTicket
-    enc_part: SealedBox
+    enc_part: bytes
 
 
 @codec.structure(codec.SchemaId.AP_REQUEST)
 @dataclass(frozen=True)
 class ApRequest:
     ticket: SealedTicket
-    authenticator: SealedBox
+    authenticator: bytes
 
 
 @codec.structure(codec.SchemaId.ENC_PART_AP)
@@ -206,7 +206,7 @@ class ApEncPart:
 @codec.structure(codec.SchemaId.AP_REPLY)
 @dataclass(frozen=True)
 class ApReply:
-    enc_part: SealedBox
+    enc_part: bytes
 
 
 def decode_reply(payload: bytes, expected: codec.SchemaId):
@@ -275,7 +275,7 @@ class ReplayCache:
 
 
 def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
-                           replay_cache: ReplayCache, box: SealedBox,
+                           replay_cache: ReplayCache, box: bytes,
                            provider: CryptoProvider) -> None:
     """Identity, freshness, then uniqueness; inserts into the cache only on ok.
 
@@ -291,7 +291,7 @@ def validate_authenticator(auth: Authenticator, expected: Principal, now: int,
         raise SkewExceeded(f"authenticator timestamp {auth.timestamp}, now {now}, "
                            f"skew {CLOCK_SKEW}")
     replay_cache.check_and_insert((auth.client_realm, auth.client_id, auth.timestamp,
-                                   provider.digest(box.ciphertext)), now)
+                                   provider.digest(box)), now)
 
 
 def accept_ticket(req: Union[TgsRequest, ApRequest], key: SymmetricKey,

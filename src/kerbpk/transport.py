@@ -460,6 +460,7 @@ class ThreadedFrameServer:
         session = self.session_factory()
         buf = bytearray()
         deadline = None     # set while buf holds part of a frame
+        timeout = None      # the value last set on conn
         while True:
             served = serve_frame(session, buf, self.now_fn())
             if served is None:
@@ -470,7 +471,9 @@ class ThreadedFrameServer:
                     wait = min(wait, deadline - time.monotonic())
                     if wait <= 0:
                         return
-                conn.settimeout(wait)
+                if wait != timeout:
+                    conn.settimeout(wait)
+                    timeout = wait
                 try:
                     chunk = conn.recv(_RECV_CHUNK)
                 except OSError:

@@ -20,7 +20,7 @@ from typing import Annotated, Any, Union, get_args, get_origin, get_type_hints
 
 from kerbpk.app import AppRequest, AppResponse
 from kerbpk.client import CredentialCacheFile, CredEntry, IdentityFile, ServiceCred
-from kerbpk.crypto import SealedBox, SymmetricKey
+from kerbpk.crypto import SymmetricKey
 from kerbpk.errors import (
     FieldTooLarge,
     MalformedValue,
@@ -29,7 +29,7 @@ from kerbpk.errors import (
     Truncated,
     UnknownTag,
 )
-from kerbpk.gss import ContextAuthenticator, ContextToken, WrapBody, WrapToken
+from kerbpk.gss import ContextAuthenticator, ContextToken, WrapToken
 from kerbpk.kdc import PrincipalRecord, ServiceKeyFile
 from kerbpk.messages import (ApEncPart, ApReply, ApRequest, AsEncPart, AsReply, AsRequest,
                              Authenticator, Certificate, Principal, SealedTicket, TgsAuthenticator,
@@ -47,7 +47,7 @@ SCHEMAS = {
     0x09: ContextToken, 0x0A: WrapToken, 0x0B: AsEncPart, 0x0C: TgsEncPart,
     0x0D: ApEncPart,
     0x10: Principal, 0x11: Certificate, 0x12: Validity, 0x13: TicketBody,
-    0x14: SealedBox, 0x15: SymmetricKey, 0x17: ContextAuthenticator, 0x18: WrapBody,
+    0x15: SymmetricKey, 0x17: ContextAuthenticator,
     0x1B: TgsAuthenticator,
     0x20: PrincipalRecord, 0x21: CredentialCacheFile, 0x22: CredEntry,
     0x23: ServiceKeyFile, 0x24: IdentityFile, 0x25: ServiceCred,

@@ -101,7 +101,7 @@ def test_replayed_and_reordered_frames_are_always_caught(capsys):
 
 # SHA-256 of every flipped run's render(), back to back in sweep order: the
 # sweep answers each flip exactly as it did when this was pinned.
-SWEEP_RENDERS_SHA256 = "00064acda4c471191c03a0b8fa93496033c08be75b8285475197a2e0ac70ee61"
+SWEEP_RENDERS_SHA256 = "ca8a9a720dff8c7d5903bfb93ccfc379b3e6d272b2b57ff29035de546b8d0628"
 
 
 def test_every_wire_bit_flip_is_rejected(capsys):

@@ -9,7 +9,7 @@ from conftest import NOW, REALM
 from kerbpk import codec
 from kerbpk.client import (ClientAgent, ClientIdentity, CredentialCache, CredEntry,
                            IdentityFile, load_identity, request_service_ticket, save_identity)
-from kerbpk.crypto import SealedBox, SymmetricKey
+from kerbpk.crypto import SymmetricKey
 from kerbpk.kdc import ServiceKeyFile
 from kerbpk.errors import (CcacheParseError, NonceMismatch, NoTgt,
                            PkDecryptFailure, PrincipalMismatch, WrongPassword)
@@ -143,7 +143,7 @@ def test_request_service_ticket_needs_only_the_cache(logged_in, tmp_path):
 # ------------------------------------------------------------ credential cache
 
 def _entry(till: int) -> CredEntry:
-    ticket = SealedTicket(Principal("echo", REALM), SealedBox(b"\x01", 1))
+    ticket = SealedTicket(Principal("echo", REALM), b"\x01")
     return CredEntry(ticket, SymmetricKey(b"\x00" * 32, "toy"), Validity(0, till))
 
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from kerbpk import codec
 from kerbpk.client import CredentialCacheFile, CredEntry, ServiceCred
-from kerbpk.crypto import SealedBox, SymmetricKey
+from kerbpk.crypto import SymmetricKey
 from kerbpk.errors import (CodecError, DbParseError, FieldTooLarge, MalformedValue,
                            SchemaMismatch, TrailingGarbage, Truncated, UnknownTag)
-from kerbpk.messages import Authenticator, Certificate, Principal, SealedTicket, Validity
+from kerbpk.messages import ApReply, Authenticator, Certificate, Principal, SealedTicket, Validity
 
 
 def tlv(tag: int, value: bytes) -> bytes:
@@ -65,10 +65,11 @@ def test_principal_matches_hand_packed_tlv():
     assert codec.encode(Principal("alice", "EXAMPLE")) == expected
 
 
-def test_sealed_box_label_is_single_byte():
-    box = SealedBox(b"\x00\x01", 6)
-    expected = tlv(0x14, tlv(1, b"\x00\x01") + tlv(2, b"\x06"))
-    assert codec.encode(box) == expected
+def test_sealed_box_carries_no_label():
+    # a sealed part is its bare ciphertext: the seal binds the label
+    ticket = SealedTicket(Principal("echo", "EXAMPLE"), b"\x00\x01")
+    expected = tlv(0x07, tlv(1, tlv(1, b"echo") + tlv(2, b"EXAMPLE")) + tlv(2, b"\x00\x01"))
+    assert codec.encode(ticket) == expected
 
 
 def test_schema_id_of():
@@ -123,10 +124,10 @@ def test_authenticator_roundtrip(client_id, client_realm, timestamp):
     assert codec.decode(codec.encode(auth), codec.SchemaId.AUTHENTICATOR) == auth
 
 
-@given(st.binary(max_size=200), st.integers(min_value=0, max_value=255))
-def test_sealed_box_roundtrip(ciphertext, label):
-    box = SealedBox(ciphertext, label)
-    assert codec.decode(codec.encode(box), codec.SchemaId.SEALED_BOX) == box
+@given(st.binary(max_size=200))
+def test_sealed_box_roundtrip(ciphertext):
+    ticket = SealedTicket(Principal("echo", "EXAMPLE"), ciphertext)
+    assert codec.decode(codec.encode(ticket), codec.SchemaId.TICKET_SEALED) == ticket
 
 
 @given(u64s, u64s)
@@ -136,7 +137,7 @@ def test_validity_roundtrip(from_time, till):
 
 
 def _cred_entry(tag: bytes) -> CredEntry:
-    ticket = SealedTicket(Principal("echo", "EXAMPLE"), SealedBox(tag, 1))
+    ticket = SealedTicket(Principal("echo", "EXAMPLE"), tag)
     return CredEntry(ticket, SymmetricKey(b"\x00" * 32, "toy"), Validity(0, 100))
 
 
@@ -179,10 +180,10 @@ def test_every_length_cap_is_enforced(monkeypatch):
     item = ServiceCred("", _cred_entry(b"t"))
     validity = _body_length(Validity(1, 2))
     cases = [
-        (4, SealedBox(b"12345", 1), 5),                             # a bytes value
+        (4, ApReply(b"12345"), 5),                                  # a bytes value
         (4, principal, 5),                                          # a string value
         (validity - 1, Validity(1, 2), validity),                   # a structure's body
-        (_body_length(principal) - 1, SealedTicket(principal, SealedBox(b"t", 1)),
+        (_body_length(principal) - 1, SealedTicket(principal, b"t"),
          _body_length(principal)),                                  # a nested structure
         (_body_length(item), CredentialCacheFile(Principal("a", "B"), None, [item]),
          _body_length(item) + 5),                                   # a list
@@ -307,7 +308,7 @@ def test_wrong_python_type_rejected():
     with pytest.raises(MalformedValue):
         codec.encode(Authenticator(5, "EXAMPLE", 0))
     with pytest.raises(MalformedValue):
-        codec.encode(SealedBox("not-bytes", 1))
+        codec.encode(ApReply("not-bytes"))
 
 
 def test_unregistered_type_rejected():
@@ -318,9 +319,8 @@ def test_unregistered_type_rejected():
 
 
 def test_nested_value_of_wrong_class_rejected():
-    box = SealedBox(b"\x00", 1)
     with pytest.raises(MalformedValue):
-        codec.encode(SealedTicket(Validity(1, 2), box))
+        codec.encode(SealedTicket(Validity(1, 2), b"\x00"))
 
 
 def test_list_item_of_wrong_class_rejected():
@@ -331,7 +331,7 @@ def test_list_item_of_wrong_class_rejected():
 
 def test_none_only_allowed_in_optional_fields():
     with pytest.raises(MalformedValue):
-        codec.encode(SealedTicket(None, SealedBox(b"\x00", 1)))
+        codec.encode(SealedTicket(None, b"\x00"))
     with pytest.raises(MalformedValue):
         codec.encode(CredentialCacheFile(Principal("alice", "EXAMPLE"), None, [None]))
 
@@ -383,7 +383,7 @@ def registered_schemas() -> list:
 
 def test_wire_fields_are_the_dataclass_init_fields_in_order():
     schemas = registered_schemas()
-    assert len(schemas) == 31
+    assert len(schemas) == 29
     for schema in schemas:
         init_names = [f.name for f in dataclasses.fields(schema.cls) if f.init]
         assert [name for name, _, _ in schema.fields] == init_names, schema.cls.__name__
@@ -392,7 +392,7 @@ def test_wire_fields_are_the_dataclass_init_fields_in_order():
 # Frozen schema table: ids, classes and each field's name, kind and nested
 # class.  It covers the on-disk records that no golden vector reaches, and a
 # reordered dataclass field, which reorders the wire, changes it.
-SCHEMA_TABLE_SHA256 = "64d368c5a0dca3fbb52f82b66a3679fcf22c598d32ec25aa8a51adb2f57f5141"
+SCHEMA_TABLE_SHA256 = "d332d3fd8d52884f636136d4fbde2ccdb858df4dafb452c3e0eb4166003629e4"
 
 
 def test_schema_table_is_pinned():

@@ -84,7 +84,7 @@ def test_happy_path_values_cover_every_exchange(happy_path_values):
     wire = {codec.SchemaId.AS_REQUEST, codec.SchemaId.AS_REPLY, codec.SchemaId.TGS_REQUEST,
             codec.SchemaId.TGS_REPLY, codec.SchemaId.CONTEXT_TOKEN, codec.SchemaId.WRAP_TOKEN}
     sealed = {codec.SchemaId.TICKET_BODY, codec.SchemaId.ENC_PART_AS, codec.SchemaId.ENC_PART_TGS,
-              codec.SchemaId.WRAP_BODY}
+              codec.SchemaId.APP_REQUEST, codec.SchemaId.APP_RESPONSE}
     assert wire | sealed <= covered
 
 

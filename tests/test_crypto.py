@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerbpk.crypto import (KEY_LENGTH, NONCE_LENGTH, PK_PAYLOAD_LIMIT, SealedBox,
-                           SealLabel, StandardProvider, SymmetricKey, ToyProvider,
-                           get_provider)
+from kerbpk.crypto import (KEY_LENGTH, NONCE_LENGTH, PK_PAYLOAD_LIMIT, SealLabel,
+                           StandardProvider, SymmetricKey, ToyProvider, get_provider)
 from kerbpk.errors import (DecryptFailure, EmptyPassword, IntegrityError,
                            MalformedKey, PayloadTooLarge, ProviderMismatch)
 
@@ -53,13 +52,41 @@ def test_open_with_wrong_label_fails(provider):
         provider.open(key, box, SealLabel.AUTHENTICATOR)
 
 
-def test_relabeled_box_fails_even_when_labels_agree(provider):
-    # The label byte is authenticated, not merely compared.
+def test_sealed_part_opens_under_no_other_label(provider):
+    # No label travels with the ciphertext: the seal binds the one it was
+    # sealed under, and the opener names the one it expects.
     key = provider.random_session_key()
-    box = provider.seal(key, b"payload", SealLabel.TICKET)
-    forged = SealedBox(box.ciphertext, int(SealLabel.AUTHENTICATOR))
+    for label in SealLabel:
+        box = provider.seal(key, b"payload", label)
+        assert provider.open(key, box, label) == b"payload"
+        for other in SealLabel:
+            if other is not label:
+                with pytest.raises(IntegrityError):
+                    provider.open(key, box, other)
+
+
+def test_associated_data_must_match_exactly(provider):
+    key = provider.random_session_key()
+    box = provider.seal(key, b"payload", SealLabel.WRAP, b"header")
+    assert provider.open(key, box, SealLabel.WRAP, b"header") == b"payload"
+    for other in (b"", b"headeR", b"header\x00", b"heade"):
+        with pytest.raises(IntegrityError):
+            provider.open(key, box, SealLabel.WRAP, other)
+    # and a part sealed without associated data opens only without it
+    bare = provider.seal(key, b"payload", SealLabel.WRAP)
     with pytest.raises(IntegrityError):
-        provider.open(key, forged, SealLabel.AUTHENTICATOR)
+        provider.open(key, bare, SealLabel.WRAP, b"header")
+    assert provider.open(key, bare, SealLabel.WRAP) == b"payload"
+
+
+def test_toy_tag_keeps_associated_data_and_body_apart():
+    # Without the length prefix, moving the last byte of the associated data
+    # to the front of the ciphertext would leave the tag's input unchanged.
+    prov = ToyProvider(seed=8)
+    key = prov.random_session_key()
+    box = prov.seal(key, b"payload", SealLabel.WRAP, b"ab")
+    with pytest.raises(IntegrityError):
+        prov.open(key, b"b" + box, SealLabel.WRAP, b"a")
 
 
 def test_open_with_wrong_key_fails(provider):
@@ -71,19 +98,18 @@ def test_open_with_wrong_key_fails(provider):
 def test_every_ciphertext_bit_is_load_bearing(provider):
     key = provider.random_session_key()
     box = provider.seal(key, b"m" * 32, SealLabel.AP_ENC_PART)
-    for byte in range(len(box.ciphertext)):
+    for byte in range(len(box)):
         for bit in range(8):
-            mutated = bytearray(box.ciphertext)
+            mutated = bytearray(box)
             mutated[byte] ^= 1 << bit
             with pytest.raises(IntegrityError):
-                provider.open(key, SealedBox(bytes(mutated), box.label),
-                              SealLabel.AP_ENC_PART)
+                provider.open(key, bytes(mutated), SealLabel.AP_ENC_PART)
 
 
 def test_truncated_box_rejected(provider):
     key = provider.random_session_key()
     with pytest.raises(IntegrityError):
-        provider.open(key, SealedBox(b"\x00" * 4, int(SealLabel.TICKET)), SealLabel.TICKET)
+        provider.open(key, b"\x00" * 4, SealLabel.TICKET)
 
 
 def test_empty_plaintext_roundtrip(provider):
@@ -211,7 +237,7 @@ def test_providers_produce_distinct_wire_artifacts():
     key = std.random_session_key()
     a = std.seal(key, b"same", SealLabel.TICKET)
     b = std.seal(key, b"same", SealLabel.TICKET)
-    assert a.ciphertext != b.ciphertext
+    assert a != b
 
 
 # ----------------------------------------------------------------- properties
@@ -259,7 +285,7 @@ def test_toy_seal_roundtrip_sizes(size):
     plaintext = bytes(i % 251 for i in range(size))  # leading zero bytes must survive
     box = prov.seal(key, plaintext, SealLabel.WRAP)
     stream = prov._stream(key.data, b"seal" + bytes([SealLabel.WRAP]), size)
-    assert box.ciphertext[:-16] == _xor_bytewise(plaintext, stream)
+    assert box[:-16] == _xor_bytewise(plaintext, stream)
     assert prov.open(key, box, SealLabel.WRAP) == plaintext
 
 
@@ -283,14 +309,15 @@ def test_every_toy_box_bit_flip_is_rejected(size):
     prov = ToyProvider(seed=7)
     key = prov.random_session_key()
     box = prov.seal(key, bytes(size), SealLabel.TGS_ENC_PART)
-    for bit in range(8 * len(box.ciphertext)):
-        mutated = bytearray(box.ciphertext)
+    for bit in range(8 * len(box)):
+        mutated = bytearray(box)
         mutated[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(IntegrityError):
-            prov.open(key, SealedBox(bytes(mutated), box.label), SealLabel.TGS_ENC_PART)
-    for bit in range(8):
-        with pytest.raises(IntegrityError):
-            prov.open(key, SealedBox(box.ciphertext, box.label ^ (1 << bit)), SealLabel.TGS_ENC_PART)
+            prov.open(key, bytes(mutated), SealLabel.TGS_ENC_PART)
+    for other in SealLabel:  # the label is bound, not carried
+        if other is not SealLabel.TGS_ENC_PART:
+            with pytest.raises(IntegrityError):
+                prov.open(key, box, other)
 
 
 def test_toy_keystream_separates_secret_from_context():

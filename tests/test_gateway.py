@@ -62,7 +62,10 @@ def test_cache_stores_only_successful_gets():
     cache.put("GET", "/a", ok(b"a"))
     cache.put("POST", "/b", ok(b"b"))
     cache.put("GET", "/c", AppResponse(404, b"", SERVED_BACKEND))
-    assert cache.get("GET", "/a") == ok(b"a")
+    # stored once, in the form every hit answers with
+    hit = cache.get("GET", "/a")
+    assert hit == AppResponse(200, b"a", SERVED_CACHE)
+    assert cache.get("GET", "/a") is hit
     assert cache.get("POST", "/b") is None
     assert cache.get("GET", "/c") is None
     assert len(cache) == 1
@@ -93,7 +96,9 @@ def test_core_routes_and_counts():
     first = core.handle(AppRequest("GET", "/data", b"payload"))
     assert (first.status, first.body, first.served_from) == (200, b"payload", SERVED_BACKEND)
     second = core.handle(AppRequest("GET", "/data", b"payload"))
-    assert second.served_from == SERVED_CACHE
+    assert (second.status, second.body, second.served_from) == (200, b"payload", SERVED_CACHE)
+    # a hit answers with the entry itself, built once when the miss filled it
+    assert core.handle(AppRequest("GET", "/data", b"payload")) is second
     assert len(echo.requests) == 1
 
 
@@ -167,8 +172,7 @@ def test_backend_session_reports_handler_errors():
 def test_protected_session_rejects_wrap_before_handshake(logged_in):
     session = service_endpoint(logged_in)()
     from kerbpk.gss import WrapToken
-    from kerbpk.crypto import SealedBox
-    token = WrapToken(0, 1, SealedBox(b"\x00" * 40, 6))
+    token = WrapToken(0, 1, b"\x00" * 40)
     replies, close = session.feed(codec.encode(token), NOW)
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY) == \

@@ -18,7 +18,7 @@ from kerbpk.gss import (ALL_FLAGS, LEG_INIT, LEG_REPLY, MECHANISM,
                         ContextAcceptor, ContextAuthenticator, ContextCredential,
                         ContextInitiator, ContextState, ContextToken, CredentialUsage,
                         MechanismName, NameType, ReqFlags, WrapToken,
-                        acquire_credential)
+                        acquire_credential, wrap_header)
 from kerbpk.messages import (ApRequest, Authenticator, Principal, ReplayCache,
                              request_digest)
 
@@ -141,10 +141,9 @@ def test_initiator_rejects_a_reply_that_does_not_open(logged_in):
     token, _ = init.step(None, NOW)
     reply, _ = acc.step(token, NOW)
     sealed = codec.decode(reply.body, codec.SchemaId.AP_REPLY)
-    mutated = bytearray(sealed.enc_part.ciphertext)
+    mutated = bytearray(sealed.enc_part)
     mutated[0] ^= 1
-    forged = dataclasses.replace(
-        sealed, enc_part=dataclasses.replace(sealed.enc_part, ciphertext=bytes(mutated)))
+    forged = dataclasses.replace(sealed, enc_part=bytes(mutated))
     with pytest.raises(TokenIntegrityError):
         init.step(ContextToken(LEG_REPLY, codec.encode(forged)), NOW)
     assert init.context.state is ContextState.FAILED
@@ -196,12 +195,10 @@ def retoken(token, request):
 def test_acceptor_rejects_tampered_ticket(logged_in):
     _, acc, token = leg1(logged_in)
     request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
-    mutated = bytearray(request.ticket.box.ciphertext)
+    mutated = bytearray(request.ticket.box)
     mutated[3] ^= 0x10
     forged = dataclasses.replace(
-        request, ticket=dataclasses.replace(
-            request.ticket, box=dataclasses.replace(request.ticket.box,
-                                                    ciphertext=bytes(mutated))))
+        request, ticket=dataclasses.replace(request.ticket, box=bytes(mutated)))
     with pytest.raises(TokenIntegrityError):
         acc.step(retoken(token, forged), NOW)
     assert acc.context.state is ContextState.FAILED
@@ -210,11 +207,9 @@ def test_acceptor_rejects_tampered_ticket(logged_in):
 def test_acceptor_rejects_tampered_authenticator(logged_in):
     _, acc, token = leg1(logged_in)
     request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
-    mutated = bytearray(request.authenticator.ciphertext)
+    mutated = bytearray(request.authenticator)
     mutated[0] ^= 1
-    forged = dataclasses.replace(
-        request, authenticator=dataclasses.replace(request.authenticator,
-                                                   ciphertext=bytes(mutated)))
+    forged = dataclasses.replace(request, authenticator=bytes(mutated))
     with pytest.raises(TokenIntegrityError):
         acc.step(retoken(token, forged), NOW)
 
@@ -289,9 +284,11 @@ def test_wrap_refused_before_establishment(logged_in):
 def test_tunnel_uses_the_subkey_not_the_ticket_key(logged_in):
     init, acc = established(logged_in)
     token = init.context.wrap(b"secret")
+    header = wrap_header(token.seq, token.direction)
     with pytest.raises(IntegrityError):
-        logged_in.provider.open(init.context.session_key, token.box, SealLabel.WRAP)
-    assert logged_in.provider.open(init.context.subkey, token.box, SealLabel.WRAP)
+        logged_in.provider.open(init.context.session_key, token.box, SealLabel.WRAP, header)
+    assert logged_in.provider.open(init.context.subkey, token.box, SealLabel.WRAP,
+                                   header) == b"secret"
 
 
 def test_unwrap_rejects_own_direction(logged_in):
@@ -304,20 +301,34 @@ def test_unwrap_rejects_own_direction(logged_in):
 def test_unwrap_rejects_tampered_box(logged_in):
     init, acc = established(logged_in)
     token = init.context.wrap(b"x")
-    mutated = bytearray(token.box.ciphertext)
+    mutated = bytearray(token.box)
     mutated[1] ^= 0x80
-    forged = dataclasses.replace(token, box=dataclasses.replace(token.box,
-                                                                ciphertext=bytes(mutated)))
+    forged = dataclasses.replace(token, box=bytes(mutated))
     with pytest.raises(WrapIntegrityError):
         acc.context.unwrap(forged)
 
 
 def test_unwrap_rejects_relabeled_header(logged_in):
-    # header seq must match the sealed seq byte for byte
+    # the seal binds the header's seq as associated data
     init, acc = established(logged_in)
     token = init.context.wrap(b"x")
     with pytest.raises(WrapIntegrityError):
         acc.context.unwrap(dataclasses.replace(token, seq=token.seq + 1))
+
+
+def test_every_header_bit_flip_is_refused_without_advancing(logged_in):
+    init, acc = established(logged_in)
+    for sender, receiver in ((init.context, acc.context), (acc.context, init.context)):
+        token = sender.wrap(b"x")
+        expected_seq = receiver.recv_seq
+        flips = ([dataclasses.replace(token, seq=token.seq ^ (1 << bit)) for bit in range(64)]
+                 + [dataclasses.replace(token, direction=token.direction ^ (1 << bit))
+                    for bit in range(8)])
+        for forged in flips:
+            with pytest.raises((WrapIntegrityError, WrongDirection)):
+                receiver.unwrap(forged)
+            assert receiver.recv_seq == expected_seq
+        assert receiver.unwrap(token) == b"x"  # the genuine token is still next
 
 
 def test_unwrap_rejects_replay(logged_in):

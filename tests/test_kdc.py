@@ -7,7 +7,7 @@ import pytest
 from conftest import NOW, REALM, Realm
 from kerbpk import codec, messages
 from kerbpk.client import ClientAgent, ClientIdentity
-from kerbpk.crypto import SealedBox, SealLabel
+from kerbpk.crypto import SealLabel
 from kerbpk.errors import (AddressMismatch, AuthenticatorIntegrityError,
                            BadValidityWindow, CertificateMismatch, DbParseError,
                            DuplicatePrincipal, NoCertificateOnFile,
@@ -43,7 +43,7 @@ def test_as_rejects_foreign_realm(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(req, client=Principal("alice", "ELSEWHERE"))
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_rejects_unknown_user(realm):
@@ -53,14 +53,14 @@ def test_as_rejects_unknown_user(realm):
     ident = ClientIdentity(mallory, "pw", pair, Certificate(mallory, pair.public_key, 9))
     req = ClientAgent(ident, realm.provider).build_as_request("krbtgt", HOUR)
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_rejects_principal_without_certificate(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(req, client=Principal("echo", REALM))
     with pytest.raises(NoCertificateOnFile):
-        handle_as_request(realm.db, bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_rejects_substituted_public_key(realm):
@@ -71,7 +71,7 @@ def test_as_rejects_substituted_public_key(realm):
     bad = dataclasses.replace(req, certificate=forged,
                               signature=realm.provider.sign(rogue.private_key, b"x"))
     with pytest.raises(CertificateMismatch):
-        handle_as_request(realm.db, bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_rejects_certificate_naming_someone_else(realm):
@@ -80,7 +80,7 @@ def test_as_rejects_certificate_naming_someone_else(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     bad = dataclasses.replace(req, client=Principal("carol", REALM))
     with pytest.raises(CertificateMismatch):
-        handle_as_request(realm.db, bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_rejects_forged_signature(realm):
@@ -90,38 +90,44 @@ def test_as_rejects_forged_signature(realm):
     bad = dataclasses.replace(
         req, signature=realm.provider.sign(rogue.private_key, as_request_signable(req)))
     with pytest.raises(SignatureInvalid):
-        handle_as_request(realm.db, bad, NOW, realm.provider)
+        handle_as_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_signature_covers_every_request_field(realm):
     req = realm.agent.build_as_request("krbtgt", HOUR)
     tampered = dataclasses.replace(req, nonce1=bytes(8))
     with pytest.raises(SignatureInvalid):
-        handle_as_request(realm.db, tampered, NOW, realm.provider)
+        handle_as_request(realm.db, tampered, NOW, ReplayCache(), realm.provider)
     tampered = dataclasses.replace(req, requested_validity=Validity(NOW, NOW + 60))
     with pytest.raises(SignatureInvalid):
-        handle_as_request(realm.db, tampered, NOW, realm.provider)
+        handle_as_request(realm.db, tampered, NOW, ReplayCache(), realm.provider)
+    # a signing time moved beyond the skew fails the signature first, unrecorded
+    cache = ReplayCache()
+    tampered = dataclasses.replace(req, requested_validity=Validity(NOW - 1000, NOW + 3600))
+    with pytest.raises(SignatureInvalid):
+        handle_as_request(realm.db, tampered, NOW, cache, realm.provider)
+    assert len(cache) == 0
 
 
 def test_as_rejects_inverted_validity_window(realm):
     req = realm.agent.build_as_request("krbtgt", Validity(NOW + 10, NOW + 10))
     with pytest.raises(BadValidityWindow):
-        handle_as_request(realm.db, req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_rejects_unknown_ticket_granting_service(realm):
     req = realm.agent.build_as_request("krbtgt2", HOUR)
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, ReplayCache(), realm.provider)
     # a plain service cannot stand in for the ticket-granting one
     req = realm.agent.build_as_request("echo", HOUR)
     with pytest.raises(UnknownPrincipal):
-        handle_as_request(realm.db, req, NOW, realm.provider)
+        handle_as_request(realm.db, req, NOW, ReplayCache(), realm.provider)
 
 
 def test_as_issues_capped_initial_ticket(realm):
     req = realm.agent.build_as_request("krbtgt", Validity(NOW, NOW + 1_000_000))
-    reply = handle_as_request(realm.db, req, NOW, realm.provider)
+    reply = handle_as_request(realm.db, req, NOW, ReplayCache(), realm.provider)
     assert reply.client == realm.user.principal
     assert reply.ticket.server == Principal("krbtgt", REALM)
     tgs_key = realm.db.tgs_record().long_term_key
@@ -129,6 +135,30 @@ def test_as_issues_capped_initial_ticket(realm):
                         codec.SchemaId.TICKET_BODY)
     assert body.validity == Validity(NOW, NOW + 28800)  # capped, not the full ask
     assert (body.client_id, body.client_realm) == ("alice", REALM)
+
+
+def test_as_refuses_a_replay_inside_the_skew(realm):
+    req = realm.agent.build_as_request("krbtgt", HOUR)
+    realm.send_as(req)
+    with pytest.raises(ReplayDetected):
+        realm.send_as(req, now=NOW + 1)
+
+
+def test_as_refuses_a_request_signed_beyond_the_skew(realm):
+    req = realm.agent.build_as_request("krbtgt", HOUR)
+    realm.send_as(req)
+    with pytest.raises(SkewExceeded):
+        realm.send_as(req, now=NOW + 301)
+    early = realm.agent.build_as_request("krbtgt", Validity(NOW + 301, NOW + 3600))
+    with pytest.raises(SkewExceeded):  # a clock ahead is refused alike
+        realm.send_as(early)
+
+
+def test_two_honest_kinits_in_one_second_both_pass(realm):
+    first = realm.agent.kinit(realm.send_as, NOW)
+    second = realm.agent.kinit(realm.send_as, NOW)
+    assert first.key != second.key
+    assert len(realm.kdc.replay_cache) == 2
 
 
 # ------------------------------------------------------------ ticket granting
@@ -139,11 +169,10 @@ def tgt_of(realm):
 
 def test_tgs_rejects_tampered_ticket(realm):
     entry = tgt_of(realm)
-    mutated = bytearray(entry.ticket.box.ciphertext)
+    mutated = bytearray(entry.ticket.box)
     mutated[0] ^= 1
     forged = dataclasses.replace(
-        entry, ticket=dataclasses.replace(entry.ticket,
-                                          box=SealedBox(bytes(mutated), entry.ticket.box.label)))
+        entry, ticket=dataclasses.replace(entry.ticket, box=bytes(mutated)))
     req = make_tgs_request(realm, forged, NOW)
     with pytest.raises(TicketIntegrityError):
         handle_tgs_request(realm.db, req, NOW, ReplayCache(), realm.provider)
@@ -160,10 +189,9 @@ def test_tgs_rejects_expired_tgt(realm):
 def test_tgs_rejects_tampered_authenticator(realm):
     entry = tgt_of(realm)
     req = make_tgs_request(realm, entry, NOW)
-    mutated = bytearray(req.authenticator.ciphertext)
+    mutated = bytearray(req.authenticator)
     mutated[-1] ^= 1
-    bad = dataclasses.replace(req, authenticator=SealedBox(bytes(mutated),
-                                                           req.authenticator.label))
+    bad = dataclasses.replace(req, authenticator=bytes(mutated))
     with pytest.raises(AuthenticatorIntegrityError):
         handle_tgs_request(realm.db, bad, NOW, ReplayCache(), realm.provider)
 
@@ -221,7 +249,8 @@ def test_tgs_rejects_replayed_request(realm):
 
 def test_tgs_refuses_a_replay_once_a_flood_has_evicted_it(monkeypatch, realm):
     monkeypatch.setattr(messages, "REPLAY_CAPACITY", 8)
-    entry = tgt_of(realm)
+    # the kinit's own entry, a second earlier, is the first to go
+    entry = realm.agent.kinit(lambda req: realm.send_as(req, NOW - 1), NOW - 1)
     captured = make_tgs_request(realm, entry, NOW)
     realm.send_tgs(captured)
     for i in range(8):  # honest requests in the same second push it out
@@ -296,7 +325,7 @@ def test_tgs_rejects_inverted_validity_window(realm):
 def test_tgs_enforces_ticket_address_binding(toy):
     realm = Realm(toy)
     req = realm.agent.build_as_request("krbtgt", HOUR)
-    reply = handle_as_request(realm.db, req, NOW, realm.provider, "10.0.0.1")
+    reply = handle_as_request(realm.db, req, NOW, ReplayCache(), realm.provider, "10.0.0.1")
     entry = realm.agent.process_as_reply(reply, req.nonce1)
     treq = make_tgs_request(realm, entry, NOW)
     with pytest.raises(AddressMismatch):

@@ -180,14 +180,14 @@ def test_tunnel_ends_with_its_ticket():
 # SHA-256 of to_json() + render() and then every transcript wire image, in
 # order: any change to a byte on the wire or in a report shows here.
 REPORT_PINS = {
-    ("happy_path", 0): "35e50c575350c79d4e3e1414b036bd977809058f3ff608d861b37a3f5305ded5",
-    ("happy_path", 7): "2d760227582fc7f5ad179cf1e721c67da230b5d7d617f1c7ea1e02db0db0f737",
-    ("replay_attack", 0): "84d0dbdee8a458436c55689185353c9a8c688eaaca61a05482ca64eb58e16549",
-    ("replay_attack", 7): "f1a197f05b0a50c07b140b4f8696eaba44409a083d5d4e8275cf03377f18bd1b",
-    ("expired_ticket", 0): "39ad71b415914aa3ee5c61cbcfc3b870f756401db7fc90479025cc3c09b7ce21",
-    ("expired_ticket", 7): "e01cbf134972c3ab0dcddfe0f6951d24b287452d775fc739f5ea36ed798f25ce",
-    ("expired_tunnel", 0): "ed7d59f16dad10f0b648ec310aa2663dc4684d4875366f2fea663e2c1de54236",
-    ("expired_tunnel", 7): "234b8f0cc85d17153175937e92ca9d18a0064734c16b47a6a8e1b7c62fa60097",
+    ("happy_path", 0): "902daceb1b7fe54d527400f9343485abe72a727015ea6e8bd505698815d10e37",
+    ("happy_path", 7): "fe433483a172cd58814c98a73e43ef3891a3f4e2625982e3974811a15d6f4910",
+    ("replay_attack", 0): "7cc6ce2af14ad9b14e9506ac7140504abda37cafd061da86b27da0ed452bf40c",
+    ("replay_attack", 7): "92a85d5f1b7ffc6360b3891b3735ed47da631e55999c1f91c66f3d537dc2d940",
+    ("expired_ticket", 0): "59ad44a460c12af126a5614caf9a0e525a5911fcd9e27e07fcb39d507b991171",
+    ("expired_ticket", 7): "ba39812a139e7bdddbf1cda3e41d4df9116b547ced27ccfd0d2235d0174861dc",
+    ("expired_tunnel", 0): "8a45b386c565a28816d88d662a4ee2b74ed4591ed9f7b4a409bc353a3a079f25",
+    ("expired_tunnel", 7): "7bafcfcf2448f6eec7d08ead518e4bf0d715113058592211c718e09d0d400208",
 }
 
 
@@ -197,6 +197,27 @@ def test_bundled_reports_and_wires_are_pinned(name, seed):
     digest = hashlib.sha256((report.to_json() + report.render()).encode())
     digest.update(b"".join(record.wire for record in report.transcript))
     assert digest.hexdigest() == REPORT_PINS[name, seed], report.render()
+
+
+# happy_path's frames at seed 0, in transcript order, and each one's size on the
+# wire in bytes.  Beside the opaque pins above, this shows which frame a wire
+# change moved, and by how much.
+HAPPY_PATH_FRAME_SIZES = [
+    ("alice<->as", "c->s", 215),     # AS request
+    ("alice<->as", "s->c", 341),     # AS reply
+    ("alice<->tgs", "c->s", 332),    # TGS request
+    ("alice<->tgs", "s->c", 342),    # TGS reply
+    ("alice<->echo", "c->s", 315),   # handshake, first leg
+    ("alice<->echo", "s->c", 127),   # handshake, reply leg
+    ("alice<->echo", "c->s", 94),    # wrapped request
+    ("alice<->echo", "s->c", 88),    # wrapped response
+]
+
+
+def test_happy_path_frame_sizes_are_pinned():
+    report = run_scenario(load_scenario("happy_path"), seed=0)
+    assert [(r.channel, r.direction, len(r.wire)) for r in report.transcript] == \
+        HAPPY_PATH_FRAME_SIZES
 
 
 def test_wrong_password_leaves_no_credentials():
