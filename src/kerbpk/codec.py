@@ -28,8 +28,8 @@ A sealed part is a plain ``bytes`` field, its bare ciphertext: the seal binds
 its label and any associated data, so the codec carries neither.  A request's
 signature or digest covers every field but the last, under its body's own
 schema id (``encode_body``).  Every ``SchemaId`` is a known tag, registered or
-not; retired ids (0x14 sealed box, 0x16 key pair, 0x18 wrap body) are never
-reused.  On disk, each structure is one line of hex, in files that only their
+not; retired ids (0x09 context token, 0x14 sealed box, 0x16 key pair, 0x18 wrap
+body) are never reused.  On disk, each structure is one line of hex, in files that only their
 owner may read, because they hold keys.
 """
 
@@ -65,7 +65,6 @@ class SchemaId(IntEnum):
     AP_REPLY = 0x06
     TICKET_SEALED = 0x07
     AUTHENTICATOR = 0x08
-    CONTEXT_TOKEN = 0x09
     WRAP_TOKEN = 0x0A
     ENC_PART_AS = 0x0B
     ENC_PART_TGS = 0x0C

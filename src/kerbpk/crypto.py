@@ -2,10 +2,13 @@
 
 Two profiles ship:
 
-* ``toy`` — fully deterministic given a seed.  Keystream-XOR sealing with a
-  keyed-hash tag, keyed-hash "signatures", and an XOR-mask public-key wrap.
-  Each keystream is one SHAKE-256 output, read to the payload's length, over
-  the secret's length (u32), the secret and a context naming the purpose.
+* ``toy`` — fully deterministic given a seed.  Synthetic-IV sealing (in the
+  manner of RFC 5297): the tag is a keyed BLAKE2b-128 of the label, the
+  associated data and the plaintext, and it also names the keystream, so only
+  equal (label, aad, plaintext) share one.  Keyed-hash "signatures", and an
+  XOR-mask public-key wrap whose tag names its mask too.  Each keystream is
+  one SHAKE-256 output, read to the payload's length, over the secret's
+  length (u32), the secret and a context naming the purpose.
   Insecure by design; it exists so whole protocol runs are reproducible byte
   for byte and cheap enough for exhaustive tamper sweeps.
 * ``standard`` — AES-GCM sealing, Ed25519 signatures, X25519+HKDF+AES-GCM for
@@ -26,10 +29,10 @@ the toy provider, such as a scenario run or the tamper sweep, never loads
 ``cryptography``.
 
 A sealed part travels as bare ciphertext.  The opener names the label it
-expects and the seal binds it (AES-GCM associated data; the toy keystream
-context and tag), so a part sealed for one purpose (say TICKET) opens under no
-other.  Optional associated data (``aad``) is bound alike: AES-GCM
-authenticates the label byte then the data, and the toy tag length-prefixes it.
+expects and the seal binds it (AES-GCM associated data; the toy tag), so a part
+sealed for one purpose (say TICKET) opens under no other.  Optional associated
+data (``aad``) is bound alike: AES-GCM authenticates the label byte then the
+data, and the toy tag length-prefixes it.  A toy part is the tag then the body.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ class SealLabel(IntEnum):
     WRAP = 6
 
 
+_LABELS = frozenset(SealLabel)
+
+
 @codec.structure(codec.SchemaId.SYMMETRIC_KEY)
 @dataclass(frozen=True)
 class SymmetricKey:
@@ -81,7 +87,7 @@ class KeyPair:
 
 
 class CryptoProvider:
-    """The key check and the random draws both providers share.
+    """The key and label check and the random draws both providers share.
 
     Each provider supplies ``_random_bytes``, ``digest`` (SHA-256),
     ``derive_key_from_password``, ``seal``, ``open``, ``sign``, ``verify``,
@@ -93,13 +99,17 @@ class CryptoProvider:
     nonce_length = NONCE_LENGTH
     pk_payload_limit = PK_PAYLOAD_LIMIT
 
-    def _check_key(self, key: SymmetricKey) -> None:
+    def _check(self, key: SymmetricKey, label: int) -> None:
+        """Refuse a key of the wrong kind, provider or length, then a label
+        that is not a SealLabel (with SealLabel's own ValueError)."""
         if not isinstance(key, SymmetricKey):
             raise MalformedKey(f"expected SymmetricKey, got {type(key).__name__}")
         if key.provider_id != self.provider_id:
             raise ProviderMismatch(f"key from provider {key.provider_id!r} used with {self.provider_id!r}")
         if len(key.data) != self.key_length:
             raise MalformedKey(f"key length {len(key.data)}, expected {self.key_length}")
+        if label not in _LABELS:
+            SealLabel(label)
 
     def random_session_key(self) -> SymmetricKey:
         return SymmetricKey(self._random_bytes(self.key_length), self.provider_id)
@@ -154,9 +164,10 @@ class ToyProvider(CryptoProvider):
         stream = cls._stream(secret, context, len(data))
         return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
-    def _seal_tag(self, key: SymmetricKey, label: int, aad: bytes, body: bytes) -> bytes:
-        message = b"tag" + bytes([label]) + len(aad).to_bytes(4, "big") + aad + body
-        return hmac_mod.digest(key.data, message, "sha256")[: self._TAG_LEN]
+    def _seal_tag(self, key: SymmetricKey, label: int, aad: bytes, plaintext: bytes) -> bytes:
+        # The length prefix keeps (aad, plaintext) splits apart.
+        message = bytes([label]) + len(aad).to_bytes(4, "big") + aad + plaintext
+        return hashlib.blake2b(message, digest_size=self._TAG_LEN, key=key.data).digest()
 
     def derive_key_from_password(self, password: str, name: str, realm: str) -> SymmetricKey:
         if not password:
@@ -165,20 +176,19 @@ class ToyProvider(CryptoProvider):
         return SymmetricKey(data, self.provider_id)
 
     def seal(self, key: SymmetricKey, plaintext: bytes, label: int, aad: bytes = b"") -> bytes:
-        self._check_key(key)
-        label = SealLabel(label)
-        body = self._xor_stream(key.data, b"seal" + bytes([label]), plaintext)
-        return body + self._seal_tag(key, label, aad, body)
+        self._check(key, label)
+        tag = self._seal_tag(key, label, aad, plaintext)
+        return tag + self._xor_stream(key.data, b"seal" + tag, plaintext)
 
     def open(self, key: SymmetricKey, ciphertext: bytes, label: int, aad: bytes = b"") -> bytes:
-        self._check_key(key)
-        label = SealLabel(label)
+        self._check(key, label)
         if len(ciphertext) < self._TAG_LEN:
             raise IntegrityError("sealed part shorter than its tag")
-        body, tag = ciphertext[: -self._TAG_LEN], ciphertext[-self._TAG_LEN:]
-        if not hmac_mod.compare_digest(tag, self._seal_tag(key, label, aad, body)):
+        tag = ciphertext[: self._TAG_LEN]
+        plaintext = self._xor_stream(key.data, b"seal" + tag, ciphertext[self._TAG_LEN:])
+        if not hmac_mod.compare_digest(tag, self._seal_tag(key, label, aad, plaintext)):
             raise IntegrityError("seal tag mismatch")
-        return self._xor_stream(key.data, b"seal" + bytes([label]), body)
+        return plaintext
 
     @classmethod
     def _pub_core(cls, public_key: bytes) -> bytes:
@@ -204,14 +214,14 @@ class ToyProvider(CryptoProvider):
         if len(payload) > self.pk_payload_limit:
             raise PayloadTooLarge(f"{len(payload)} bytes exceeds pk payload limit {self.pk_payload_limit}")
         tag = _sha(b"pk-tag", core, payload)[: self._PK_TAG_LEN]
-        return self._xor_stream(core, b"pk-mask", payload) + tag
+        return self._xor_stream(core, b"pk-mask" + tag, payload) + tag
 
     def pk_decrypt(self, private_key: bytes, ciphertext: bytes) -> bytes:
         core = self._core_from_private(private_key)
         if len(ciphertext) < self._PK_TAG_LEN:
             raise DecryptFailure("ciphertext shorter than its tag")
         body, tag = ciphertext[: -self._PK_TAG_LEN], ciphertext[-self._PK_TAG_LEN:]
-        payload = self._xor_stream(core, b"pk-mask", body)
+        payload = self._xor_stream(core, b"pk-mask" + tag, body)
         if not hmac_mod.compare_digest(tag, _sha(b"pk-tag", core, payload)[: self._PK_TAG_LEN]):
             raise DecryptFailure("pk unwrap tag mismatch")
         return payload
@@ -268,13 +278,12 @@ class StandardProvider(CryptoProvider):
         return SymmetricKey(kdf.derive(password.encode()), self.provider_id)
 
     def seal(self, key: SymmetricKey, plaintext: bytes, label: int, aad: bytes = b"") -> bytes:
-        self._check_key(key)
+        self._check(key, label)
         nonce = os.urandom(self._GCM_NONCE)
-        return nonce + AESGCM(key.data).encrypt(nonce, plaintext, bytes([SealLabel(label)]) + aad)
+        return nonce + AESGCM(key.data).encrypt(nonce, plaintext, bytes([label]) + aad)
 
     def open(self, key: SymmetricKey, ciphertext: bytes, label: int, aad: bytes = b"") -> bytes:
-        self._check_key(key)
-        label = SealLabel(label)
+        self._check(key, label)
         if len(ciphertext) < self._GCM_NONCE + 16:
             raise IntegrityError("sealed part too short")
         nonce, body = ciphertext[: self._GCM_NONCE], ciphertext[self._GCM_NONCE:]

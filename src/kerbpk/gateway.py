@@ -211,11 +211,11 @@ class ProtectedAppSession:
 
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         schema = codec.schema_id_of(payload)
-        if schema == codec.SchemaId.CONTEXT_TOKEN:
+        if schema == codec.SchemaId.AP_REQUEST:
             acceptor = ContextAcceptor(self.key, self.provider, self.replay_cache)
             try:
-                token = codec.decode(payload, codec.SchemaId.CONTEXT_TOKEN)
-                reply, _ = acceptor.step(token, now)
+                request = codec.decode(payload, codec.SchemaId.AP_REQUEST)
+                reply, _ = acceptor.step(request, now)
             except KerbPkError as exc:
                 return [error_reply(exc)], True
             self.context = acceptor.context
@@ -296,8 +296,8 @@ class SecureChannel:
 def open_channel(initiator: ContextInitiator, conn,
                  now_fn: Callable[[], int]) -> SecureChannel:
     """Run the two handshake legs over an open connection."""
-    token, _ = initiator.step(None, now_fn())
-    initiator.step(call(conn, token, codec.SchemaId.CONTEXT_TOKEN), now_fn())
+    request, _ = initiator.step(None, now_fn())
+    initiator.step(call(conn, request, codec.SchemaId.AP_REPLY), now_fn())
     return SecureChannel(conn, initiator.context)
 
 

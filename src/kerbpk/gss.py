@@ -5,8 +5,10 @@ Callers name principals directly: a client acquires an Initiate credential
 over its credential cache, a service hands its acceptor its long-term key, and
 both drive ``step`` until the context is complete.  The mechanism needs
 exactly two legs: the initiator presents a service ticket with a fresh sealed
-authenticator, the acceptor answers with a sealed timestamp echo, a fresh
-subkey, and its initial sequence number.
+authenticator (an ApRequest), the acceptor answers with a sealed timestamp
+echo, a fresh subkey, and its initial sequence number (an ApReply).  Each leg
+travels as a frame of its own, named by its schema id alone, as a context
+token is by its token ID (RFC 4121 4.1); no wrapper repeats it.
 
 Mutual authentication, replay detection, and sequence checking are all
 mandatory; an initiator asking for less is refused.  Established contexts
@@ -55,9 +57,6 @@ from .messages import (
 )
 
 MECHANISM = "kerbpk-ticket"
-
-LEG_INIT = 1
-LEG_REPLY = 2
 
 DIR_INITIATOR_TO_ACCEPTOR = 1
 DIR_ACCEPTOR_TO_INITIATOR = 2
@@ -124,13 +123,6 @@ class ContextAuthenticator:
     flags: codec.U32
     initial_seq: codec.U64
     request_digest: bytes
-
-
-@codec.structure(codec.SchemaId.CONTEXT_TOKEN)
-@dataclass(frozen=True)
-class ContextToken:
-    leg: codec.U8
-    body: bytes
 
 
 @codec.structure(codec.SchemaId.WRAP_TOKEN)
@@ -200,7 +192,8 @@ class SecurityContext:
 
 
 class ContextInitiator:
-    """Client half of the handshake; drives ``step`` with received tokens.
+    """Client half of the handshake: ``step(None)`` returns the ApRequest to
+    send, and ``step`` of the acceptor's ApReply completes the context.
 
     ``ticket_source(target, now)`` returns the (ticket, session key) pair to
     present; it decides whether a ticket exchange happens first.
@@ -219,7 +212,7 @@ class ContextInitiator:
         self.context = SecurityContext(CredentialUsage.INITIATE, provider)
         self._ts1: Optional[int] = None
 
-    def step(self, input_token: Optional[ContextToken], now: int) -> tuple[Optional[ContextToken], ContextState]:
+    def step(self, input_token: Optional[ApReply], now: int) -> tuple[Optional[ApRequest], ContextState]:
         ctx = self.context
         if ctx.state is ContextState.INITIAL:
             if input_token is not None:
@@ -237,16 +230,13 @@ class ContextInitiator:
             ctx.send_seq = initial_seq
             ctx.state = ContextState.AWAITING_REPLY
             self._ts1 = now
-            return ContextToken(LEG_INIT, codec.encode(request)), ctx.state
+            return request, ctx.state
         if ctx.state is ContextState.AWAITING_REPLY:
             if input_token is None:
                 raise StateError("initiator is waiting for the acceptor's token")
             try:
-                if input_token.leg != LEG_REPLY:
-                    raise StateError(f"expected leg {LEG_REPLY}, got {input_token.leg}")
-                reply: ApReply = codec.decode(input_token.body, codec.SchemaId.AP_REPLY)
                 try:
-                    plain = self.provider.open(ctx.session_key, reply.enc_part,
+                    plain = self.provider.open(ctx.session_key, input_token.enc_part,
                                                SealLabel.AP_ENC_PART)
                 except IntegrityError as exc:
                     raise TokenIntegrityError(str(exc)) from None
@@ -276,7 +266,8 @@ def initiator_for(cache, service: str, provider: CryptoProvider,
 
 
 class ContextAcceptor:
-    """Service half; validates leg 1 and answers with the sealed echo.
+    """Service half; validates the ApRequest and answers with the ApReply that
+    carries the sealed echo.
 
     ``key`` is the service's long-term key, which opens the presented ticket.
     ``replay_cache`` is the service's own, shared by every connection it
@@ -289,16 +280,15 @@ class ContextAcceptor:
         self.replay_cache = replay_cache
         self.context = SecurityContext(CredentialUsage.ACCEPT, provider)
 
-    def step(self, input_token: ContextToken, now: int) -> tuple[Optional[ContextToken], ContextState]:
+    def step(self, input_token: ApRequest, now: int) -> tuple[ApReply, ContextState]:
         ctx = self.context
         if ctx.state is not ContextState.INITIAL:
             raise StateError(f"acceptor stepped in state {ctx.state.value}")
         try:
-            if input_token is None or input_token.leg != LEG_INIT:
+            if input_token is None:
                 raise StateError("acceptor expects the handshake's first token")
-            request: ApRequest = codec.decode(input_token.body, codec.SchemaId.AP_REQUEST)
             try:
-                body, sealed = accept_ticket(request, self.key,
+                body, sealed = accept_ticket(input_token, self.key,
                                              codec.SchemaId.CONTEXT_AUTHENTICATOR, now,
                                              self.replay_cache, self.provider)
             except (TicketIntegrityError, AuthenticatorIntegrityError,
@@ -321,5 +311,5 @@ class ContextAcceptor:
         ctx.peer = Principal(body.client_id, body.client_realm)
         ctx.validity = body.validity
         ctx.state = ContextState.COMPLETE
-        return ContextToken(LEG_REPLY, codec.encode(ApReply(box))), ctx.state
+        return ApReply(box), ctx.state
 

@@ -63,8 +63,9 @@ _NAME_OK = frozenset(chr(c) for c in range(0x21, 0x7F))
 def _check_name(value: str, what: str, allow_slash: bool) -> None:
     if not value:
         raise MalformedName(f"{what} must be non-empty")
-    bad = set(value) - _NAME_OK
-    if bad:
+    # printable ASCII but space: exactly the characters 0x21-0x7e
+    if not (value.isascii() and value.isprintable()) or " " in value:
+        bad = set(value) - _NAME_OK
         raise MalformedName(f"{what} contains non-printable or non-ASCII characters: {sorted(bad)!r}")
     if not allow_slash and "/" in value:
         raise MalformedName(f"{what} must not contain '/'")

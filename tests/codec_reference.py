@@ -29,7 +29,7 @@ from kerbpk.errors import (
     Truncated,
     UnknownTag,
 )
-from kerbpk.gss import ContextAuthenticator, ContextToken, WrapToken
+from kerbpk.gss import ContextAuthenticator, WrapToken
 from kerbpk.kdc import PrincipalRecord, ServiceKeyFile
 from kerbpk.messages import (ApEncPart, ApReply, ApRequest, AsEncPart, AsReply, AsRequest,
                              Authenticator, Certificate, Principal, SealedTicket, TgsAuthenticator,
@@ -44,8 +44,7 @@ _INT_WIDTH = {"u8": 1, "u16": 2, "u32": 4, "u64": 8}
 SCHEMAS = {
     0x01: AsRequest, 0x02: AsReply, 0x03: TgsRequest, 0x04: TgsReply,
     0x05: ApRequest, 0x06: ApReply, 0x07: SealedTicket, 0x08: Authenticator,
-    0x09: ContextToken, 0x0A: WrapToken, 0x0B: AsEncPart, 0x0C: TgsEncPart,
-    0x0D: ApEncPart,
+    0x0A: WrapToken, 0x0B: AsEncPart, 0x0C: TgsEncPart, 0x0D: ApEncPart,
     0x10: Principal, 0x11: Certificate, 0x12: Validity, 0x13: TicketBody,
     0x15: SymmetricKey, 0x17: ContextAuthenticator,
     0x1B: TgsAuthenticator,

@@ -101,7 +101,7 @@ def test_replayed_and_reordered_frames_are_always_caught(capsys):
 
 # SHA-256 of every flipped run's render(), back to back in sweep order: the
 # sweep answers each flip exactly as it did when this was pinned.
-SWEEP_RENDERS_SHA256 = "ca8a9a720dff8c7d5903bfb93ccfc379b3e6d272b2b57ff29035de546b8d0628"
+SWEEP_RENDERS_SHA256 = "dedfbe54908661372859e77a456d82e60c21e8c7f2307d17f13ebfa00aad603b"
 
 
 def test_every_wire_bit_flip_is_rejected(capsys):

@@ -579,6 +579,7 @@ def test_toy_scenario_run_loads_no_cryptography():
     assert "kerbpk.crypto" in loaded and "kerbpk.scenario" in loaded
     assert cryptography_modules(loaded) == set()
     assert "_hashlib" in loaded  # the toy provider hashes with hashlib
+    assert "_blake2" in loaded  # and tags its seals with hashlib's BLAKE2b
 
 
 def test_the_probe_sees_a_standard_provider_load_cryptography(tmp_path):
@@ -587,6 +588,7 @@ def test_the_probe_sees_a_standard_provider_load_cryptography(tmp_path):
     assert status == 0
     assert "cryptography.hazmat.primitives.ciphers.aead" in loaded
     assert PYTHON_OPENSSL.isdisjoint(loaded)
+    assert "_blake2" not in loaded  # the toy seal's keyed hash
 
 
 def test_servers_on_the_standard_provider_load_one_openssl(tmp_path):
@@ -602,3 +604,4 @@ def test_servers_on_the_standard_provider_load_one_openssl(tmp_path):
         assert status == 0
         assert "cryptography.hazmat.primitives.ciphers.aead" in loaded
         assert PYTHON_OPENSSL.isdisjoint(loaded), args[0]
+        assert "_blake2" not in loaded, args[0]

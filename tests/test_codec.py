@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import re
 import struct
 from dataclasses import dataclass
 
@@ -86,6 +87,21 @@ def test_body_ids_are_known_tags_without_a_schema():
     assert codec.schema_id_of(bytes([codec.SchemaId.TGS_REQ_BODY])) == codec.SchemaId.TGS_REQ_BODY
     with pytest.raises(SchemaMismatch, match="found 0x1a"):
         codec.decode(tlv(codec.SchemaId.TGS_REQ_BODY, b""), codec.SchemaId.VALIDITY)
+
+
+# context token, sealed box, key pair, wrap body: never reused
+RETIRED_IDS = {0x09, 0x14, 0x16, 0x18}
+
+
+def test_retired_schema_ids_stay_retired():
+    assert RETIRED_IDS.isdisjoint(int(schema_id) for schema_id in codec.SchemaId)
+    for retired in RETIRED_IDS:
+        assert codec.schema_id_of(bytes([retired])) is None
+        for expected in (codec.SchemaId.AP_REQUEST, codec.SchemaId.AP_REPLY):
+            with pytest.raises(UnknownTag):
+                codec.decode(tlv(retired, b""), expected)
+    listed = re.search(r"retired ids \(([^)]*)\)", codec.__doc__).group(1)
+    assert {int(h, 16) for h in re.findall(r"0x[0-9a-f]{2}", listed)} == RETIRED_IDS
 
 
 # ---------------------------------------------------------------- record files
@@ -383,7 +399,7 @@ def registered_schemas() -> list:
 
 def test_wire_fields_are_the_dataclass_init_fields_in_order():
     schemas = registered_schemas()
-    assert len(schemas) == 29
+    assert len(schemas) == 28
     for schema in schemas:
         init_names = [f.name for f in dataclasses.fields(schema.cls) if f.init]
         assert [name for name, _, _ in schema.fields] == init_names, schema.cls.__name__
@@ -392,7 +408,7 @@ def test_wire_fields_are_the_dataclass_init_fields_in_order():
 # Frozen schema table: ids, classes and each field's name, kind and nested
 # class.  It covers the on-disk records that no golden vector reaches, and a
 # reordered dataclass field, which reorders the wire, changes it.
-SCHEMA_TABLE_SHA256 = "d332d3fd8d52884f636136d4fbde2ccdb858df4dafb452c3e0eb4166003629e4"
+SCHEMA_TABLE_SHA256 = "8ab7f2ef95d1c907d4461e1d4447ff5b7b3cc1d666b8146a8736e946d1fef150"
 
 
 def test_schema_table_is_pinned():

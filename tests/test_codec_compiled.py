@@ -82,7 +82,8 @@ def happy_path_values():
 def test_happy_path_values_cover_every_exchange(happy_path_values):
     covered = {reference.SCHEMA_ID[type(obj)] for obj in happy_path_values}
     wire = {codec.SchemaId.AS_REQUEST, codec.SchemaId.AS_REPLY, codec.SchemaId.TGS_REQUEST,
-            codec.SchemaId.TGS_REPLY, codec.SchemaId.CONTEXT_TOKEN, codec.SchemaId.WRAP_TOKEN}
+            codec.SchemaId.TGS_REPLY, codec.SchemaId.AP_REQUEST, codec.SchemaId.AP_REPLY,
+            codec.SchemaId.WRAP_TOKEN}
     sealed = {codec.SchemaId.TICKET_BODY, codec.SchemaId.ENC_PART_AS, codec.SchemaId.ENC_PART_TGS,
               codec.SchemaId.APP_REQUEST, codec.SchemaId.APP_RESPONSE}
     assert wire | sealed <= covered

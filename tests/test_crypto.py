@@ -81,12 +81,16 @@ def test_associated_data_must_match_exactly(provider):
 
 def test_toy_tag_keeps_associated_data_and_body_apart():
     # Without the length prefix, moving the last byte of the associated data
-    # to the front of the ciphertext would leave the tag's input unchanged.
+    # to the front of the plaintext would leave the tag's input unchanged; the
+    # tag names the keystream, so the forger can extend the body under it.
     prov = ToyProvider(seed=8)
     key = prov.random_session_key()
     box = prov.seal(key, b"payload", SealLabel.WRAP, b"ab")
+    tag = box[:16]
+    stream = prov._stream(key.data, b"seal" + tag, len(box) - 16 + 1)
+    forged = tag + _xor_bytewise(b"b" + b"payload", stream)
     with pytest.raises(IntegrityError):
-        prov.open(key, b"b" + box, SealLabel.WRAP, b"a")
+        prov.open(key, forged, SealLabel.WRAP, b"a")
 
 
 def test_open_with_wrong_key_fails(provider):
@@ -284,8 +288,9 @@ def test_toy_seal_roundtrip_sizes(size):
     key = prov.random_session_key()
     plaintext = bytes(i % 251 for i in range(size))  # leading zero bytes must survive
     box = prov.seal(key, plaintext, SealLabel.WRAP)
-    stream = prov._stream(key.data, b"seal" + bytes([SealLabel.WRAP]), size)
-    assert box[:-16] == _xor_bytewise(plaintext, stream)
+    tag = box[:16]  # the synthetic IV: the keystream's context is b"seal" + tag
+    stream = prov._stream(key.data, b"seal" + tag, size)
+    assert box[16:] == _xor_bytewise(plaintext, stream)
     assert prov.open(key, box, SealLabel.WRAP) == plaintext
 
 
@@ -300,7 +305,9 @@ def test_toy_pk_roundtrip_sizes(size):
         return
     wrapped = prov.pk_encrypt(pair.public_key, payload)
     core = ToyProvider._pub_core(pair.public_key)
-    assert wrapped[:size] == _xor_bytewise(payload, prov._stream(core, b"pk-mask", size))
+    tag = wrapped[size:]
+    assert len(tag) == 8
+    assert wrapped[:size] == _xor_bytewise(payload, prov._stream(core, b"pk-mask" + tag, size))
     assert prov.pk_decrypt(pair.private_key, wrapped) == payload
 
 
@@ -318,6 +325,70 @@ def test_every_toy_box_bit_flip_is_rejected(size):
         if other is not SealLabel.TGS_ENC_PART:
             with pytest.raises(IntegrityError):
                 prov.open(key, box, other)
+
+
+def test_toy_seal_hides_the_xor_of_two_payloads():
+    # one key and label: with one keystream per (key, label) the parts' XOR
+    # would hold the payloads' XOR, a two-time pad
+    prov = ToyProvider(seed=9)
+    key = prov.random_session_key()
+    first, second = b"attack at dawn!", b"retreat at six!"
+    a = prov.seal(key, first, SealLabel.WRAP, b"1")
+    b = prov.seal(key, second, SealLabel.WRAP, b"1")
+    assert _xor_bytewise(first, second) not in _xor_bytewise(a, b)
+    c = prov.seal(key, first, SealLabel.WRAP, b"2")
+    assert _xor_bytewise(first, first) not in _xor_bytewise(a, c)  # aad alone re-keys it
+    # only equal (label, aad, payload) share a keystream, and seal alike
+    assert prov.seal(key, first, SealLabel.WRAP, b"1") == a
+
+
+def test_toy_pk_wrap_hides_the_xor_of_two_payloads():
+    prov = ToyProvider(seed=10)
+    pair = prov.generate_keypair()
+    first, second = bytes(32), bytes(range(32))  # two session keys for one user
+    a = prov.pk_encrypt(pair.public_key, first)
+    b = prov.pk_encrypt(pair.public_key, second)
+    assert _xor_bytewise(first, second) not in _xor_bytewise(a, b)
+    assert prov.pk_decrypt(pair.private_key, a) == first
+    assert prov.pk_decrypt(pair.private_key, b) == second
+
+
+@pytest.mark.parametrize("label", list(SealLabel), ids=[label.name for label in SealLabel])
+@pytest.mark.parametrize("aad", [b"", b"header"], ids=["no-aad", "aad"])
+def test_every_toy_part_bit_flip_is_refused_under_every_label(label, aad):
+    prov = ToyProvider(seed=11)
+    key = prov.random_session_key()
+    box = prov.seal(key, b"m" * 20, label, aad)
+    assert len(box) == 16 + 20
+    for bit in range(8 * len(box)):  # the tag's bits and the body's
+        mutated = bytearray(box)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(IntegrityError):
+            prov.open(key, bytes(mutated), label, aad)
+
+
+def _label_error(value) -> str:
+    try:
+        SealLabel(value)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@given(st.integers(min_value=-300, max_value=300) | st.sampled_from(list(SealLabel)))
+@settings(max_examples=200, deadline=None)
+def test_label_check_accepts_exactly_the_seal_labels(value):
+    expected = _label_error(value)
+    for prov in (ToyProvider(seed=12), StandardProvider()):
+        key = prov.random_session_key()
+        if not expected:
+            assert prov.open(key, prov.seal(key, b"x", value), value) == b"x"
+            continue
+        with pytest.raises(ValueError) as seal_info:
+            prov.seal(key, b"x", value)
+        with pytest.raises(ValueError) as open_info:
+            prov.open(key, b"\x00" * 64, value)
+        assert str(seal_info.value) == str(open_info.value) == expected
 
 
 def test_toy_keystream_separates_secret_from_context():

@@ -197,7 +197,7 @@ def handshake_frames(net):
     count = 0
     for record in net.transcript:
         payload = record.wire[4:]
-        if codec.schema_id_of(payload) == codec.SchemaId.CONTEXT_TOKEN:
+        if codec.schema_id_of(payload) in (codec.SchemaId.AP_REQUEST, codec.SchemaId.AP_REPLY):
             count += 1
     return count
 
@@ -323,7 +323,7 @@ def test_kept_channel_ends_with_its_ticket(logged_in):
     # the gateway answered the handshake and the first fetch, then only the error
     assert [codec.schema_id_of(r.wire[4:]) for r in net.transcript
             if r.direction == "s->c" and not r.internal] == \
-        [codec.SchemaId.CONTEXT_TOKEN, codec.SchemaId.WRAP_TOKEN, codec.SchemaId.ERROR_REPLY]
+        [codec.SchemaId.AP_REPLY, codec.SchemaId.WRAP_TOKEN, codec.SchemaId.ERROR_REPLY]
     errors = [codec.decode(r.wire[4:], codec.SchemaId.ERROR_REPLY).error
               for r in net.transcript
               if codec.schema_id_of(r.wire[4:]) == codec.SchemaId.ERROR_REPLY]
@@ -340,7 +340,7 @@ def test_fresh_channel_that_fails_is_not_retried(logged_in):
 
         def feed(self, payload, now):
             replies, close = self.session.feed(payload, now)
-            return replies, close or codec.schema_id_of(payload) == codec.SchemaId.CONTEXT_TOKEN
+            return replies, close or codec.schema_id_of(payload) == codec.SchemaId.AP_REQUEST
 
     net.register("gw", HangUpAfterHandshake)
     with pytest.raises(FetchError) as info:
@@ -395,9 +395,9 @@ def test_first_leg_replayed_on_a_second_tcp_connection_is_refused(logged_in, end
     first, second = (FrameClient(server.host, server.port) for _ in range(2))
     try:
         leg1, _ = initiator_factory(logged_in)(NOW).step(None, NOW)
-        call(first, leg1, codec.SchemaId.CONTEXT_TOKEN)
+        call(first, leg1, codec.SchemaId.AP_REPLY)
         with pytest.raises(ReplayDetected):
-            call(second, leg1, codec.SchemaId.CONTEXT_TOKEN)
+            call(second, leg1, codec.SchemaId.AP_REPLY)
     finally:
         first.close()
         second.close()
@@ -411,7 +411,7 @@ def test_first_leg_replayed_after_a_flood_is_refused(monkeypatch, logged_in):
     # fresh first legs in the same second push the captured one out
     for leg1 in [captured] + [initiator(NOW).step(None, NOW)[0] for _ in range(4)]:
         replies, close = endpoint().feed(codec.encode(leg1), NOW)
-        assert codec.schema_id_of(replies[0]) == codec.SchemaId.CONTEXT_TOKEN and not close
+        assert codec.schema_id_of(replies[0]) == codec.SchemaId.AP_REPLY and not close
     replies, close = endpoint().feed(codec.encode(captured), NOW + 10)
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "ReplayWindowLost"
@@ -430,10 +430,10 @@ def test_first_leg_flood_by_one_principal_locks_out_only_that_principal(monkeypa
         leg1, _ = initiator_for(bob.cache, "echo", logged_in.provider, source).step(
             None, NOW + CLOCK_SKEW)
         replies, close = endpoint().feed(codec.encode(leg1), NOW)
-        assert codec.schema_id_of(replies[0]) == codec.SchemaId.CONTEXT_TOKEN and not close
+        assert codec.schema_id_of(replies[0]) == codec.SchemaId.AP_REPLY and not close
     leg1, _ = initiator(NOW + 10).step(None, NOW + 10)
     replies, close = endpoint().feed(codec.encode(leg1), NOW + 10)
-    assert codec.schema_id_of(replies[0]) == codec.SchemaId.CONTEXT_TOKEN and not close
+    assert codec.schema_id_of(replies[0]) == codec.SchemaId.AP_REPLY and not close
 
 
 def test_cache_eviction_under_capacity_pressure(logged_in):

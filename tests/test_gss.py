@@ -11,15 +11,15 @@ from kerbpk import codec
 from kerbpk.crypto import SealLabel, get_provider
 from kerbpk.errors import (IntegrityError, MissingBacking, MutualAuthFailure,
                            NoTicket, OutOfSequence, ReplayDetected,
-                           RequiredFlagMissing, SkewExceeded, StateError,
+                           RequiredFlagMissing, SchemaMismatch, SkewExceeded, StateError,
                            TicketExpired, TokenIntegrityError, UsageViolation,
                            WrapIntegrityError, WrongDirection)
-from kerbpk.gss import (ALL_FLAGS, LEG_INIT, LEG_REPLY, MECHANISM,
+from kerbpk.gss import (ALL_FLAGS, MECHANISM,
                         ContextAcceptor, ContextAuthenticator, ContextCredential,
-                        ContextInitiator, ContextState, ContextToken, CredentialUsage,
+                        ContextInitiator, ContextState, CredentialUsage,
                         MechanismName, NameType, ReqFlags, WrapToken,
                         acquire_credential, wrap_header)
-from kerbpk.messages import (ApRequest, Authenticator, Principal, ReplayCache,
+from kerbpk.messages import (ApReply, ApRequest, Authenticator, Principal, ReplayCache,
                              request_digest)
 
 
@@ -48,8 +48,7 @@ def established(logged_in):
 def test_flag_bits_roundtrip(logged_in):
     # leg 1 seals the one mandatory flag set; the acceptor opens the same bits
     init, _ = contexts(logged_in)
-    token, _ = init.step(None, NOW)
-    request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
+    request, _ = init.step(None, NOW)
     plain = logged_in.provider.open(init.context.session_key, request.authenticator,
                                     SealLabel.AUTHENTICATOR)
     sealed = codec.decode(plain, codec.SchemaId.CONTEXT_AUTHENTICATOR)
@@ -90,9 +89,9 @@ def test_all_three_flags_are_mandatory(logged_in):
 def test_handshake_completes_in_two_legs(logged_in):
     init, acc = contexts(logged_in)
     token, state = init.step(None, NOW)
-    assert (token.leg, state) == (LEG_INIT, ContextState.AWAITING_REPLY)
+    assert (type(token), state) == (ApRequest, ContextState.AWAITING_REPLY)
     reply, state = acc.step(token, NOW)
-    assert (reply.leg, state) == (LEG_REPLY, ContextState.COMPLETE)
+    assert (type(reply), state) == (ApReply, ContextState.COMPLETE)
     assert init.step(reply, NOW) == (None, ContextState.COMPLETE)  # nothing more to send
     assert init.context.established and acc.context.established
     assert init.context.peer == Principal("echo", REALM)
@@ -118,8 +117,7 @@ def test_acceptor_echoes_the_initiator_timestamp(logged_in):
     init, acc = contexts(logged_in)
     token1, _ = init.step(None, NOW)
     reply, _ = acc.step(token1, NOW)
-    enc = codec.decode(reply.body, codec.SchemaId.AP_REPLY)
-    plain = logged_in.provider.open(init.context.session_key, enc.enc_part,
+    plain = logged_in.provider.open(init.context.session_key, reply.enc_part,
                                     SealLabel.AP_ENC_PART)
     assert codec.decode(plain, codec.SchemaId.ENC_PART_AP).ts2 == NOW
 
@@ -140,12 +138,11 @@ def test_initiator_rejects_a_reply_that_does_not_open(logged_in):
     init, acc = contexts(logged_in)
     token, _ = init.step(None, NOW)
     reply, _ = acc.step(token, NOW)
-    sealed = codec.decode(reply.body, codec.SchemaId.AP_REPLY)
-    mutated = bytearray(sealed.enc_part)
+    mutated = bytearray(reply.enc_part)
     mutated[0] ^= 1
-    forged = dataclasses.replace(sealed, enc_part=bytes(mutated))
+    forged = dataclasses.replace(reply, enc_part=bytes(mutated))
     with pytest.raises(TokenIntegrityError):
-        init.step(ContextToken(LEG_REPLY, codec.encode(forged)), NOW)
+        init.step(forged, NOW)
     assert init.context.state is ContextState.FAILED
 
 
@@ -160,8 +157,13 @@ def test_acceptor_rejects_second_step(logged_in):
 def test_acceptor_rejects_wrong_leg(logged_in):
     _, acc = contexts(logged_in)
     with pytest.raises(StateError):
-        acc.step(ContextToken(LEG_REPLY, b""), NOW)
+        acc.step(None, NOW)
     assert acc.context.state is ContextState.FAILED
+    # on the wire a leg is named by its frame's schema id alone
+    init, acc = contexts(logged_in)
+    reply, _ = acc.step(init.step(None, NOW)[0], NOW)
+    with pytest.raises(SchemaMismatch):
+        codec.decode(codec.encode(reply), codec.SchemaId.AP_REQUEST)
 
 
 def test_initiator_step_ordering_enforced(logged_in):
@@ -170,8 +172,8 @@ def test_initiator_step_ordering_enforced(logged_in):
     with pytest.raises(StateError):
         init.step(None, NOW)  # waiting for the reply, got nothing
     reply, _ = acc.step(token1, NOW)
-    with pytest.raises(StateError):
-        init.step(ContextToken(LEG_INIT, reply.body), NOW)  # wrong leg number
+    with pytest.raises(SchemaMismatch):  # a first leg where the reply belongs
+        codec.decode(codec.encode(token1), codec.SchemaId.AP_REPLY)
     init2, acc2 = established(logged_in)
     with pytest.raises(StateError):
         init2.step(None, NOW)  # already complete
@@ -188,40 +190,33 @@ def leg1(logged_in, now=NOW):
     return init, acc, token
 
 
-def retoken(token, request):
-    return ContextToken(token.leg, codec.encode(request))
-
-
 def test_acceptor_rejects_tampered_ticket(logged_in):
-    _, acc, token = leg1(logged_in)
-    request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
+    _, acc, request = leg1(logged_in)
     mutated = bytearray(request.ticket.box)
     mutated[3] ^= 0x10
     forged = dataclasses.replace(
         request, ticket=dataclasses.replace(request.ticket, box=bytes(mutated)))
     with pytest.raises(TokenIntegrityError):
-        acc.step(retoken(token, forged), NOW)
+        acc.step(forged, NOW)
     assert acc.context.state is ContextState.FAILED
 
 
 def test_acceptor_rejects_tampered_authenticator(logged_in):
-    _, acc, token = leg1(logged_in)
-    request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
+    _, acc, request = leg1(logged_in)
     mutated = bytearray(request.authenticator)
     mutated[0] ^= 1
     forged = dataclasses.replace(request, authenticator=bytes(mutated))
     with pytest.raises(TokenIntegrityError):
-        acc.step(retoken(token, forged), NOW)
+        acc.step(forged, NOW)
 
 
 def test_acceptor_rejects_request_outside_sealed_digest(logged_in):
-    _, acc, token = leg1(logged_in)
-    request = codec.decode(token.body, codec.SchemaId.AP_REQUEST)
+    _, acc, request = leg1(logged_in)
     # the box still opens, but the plaintext server hint is covered by the digest
     forged = dataclasses.replace(
         request, ticket=dataclasses.replace(request.ticket, server=Principal("other", REALM)))
     with pytest.raises(TokenIntegrityError):
-        acc.step(retoken(token, forged), NOW)
+        acc.step(forged, NOW)
 
 
 def test_acceptor_requires_all_flags_asserted(logged_in):
@@ -230,7 +225,7 @@ def test_acceptor_requires_all_flags_asserted(logged_in):
                                   request_digest(ApRequest(entry.ticket, None),
                                                  logged_in.provider))
     box = logged_in.provider.seal(entry.key, codec.encode(sealed), SealLabel.AUTHENTICATOR)
-    token = ContextToken(LEG_INIT, codec.encode(ApRequest(entry.ticket, box)))
+    token = ApRequest(entry.ticket, box)
     cache = ReplayCache()
     acc = ContextAcceptor(logged_in.service.long_term_key, logged_in.provider, cache)
     with pytest.raises(RequiredFlagMissing):

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerbpk import codec
 from kerbpk.crypto import ToyProvider, get_provider
@@ -154,6 +156,34 @@ def test_principal_name_rules():
         Principal("alice", "EX/MPLE")  # realms never contain slashes
     with pytest.raises(MalformedName):
         Principal("alice", "")
+
+
+def _set_rule(value: str, what: str, allow_slash: bool) -> str:
+    """The message the set-difference rule gave for ``value``, or "" if it passed."""
+    if not value:
+        return f"{what} must be non-empty"
+    bad = set(value) - frozenset(chr(c) for c in range(0x21, 0x7F))
+    if bad:
+        return f"{what} contains non-printable or non-ASCII characters: {sorted(bad)!r}"
+    if not allow_slash and "/" in value:
+        return f"{what} must not contain '/'"
+    return ""
+
+
+_NEAR_NAMES = st.text(alphabet=st.sampled_from(
+    [chr(c) for c in range(0x00, 0x81)] + ["\xa0", "\xe5", "\u2028", "\u3000", "\U0001f600"]))
+
+
+@given(st.text() | _NEAR_NAMES, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_name_check_matches_the_set_rule(value, allow_slash):
+    expected = _set_rule(value, "name", allow_slash)
+    try:
+        messages._check_name(value, "name", allow_slash)
+    except MalformedName as exc:
+        assert str(exc) == expected
+    else:
+        assert expected == ""
 
 
 # ---------------------------------------------------------------- decode_reply

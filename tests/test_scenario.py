@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from kerbpk import scenario
+from kerbpk import codec, scenario
+from kerbpk.crypto import ToyProvider
 from kerbpk.errors import ScenarioParseError
 from kerbpk.app import SERVED_BACKEND, AppResponse
 from kerbpk.scenario import (list_scenarios, load_scenario, parse_scenario,
@@ -180,14 +181,14 @@ def test_tunnel_ends_with_its_ticket():
 # SHA-256 of to_json() + render() and then every transcript wire image, in
 # order: any change to a byte on the wire or in a report shows here.
 REPORT_PINS = {
-    ("happy_path", 0): "902daceb1b7fe54d527400f9343485abe72a727015ea6e8bd505698815d10e37",
-    ("happy_path", 7): "fe433483a172cd58814c98a73e43ef3891a3f4e2625982e3974811a15d6f4910",
-    ("replay_attack", 0): "7cc6ce2af14ad9b14e9506ac7140504abda37cafd061da86b27da0ed452bf40c",
-    ("replay_attack", 7): "92a85d5f1b7ffc6360b3891b3735ed47da631e55999c1f91c66f3d537dc2d940",
-    ("expired_ticket", 0): "59ad44a460c12af126a5614caf9a0e525a5911fcd9e27e07fcb39d507b991171",
-    ("expired_ticket", 7): "ba39812a139e7bdddbf1cda3e41d4df9116b547ced27ccfd0d2235d0174861dc",
-    ("expired_tunnel", 0): "8a45b386c565a28816d88d662a4ee2b74ed4591ed9f7b4a409bc353a3a079f25",
-    ("expired_tunnel", 7): "7bafcfcf2448f6eec7d08ead518e4bf0d715113058592211c718e09d0d400208",
+    ("happy_path", 0): "e2f16f92534bd3e6d4c2b978cba67efdbf5d5f84d8582d848f549fcad7a36a89",
+    ("happy_path", 7): "31faa31c4d60a7d6cdd3b8d7e1e6487c85822b443803304ba6b1d8af71ff99f0",
+    ("replay_attack", 0): "a95d9241e2d5f6ca0ba0d35d63a76c7529bf55b96fc18b0882b2bfe23c4c7f9f",
+    ("replay_attack", 7): "81113e3b548eb0c629ebdfb891901931b19a9512360febcb64d56d073909b37d",
+    ("expired_ticket", 0): "c2a29b76b454ab81a549e704a4e5937d23e5e34bde93a8149d5cabc82eb152b4",
+    ("expired_ticket", 7): "8c7da3be58828655242cd4bf5a4506e77deed0c94386d20f6c1052d63f00a235",
+    ("expired_tunnel", 0): "8897b63e93cb6d74ff742f3d7557d169448be60b4dac67bba3737cb3630c7bd2",
+    ("expired_tunnel", 7): "039b41f137da2054114dd120403dc56dbc7aae9df2ffe90ee61fb092a9624d0c",
 }
 
 
@@ -207,8 +208,8 @@ HAPPY_PATH_FRAME_SIZES = [
     ("alice<->as", "s->c", 341),     # AS reply
     ("alice<->tgs", "c->s", 332),    # TGS request
     ("alice<->tgs", "s->c", 342),    # TGS reply
-    ("alice<->echo", "c->s", 315),   # handshake, first leg
-    ("alice<->echo", "s->c", 127),   # handshake, reply leg
+    ("alice<->echo", "c->s", 299),   # handshake, first leg
+    ("alice<->echo", "s->c", 111),   # handshake, reply leg
     ("alice<->echo", "c->s", 94),    # wrapped request
     ("alice<->echo", "s->c", 88),    # wrapped response
 ]
@@ -218,6 +219,33 @@ def test_happy_path_frame_sizes_are_pinned():
     report = run_scenario(load_scenario("happy_path"), seed=0)
     assert [(r.channel, r.direction, len(r.wire)) for r in report.transcript] == \
         HAPPY_PATH_FRAME_SIZES
+
+
+# Calls that one clean happy_path run at seed 0 makes to each codec entry point
+# and to the toy seal and open: beside the bytes above, the work they cost.  A
+# re-encode added anywhere on the path shows here as a number.
+HAPPY_PATH_CALLS = {"codec.encode": 17, "codec.decode": 17, "codec.encode_body": 6,
+                    "ToyProvider.seal": 9, "ToyProvider.open": 9}
+
+
+def test_happy_path_call_counts_are_pinned(monkeypatch):
+    calls = dict.fromkeys(HAPPY_PATH_CALLS, 0)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("encode", "decode", "encode_body"):
+        counted(codec, name)
+    for name in ("seal", "open"):
+        counted(ToyProvider, name)
+    assert run_scenario(load_scenario("happy_path"), seed=0).ok
+    assert calls == HAPPY_PATH_CALLS
 
 
 def test_wrong_password_leaves_no_credentials():
