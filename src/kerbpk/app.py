@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import codec
-from .errors import KerbPkError
-from .transport import error_reply
+from .transport import TableSession
 
 SERVED_BACKEND = 1
 SERVED_CACHE = 2
@@ -40,22 +39,10 @@ def echo_handler(request: AppRequest) -> AppResponse:
     return AppResponse(200, request.body, SERVED_BACKEND)
 
 
-class BackendSession:
-    """Plain app session: decode a request, run the handler, answer.
-
-    A frame of another schema closes the connection silently; a request that
-    fails to decode, or whose handler raises, answers an ErrorReply and closes.
-    """
+class BackendSession(TableSession):
+    """Plain app session: each AppRequest frame runs the handler, and its
+    AppResponse is the reply.  Any other frame, or a handler that raises,
+    gets an ErrorReply, and then the connection closes."""
 
     def __init__(self, handler: Callable[[AppRequest], AppResponse] = echo_handler):
-        self.handler = handler
-
-    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
-        if codec.schema_id_of(payload) != codec.SchemaId.APP_REQUEST:
-            return [], True
-        try:
-            request = codec.decode(payload, codec.SchemaId.APP_REQUEST)
-            response = self.handler(request)
-        except KerbPkError as exc:
-            return [error_reply(exc)], True
-        return [codec.encode(response)], False
+        super().__init__({codec.SchemaId.APP_REQUEST: lambda request, now: handler(request)})

@@ -7,11 +7,11 @@ entries are served in the clear.  GET responses with status 200 are cached in
 a bounded LRU keyed by resource, and every response says whether it came from
 a backend or the cache, so hit counting is observable end to end.
 
-Sessions here all speak the frame protocol from transport: one request
-payload in, a list of reply payloads out.  Protocol failures answer with an
-ErrorReply and close; a frame whose schema the session does not recognize
-closes the connection silently.  ``protected_endpoint`` builds every
-ticket-protected endpoint; an observer wraps its session factory.
+Sessions here are ``transport.TableSession``s: each names the handler of
+every schema it serves.  A refused frame, a schema the session does not
+serve among them, gets an ErrorReply, and then the connection closes.
+``protected_endpoint`` builds every ticket-protected endpoint; an observer
+wraps its session factory.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .errors import (
     PolicyParseError,
     StateError,
 )
-from .gss import ContextAcceptor, ContextInitiator, SecurityContext
-from .messages import ReplayCache, decode_reply, validate_times
-from .transport import FrameClient, call, error_reply
+from .gss import ContextAcceptor, ContextInitiator, SecurityContext, WrapToken
+from .messages import ApReply, ApRequest, ReplayCache, decode_reply, validate_times
+from .transport import FrameClient, TableSession, call
 
 PROTECT = "protect"
 BYPASS = "bypass"
@@ -193,7 +193,7 @@ class GatewayCore:
             conn.close()
 
 
-class ProtectedAppSession:
+class ProtectedAppSession(TableSession):
     """Ticket-protected app endpoint: handshake first, wrapped traffic after.
 
     Each connection gets its own acceptor state but shares the service-wide
@@ -203,37 +203,26 @@ class ProtectedAppSession:
 
     def __init__(self, key: SymmetricKey, provider: CryptoProvider, replay_cache: ReplayCache,
                  handler: Callable[[AppRequest], AppResponse]):
+        super().__init__({codec.SchemaId.AP_REQUEST: self._handshake,
+                          codec.SchemaId.WRAP_TOKEN: self._tunnel})
         self.key = key
         self.provider = provider
         self.replay_cache = replay_cache
         self.handler = handler
         self.context: Optional[SecurityContext] = None
 
-    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
-        schema = codec.schema_id_of(payload)
-        if schema == codec.SchemaId.AP_REQUEST:
-            acceptor = ContextAcceptor(self.key, self.provider, self.replay_cache)
-            try:
-                request = codec.decode(payload, codec.SchemaId.AP_REQUEST)
-                reply, _ = acceptor.step(request, now)
-            except KerbPkError as exc:
-                return [error_reply(exc)], True
-            self.context = acceptor.context
-            return [codec.encode(reply)], False
-        if schema == codec.SchemaId.WRAP_TOKEN:
-            if self.context is None or not self.context.established:
-                return [error_reply(StateError("wrap token before any handshake"))], True
-            try:
-                validate_times(self.context.validity, now)
-                token = codec.decode(payload, codec.SchemaId.WRAP_TOKEN)
-                plain = self.context.unwrap(token)
-                request = codec.decode(plain, codec.SchemaId.APP_REQUEST)
-                response = self.handler(request)
-                wrapped = self.context.wrap(codec.encode(response))
-            except KerbPkError as exc:
-                return [error_reply(exc)], True
-            return [codec.encode(wrapped)], False
-        return [], True
+    def _handshake(self, request: ApRequest, now: int) -> ApReply:
+        acceptor = ContextAcceptor(self.key, self.provider, self.replay_cache)
+        reply, _ = acceptor.step(request, now)
+        self.context = acceptor.context
+        return reply
+
+    def _tunnel(self, token: WrapToken, now: int) -> WrapToken:
+        if self.context is None or not self.context.established:
+            raise StateError("wrap token before any handshake")
+        validate_times(self.context.validity, now)
+        request = codec.decode(self.context.unwrap(token), codec.SchemaId.APP_REQUEST)
+        return self.context.wrap(codec.encode(self.handler(request)))
 
 
 def protected_endpoint(key: SymmetricKey, provider: CryptoProvider,
@@ -245,7 +234,7 @@ def protected_endpoint(key: SymmetricKey, provider: CryptoProvider,
     return lambda: ProtectedAppSession(key, provider, replay_cache, handler)
 
 
-class GatewaySession:
+class GatewaySession(TableSession):
     """Externally facing gateway endpoint.
 
     Plain frames only reach bypass resources; anything the policy protects
@@ -254,21 +243,13 @@ class GatewaySession:
     """
 
     def __init__(self, core: GatewayCore, protected_session: ProtectedAppSession):
+        super().__init__({codec.SchemaId.APP_REQUEST: self._plain, **protected_session.handlers})
         self.core = core
-        self._protected = protected_session
 
-    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
-        if codec.schema_id_of(payload) == codec.SchemaId.APP_REQUEST:
-            try:
-                request = codec.decode(payload, codec.SchemaId.APP_REQUEST)
-            except KerbPkError as exc:
-                return [error_reply(exc)], True
-            if self.core.policy.decision(request.resource) == PROTECT:
-                return [codec.encode(AppResponse(
-                    401, b"resource requires an authenticated context",
-                    SERVED_BACKEND))], False
-            return [codec.encode(self.core.handle(request))], False
-        return self._protected.feed(payload, now)
+    def _plain(self, request: AppRequest, now: int) -> AppResponse:
+        if self.core.policy.decision(request.resource) == PROTECT:
+            return AppResponse(401, b"resource requires an authenticated context", SERVED_BACKEND)
+        return self.core.handle(request)
 
 
 class SecureChannel:

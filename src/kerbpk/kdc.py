@@ -27,7 +27,6 @@ from .errors import (
     CertificateMismatch,
     DbParseError,
     DuplicatePrincipal,
-    KerbPkError,
     NoCertificateOnFile,
     SignatureInvalid,
     SkewExceeded,
@@ -53,7 +52,7 @@ from .messages import (
     accept_ticket,
     as_request_signable,
 )
-from .transport import error_reply
+from .transport import TableSession
 
 
 class RecordKind(IntEnum):
@@ -240,6 +239,17 @@ def handle_tgs_request(db: PrincipalDb, req: TgsRequest, now: int, replay_cache:
 ROLE_AS = "as"
 ROLE_TGS = "tgs"
 
+# endpoint role -> (the request schema it serves, its handler)
+_ENDPOINTS = {ROLE_AS: (codec.SchemaId.AS_REQUEST, handle_as_request),
+              ROLE_TGS: (codec.SchemaId.TGS_REQUEST, handle_tgs_request)}
+
+
+def _endpoint(role: str):
+    try:
+        return _ENDPOINTS[role]
+    except KeyError:
+        raise ValueError(f"unknown KDC endpoint role {role!r}") from None
+
 
 @dataclass
 class KdcService:
@@ -249,35 +259,19 @@ class KdcService:
     provider: CryptoProvider
     replay_cache: ReplayCache = field(default_factory=ReplayCache)
 
-    def handle(self, role: str, payload: bytes, now: int, client_address: str = ""):
-        """Decode one request for the given endpoint role, return the reply."""
-        if role == ROLE_AS:
-            req = codec.decode(payload, codec.SchemaId.AS_REQUEST)
-            return handle_as_request(self.db, req, now, self.replay_cache, self.provider,
-                                     client_address)
-        if role == ROLE_TGS:
-            req = codec.decode(payload, codec.SchemaId.TGS_REQUEST)
-            return handle_tgs_request(self.db, req, now, self.replay_cache, self.provider,
-                                      client_address)
-        raise ValueError(f"unknown KDC endpoint role {role!r}")
+    def handle(self, role: str, request, now: int, client_address: str = ""):
+        """Answer one decoded request for the given endpoint role."""
+        return _endpoint(role)[1](self.db, request, now, self.replay_cache, self.provider,
+                                  client_address)
 
 
-class KdcFrameSession:
-    """Per-connection request/reply adapter for one KDC endpoint.
-
-    Stateless across frames: every received frame is one request, every
-    request gets exactly one reply frame (an ErrorReply on failure).  The
-    connection stays open; clients close when done.
-    """
+class KdcFrameSession(TableSession):
+    """Per-connection session for one KDC endpoint: every frame is one
+    request of the role's schema and gets exactly one reply frame.  Like every
+    server session, it closes the connection after an ErrorReply (RFC 4120
+    5.9.1 has the KDC answer each failure with KRB-ERROR)."""
 
     def __init__(self, service: KdcService, role: str, client_address: str = ""):
-        self.service = service
-        self.role = role
-        self.client_address = client_address
-
-    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
-        try:
-            reply = self.service.handle(self.role, payload, now, self.client_address)
-        except KerbPkError as exc:
-            return [error_reply(exc)], False
-        return [codec.encode(reply)], False
+        schema, _ = _endpoint(role)
+        super().__init__({schema: lambda request, now:
+                          service.handle(role, request, now, client_address)})

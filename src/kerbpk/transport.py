@@ -15,10 +15,13 @@ runs are reproducible; the TCP server, a bounded set of reused worker threads,
 uses the real clock and keeps the same session interface.  A session object
 consumes one request payload at a time via ``feed(payload, now) -> (replies,
 close)``; both transports reach it through ``serve_frame``, and a client makes
-each request/reply step with ``call``.
+each request/reply step with ``call``.  Every server session is a
+``TableSession``: a table from schema id to handler, behind one ``feed``.
 
 A failure travels as the error frame, an ErrorReply naming the error class:
-``error_reply`` builds one and ``check_reply`` raises the error it names.
+``error_reply`` builds one and ``check_reply`` raises the error it names.  A
+server answers every frame it refuses with one ErrorReply and then closes the
+connection; a success reply leaves the connection open.
 This module needs only ``codec`` and ``errors``, so a plain server loads no
 crypto and no ticket layer.
 """
@@ -96,6 +99,30 @@ def check_reply(payload: bytes) -> bytes:
         err: ErrorReply = codec.decode(payload, codec.SchemaId.ERROR_REPLY)
         raise_by_name(err.error, err.detail)
     return payload
+
+
+class TableSession:
+    """A server session that answers each frame from a table of handlers.
+
+    ``handlers`` maps a schema id to ``handler(request, now) -> reply``.  A
+    frame is decoded once, as the schema its first byte names, and the reply
+    is encoded once.  A frame of a schema the table lacks is decoded as the
+    table's first schema, so the codec names the fault: ``SchemaMismatch``,
+    ``UnknownTag`` for an id no schema has, or ``Truncated``.  Any KerbPkError
+    is answered with one ErrorReply, and then the connection closes.
+    """
+
+    def __init__(self, handlers: dict[int, Callable]):
+        self.handlers = handlers
+
+    def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
+        served = payload and payload[0] in self.handlers
+        schema = payload[0] if served else next(iter(self.handlers))
+        try:
+            reply = self.handlers[schema](codec.decode(payload, schema), now)
+        except KerbPkError as exc:
+            return [error_reply(exc)], True
+        return [codec.encode(reply)], False
 
 
 def serve_frame(session, buf: bytearray, now: int) -> Optional[tuple[list[bytes], bool]]:
@@ -217,7 +244,6 @@ class FrameRecord:
     internal: bool
     direction: str          # "c->s" or "s->c"
     wire: bytes             # image as (possibly) corrupted by faults
-    tick: int
     status: str             # delivered | dropped | held | duplicate | stale
     note: str = ""
 
@@ -295,8 +321,7 @@ class SimNetwork:
     def _transmit(self, conn: SimConnection, direction: str, wire: bytes) -> None:
         self._counter += 1
         index = self._counter
-        record = FrameRecord(index, conn.channel, conn.internal, direction,
-                             wire, self.clock.now(), "delivered")
+        record = FrameRecord(index, conn.channel, conn.internal, direction, wire, "delivered")
         kinds: dict[type, Fault] = {}
         for fault in self._faults.get(index, ()):
             kinds[type(fault)] = fault
@@ -326,7 +351,7 @@ class SimNetwork:
         self.transcript.append(record)
         self._deliver(record, conn)
         if Duplicate in kinds:
-            copy = replace(record, tick=self.clock.now(), status="duplicate", note="replayed copy")
+            copy = replace(record, status="duplicate", note="replayed copy")
             self.transcript.append(copy)
             self._deliver(copy, conn)
         self._release_if_triggered(index)
@@ -335,8 +360,7 @@ class SimNetwork:
         held = self._held.pop(index, None)
         if held is not None:
             record, conn = held
-            release = replace(record, tick=self.clock.now(), status="delivered",
-                              note="released after swap")
+            release = replace(record, status="delivered", note="released after swap")
             self.transcript.append(release)
             self._deliver(release, conn)
 
@@ -365,7 +389,7 @@ class SimNetwork:
             return
         self._pending = [item for item in self._pending if item[0] > now]
         for _, record, conn in sorted(due, key=lambda item: (item[0], item[1].index)):
-            release = replace(record, tick=now, status="delivered", note="released after delay")
+            release = replace(record, status="delivered", note="released after delay")
             self.transcript.append(release)
             self._deliver(release, conn)
 

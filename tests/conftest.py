@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from kerbpk import codec
 from kerbpk.app import BackendSession, echo_handler
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import get_provider
@@ -42,14 +41,13 @@ class Realm:
         identity = ClientIdentity(record.principal, "pw", self.keypair, record.certificate)
         return ClientAgent(identity, self.provider)
 
-    # The KDC decodes wire payloads itself, so the in-process path re-encodes.
     def send_as(self, request, now: int = NOW):
         self.sent["as"] += 1
-        return self.kdc.handle("as", codec.encode(request), now)
+        return self.kdc.handle("as", request, now)
 
     def send_tgs(self, request, now: int = NOW):
         self.sent["tgs"] += 1
-        return self.kdc.handle("tgs", codec.encode(request), now)
+        return self.kdc.handle("tgs", request, now)
 
 
 @pytest.fixture

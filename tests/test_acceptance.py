@@ -7,6 +7,7 @@ ends with a readable nine-line scorecard.
 import hashlib
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -101,7 +102,7 @@ def test_replayed_and_reordered_frames_are_always_caught(capsys):
 
 # SHA-256 of every flipped run's render(), back to back in sweep order: the
 # sweep answers each flip exactly as it did when this was pinned.
-SWEEP_RENDERS_SHA256 = "dedfbe54908661372859e77a456d82e60c21e8c7f2307d17f13ebfa00aad603b"
+SWEEP_RENDERS_SHA256 = "2d575e4f40cff231eab002445f1d0c5aded9e947d35ccf11fb36897703d78513"
 
 
 def test_every_wire_bit_flip_is_rejected(capsys):
@@ -111,11 +112,13 @@ def test_every_wire_bit_flip_is_rejected(capsys):
         assert clean.ok
         assert all(r.status == "delivered" for r in clean.transcript)
         sizes = [(r.index, len(r.wire)) for r in clean.transcript]
+        requests = {r.index for r in clean.transcript if r.direction == "c->s"}
         total_flips = sum(n for _, n in sizes) * 8
         assert total_flips <= 100_000  # the sweep stays exhaustive AND affordable
 
         started = time.perf_counter()
         missed, flips, renders = [], 0, hashlib.sha256()
+        unrecorded = Counter()  # request flips that fail a step with no server event
         for index, size in sizes:
             for byte in range(size):
                 for bit in range(8):
@@ -125,10 +128,15 @@ def test_every_wire_bit_flip_is_rejected(capsys):
                     renders.update(report.render().encode())
                     if report.ok and not report.events:
                         missed.append((index, byte, bit))
+                    elif index in requests and not report.events:
+                        unrecorded[next(s.error for s in report.steps if s.error)] += 1
         elapsed = time.perf_counter() - started
         assert flips == total_flips
         assert missed == [], f"{len(missed)} silent acceptances, first: {missed[:5]}"
         assert renders.hexdigest() == SWEEP_RENDERS_SHA256
+        # serve_frame answers an oversize header before any session sees it,
+        # and a header claiming more bytes than come never yields a frame
+        assert unrecorded == {"FrameTooLarge": 48, "Timeout": 63}
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
 
 

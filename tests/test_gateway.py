@@ -15,6 +15,7 @@ from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseEr
 from kerbpk.app import SERVED_BACKEND, SERVED_CACHE, AppRequest, AppResponse, BackendSession
 from kerbpk.gateway import BYPASS, PROTECT, GatewayClient, GatewayCore, GatewayPolicy, ResponseCache
 from kerbpk.gss import initiator_for
+from kerbpk.kdc import ROLE_AS, KdcFrameSession
 from kerbpk.messages import CLOCK_SKEW
 from kerbpk.transport import (Drop, Duplicate, ErrorReply, FrameClient, ThreadedFrameServer,
                               call, send_frame)
@@ -150,13 +151,36 @@ def test_core_answers_502_when_the_backend_misbehaves():
 
 # ------------------------------------------------------------------- sessions
 
+SESSIONS = {
+    "kdc": lambda realm: KdcFrameSession(realm.kdc, ROLE_AS),
+    "protected": lambda realm: service_endpoint(realm)(),
+    "gateway": lambda realm: gateway_endpoint(realm, GatewayCore(GatewayPolicy(), None, []))(),
+    "backend": lambda realm: BackendSession(),
+}
+
+
+@pytest.mark.parametrize("make", SESSIONS.values(), ids=SESSIONS.keys())
+@pytest.mark.parametrize("payload,error", [
+    (codec.encode(AppResponse(200, b"hi", SERVED_BACKEND)), "SchemaMismatch"),
+    (b"\x7f\x00\x00\x00\x00", "UnknownTag"),
+    (b"", "Truncated"),
+], ids=["unserved-schema", "unknown-id", "empty"])
+def test_every_session_answers_a_frame_it_does_not_serve_then_closes(realm, make, payload,
+                                                                       error):
+    replies, close = make(realm).feed(payload, NOW)
+    assert close
+    assert [codec.decode(reply, codec.SchemaId.ERROR_REPLY).error for reply in replies] == [error]
+
+
 def test_backend_session_protocol():
     session = BackendSession()
     replies, close = session.feed(codec.encode(AppRequest("GET", "/x", b"hi")), NOW)
     assert not close
     assert codec.decode(replies[0], codec.SchemaId.APP_RESPONSE).body == b"hi"
     replies, close = session.feed(b"\x7fgarbage", NOW)
-    assert (replies, close) == ([], True)  # foreign schema: hang up silently
+    assert close  # a foreign frame is answered, then the connection closes
+    err = codec.decode(replies[0], codec.SchemaId.ERROR_REPLY)
+    assert (len(replies), err.error) == (1, "Truncated")  # its header claims 1.7 GB
 
 
 def test_backend_session_reports_handler_errors():
@@ -178,7 +202,10 @@ def test_protected_session_rejects_wrap_before_handshake(logged_in):
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY) == \
         ErrorReply("StateError", "wrap token before any handshake")
     # plain app requests never reach a protected endpoint
-    assert session.feed(codec.encode(AppRequest("GET", "/", b"")), NOW) == ([], True)
+    replies, close = session.feed(codec.encode(AppRequest("GET", "/", b"")), NOW)
+    assert close
+    err = codec.decode(replies[0], codec.SchemaId.ERROR_REPLY)
+    assert (len(replies), err.error) == (1, "SchemaMismatch")
 
 
 def test_gateway_session_answers_a_malformed_plain_request_and_closes(logged_in):

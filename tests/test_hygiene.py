@@ -1,8 +1,8 @@
 """Source hygiene: every name a library or test module imports is used in that
 module, only one function makes a replay cache, only one function reads a
-frame's length header, no per-message path runs an import statement, every
-registered structure is reachable, and every name the benchmark takes from the
-library resolves."""
+frame's length header, only transport answers with an ErrorReply, no
+per-message path runs an import statement, every registered structure is
+reachable, and every name the benchmark takes from the library resolves."""
 
 import ast
 import importlib
@@ -74,6 +74,14 @@ def test_only_take_frame_reads_a_length_header():
     cutter = next(node for tree in trees for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "take_frame")
     assert sum(length_header_reads(tree) for tree in trees) == length_header_reads(cutter) == 1
+
+
+def test_only_transport_builds_an_error_reply():
+    # Every server session answers through TableSession.feed, and an oversize
+    # header through serve_frame, so a refused frame has one answer path.
+    callers = [path.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "error_reply"]
+    assert callers == ["transport.py", "transport.py"]
 
 
 def test_no_per_message_path_imports():

@@ -431,17 +431,19 @@ def test_each_client_exchange_is_one_kdc_request(realm):
     assert (realm.sent["as"], realm.sent["tgs"]) == (1, 1)
     assert sum(realm.sent.values()) == 2
     with pytest.raises(ValueError):
-        realm.kdc.handle("mystery-role", b"", NOW)
+        realm.kdc.handle("mystery-role", None, NOW)
+    with pytest.raises(ValueError):  # when the session is built, not per request
+        KdcFrameSession(realm.kdc, "mystery-role")
 
 
-def test_kdc_frame_session_reports_errors_and_stays_open(realm):
+def test_kdc_frame_session_reports_errors_and_closes(realm):
     session = KdcFrameSession(realm.kdc, "as")
     replies, close = session.feed(b"\x00garbage", NOW)
-    assert not close  # protocol errors never cost the connection
+    assert close  # an ErrorReply ends the connection, as at every endpoint
     err = codec.decode(replies[0], codec.SchemaId.ERROR_REPLY)
     assert (len(replies), err.error) == (1, "Truncated")
 
     req = realm.agent.build_as_request("krbtgt", HOUR)
-    replies, close = session.feed(codec.encode(req), NOW)
+    replies, close = KdcFrameSession(realm.kdc, "as").feed(codec.encode(req), NOW)
     assert not close
     assert codec.schema_id_of(replies[0]) == codec.SchemaId.AS_REPLY
