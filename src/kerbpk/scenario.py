@@ -260,8 +260,8 @@ class _CountingConn:
 
 
 class _ObservedSession:
-    """Server-side twin of ``_CountingConn``: records each ErrorReply the
-    session answers with as an event of ``actor``, and counts KDC requests."""
+    """Server-side twin of ``_CountingConn``: counts KDC requests, and records
+    each frame the session refuses as an event of ``actor``."""
 
     def __init__(self, session, actor: str, kdc: bool, runner: "ScenarioRunner"):
         self._session = session
@@ -272,13 +272,11 @@ class _ObservedSession:
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         if self._kdc:
             self._runner.kdc_requests += 1
-        replies, close = self._session.feed(payload, now)
-        for reply in replies:
-            if codec.schema_id_of(reply) == codec.SchemaId.ERROR_REPLY:
-                error = codec.decode(reply, codec.SchemaId.ERROR_REPLY).error
-                self._runner.events.append(
-                    EventRecord(self._runner._step_index, self._actor, error))
-        return replies, close
+        return self._session.feed(payload, now)
+
+    def refuse(self, exc: KerbPkError) -> tuple[list[bytes], bool]:
+        self._runner.events.append(EventRecord(self._runner._step_index, self._actor, exc.name))
+        return self._session.refuse(exc)
 
 
 class ScenarioRunner:

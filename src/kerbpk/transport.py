@@ -12,16 +12,18 @@ image (header included) applies, then the first present of drop, swap, delay
 
 Time in the simulator is a logical tick counter shared by every endpoint, so
 runs are reproducible; the TCP server, a bounded set of reused worker threads,
-uses the real clock and keeps the same session interface.  A session object
-consumes one request payload at a time via ``feed(payload, now) -> (replies,
-close)``; both transports reach it through ``serve_frame``, and a client makes
-each request/reply step with ``call``.  Every server session is a
-``TableSession``: a table from schema id to handler, behind one ``feed``.
+uses the real clock and keeps the same session interface.  A session answers
+one request payload at a time via ``feed(payload, now) -> (replies, close)``,
+or raises, and ``refuse(exc)`` answers what it refuses; both transports reach
+it through ``serve_frame``, and a client makes each request/reply step with
+``call``.  Every server session is a ``TableSession``: a table from schema id
+to handler, behind one ``feed`` and one ``refuse``.
 
 A failure travels as the error frame, an ErrorReply naming the error class:
-``error_reply`` builds one and ``check_reply`` raises the error it names.  A
-server answers every frame it refuses with one ErrorReply and then closes the
-connection; a success reply leaves the connection open.
+``TableSession.refuse`` builds one and ``check_reply`` raises the error it
+names.  ``serve_frame`` is where a server refuses a frame, an oversize header
+included; after an ErrorReply the connection closes, after a success it stays
+open.  A connection that ends inside a frame is refused with ``Truncated``.
 This module needs only ``codec`` and ``errors``, so a plain server loads no
 crypto and no ticket layer.
 """
@@ -44,6 +46,7 @@ from .errors import (
     KerbPkError,
     ScenarioParseError,
     Timeout,
+    Truncated,
     raise_by_name,
 )
 
@@ -88,11 +91,6 @@ class ErrorReply:
     detail: str
 
 
-def error_reply(exc: KerbPkError) -> bytes:
-    """The encoded ErrorReply that reports ``exc`` to the peer."""
-    return codec.encode(ErrorReply(exc.name, str(exc)))
-
-
 def check_reply(payload: bytes) -> bytes:
     """``payload`` itself, unless it is an ErrorReply: then the error it names raises."""
     if codec.schema_id_of(payload) == codec.SchemaId.ERROR_REPLY:
@@ -108,8 +106,9 @@ class TableSession:
     frame is decoded once, as the schema its first byte names, and the reply
     is encoded once.  A frame of a schema the table lacks is decoded as the
     table's first schema, so the codec names the fault: ``SchemaMismatch``,
-    ``UnknownTag`` for an id no schema has, or ``Truncated``.  Any KerbPkError
-    is answered with one ErrorReply, and then the connection closes.
+    ``UnknownTag`` for an id no schema has, or ``Truncated``.  ``feed``
+    answers a frame or raises; ``refuse`` answers a KerbPkError with one
+    ErrorReply, and then the connection closes.
     """
 
     def __init__(self, handlers: dict[int, Callable]):
@@ -118,25 +117,24 @@ class TableSession:
     def feed(self, payload: bytes, now: int) -> tuple[list[bytes], bool]:
         served = payload and payload[0] in self.handlers
         schema = payload[0] if served else next(iter(self.handlers))
-        try:
-            reply = self.handlers[schema](codec.decode(payload, schema), now)
-        except KerbPkError as exc:
-            return [error_reply(exc)], True
-        return [codec.encode(reply)], False
+        return [codec.encode(self.handlers[schema](codec.decode(payload, schema), now))], False
+
+    def refuse(self, exc: KerbPkError) -> tuple[list[bytes], bool]:
+        return [codec.encode(ErrorReply(exc.name, str(exc)))], True
 
 
 def serve_frame(session, buf: bytearray, now: int) -> Optional[tuple[list[bytes], bool]]:
     """Feed the next frame in a connection's receive buffer to its server
     session: ``(replies, close)``, or None while the frame is incomplete.
 
-    A header over MAX_FRAME never reaches the session; it gets one
-    ErrorReply, and then the connection closes.
+    This is where a server refuses a frame: a header over MAX_FRAME, or any
+    KerbPkError the session raises, is answered by ``session.refuse``.
     """
     try:
         payload = take_frame(buf)
-    except FrameTooLarge as exc:
-        return [error_reply(exc)], True
-    return None if payload is None else session.feed(payload, now)
+        return None if payload is None else session.feed(payload, now)
+    except KerbPkError as exc:
+        return session.refuse(exc)
 
 
 def call(conn, request, expected: codec.SchemaId):
@@ -245,7 +243,6 @@ class FrameRecord:
     direction: str          # "c->s" or "s->c"
     wire: bytes             # image as (possibly) corrupted by faults
     status: str             # delivered | dropped | held | duplicate | stale
-    note: str = ""
 
 
 class SimConnection:
@@ -279,6 +276,9 @@ class SimConnection:
     def close(self) -> None:
         self.client_closed = True
         self.network._forget(self)
+        if self.server_inbox and not self.server_closed:
+            self.server_closed = True
+            self.session.refuse(Truncated("connection ended inside a frame"))
 
 
 class SimNetwork:
@@ -330,7 +330,6 @@ class SimNetwork:
                 mutated[fault.byte] ^= 1 << (fault.bit & 7)
                 wire = bytes(mutated)
                 record.wire = wire
-                record.note = f"flipped byte {fault.byte} bit {fault.bit & 7}"
         if Drop in kinds:
             record.status = "dropped"
             self.transcript.append(record)
@@ -342,16 +341,14 @@ class SimNetwork:
             self._held[kinds[Swap].second] = (record, conn)
             return
         if Delay in kinds:
-            ready = self.clock.now() + kinds[Delay].ticks
-            record.note = (record.note + " " if record.note else "") + f"delayed to tick {ready}"
             self.transcript.append(record)
-            self._pending.append((ready, record, conn))
+            self._pending.append((self.clock.now() + kinds[Delay].ticks, record, conn))
             self._release_if_triggered(index)
             return
         self.transcript.append(record)
         self._deliver(record, conn)
         if Duplicate in kinds:
-            copy = replace(record, status="duplicate", note="replayed copy")
+            copy = replace(record, status="duplicate")
             self.transcript.append(copy)
             self._deliver(copy, conn)
         self._release_if_triggered(index)
@@ -360,7 +357,7 @@ class SimNetwork:
         held = self._held.pop(index, None)
         if held is not None:
             record, conn = held
-            release = replace(record, status="delivered", note="released after swap")
+            release = replace(record, status="delivered")
             self.transcript.append(release)
             self._deliver(release, conn)
 
@@ -370,7 +367,6 @@ class SimNetwork:
             return
         if conn.server_closed:
             record.status = "stale"
-            record.note = (record.note + " " if record.note else "") + "server side closed"
             return
         conn.server_inbox += record.wire
         while not conn.server_closed:
@@ -389,7 +385,7 @@ class SimNetwork:
             return
         self._pending = [item for item in self._pending if item[0] > now]
         for _, record, conn in sorted(due, key=lambda item: (item[0], item[1].index)):
-            release = replace(record, status="delivered", note="released after delay")
+            release = replace(record, status="delivered")
             self.transcript.append(release)
             self._deliver(release, conn)
 
@@ -424,7 +420,8 @@ class ThreadedFrameServer:
     closed, and so is one that takes longer than ``FRAME_DEADLINE`` seconds
     from a frame's first byte to its last, so a peer that trickles bytes
     cannot keep a worker.  A partial frame stays in the buffer across reads,
-    so a slow peer cannot desynchronise the framing.
+    so a slow peer cannot desynchronise the framing, and is refused with
+    ``Truncated`` if the connection ends first.
     """
 
     def __init__(self, session_factory: Callable[[], object],
@@ -493,16 +490,18 @@ class ThreadedFrameServer:
                     if deadline is None:
                         deadline = time.monotonic() + FRAME_DEADLINE
                     wait = min(wait, deadline - time.monotonic())
-                    if wait <= 0:
-                        return
-                if wait != timeout:
-                    conn.settimeout(wait)
-                    timeout = wait
-                try:
-                    chunk = conn.recv(_RECV_CHUNK)
-                except OSError:
-                    return  # idle timeout, frame deadline, reset, or stop()
+                chunk = b""
+                if wait > 0:
+                    if wait != timeout:
+                        conn.settimeout(wait)
+                        timeout = wait
+                    try:
+                        chunk = conn.recv(_RECV_CHUNK)
+                    except OSError:
+                        pass  # idle timeout, frame deadline, reset, or stop()
                 if not chunk:
+                    if buf:
+                        session.refuse(Truncated("connection ended inside a frame"))
                     return
                 buf += chunk
                 continue

@@ -14,7 +14,7 @@ from kerbpk.gateway import (GatewayClient, GatewayCore, GatewayPolicy, GatewaySe
 from kerbpk.gss import initiator_for
 from kerbpk.kdc import KdcService, PrincipalDb
 from kerbpk.messages import Principal
-from kerbpk.transport import SimClock, SimNetwork
+from kerbpk.transport import SimClock, SimNetwork, pack_frame, serve_frame
 
 REALM = "EXAMPLE"
 NOW = 1_000_000  # same epoch the simulated clock starts at
@@ -126,6 +126,12 @@ def gateway_stack(realm, capacity=4):
     client = GatewayClient(lambda: net.connect("gw", "alice/gw"),
                            initiator_factory(realm), net.clock.now)
     return net, core, client, echo
+
+
+def serve(session, payload: bytes, now: int = NOW):
+    """Drive a server session as both transports do: one frame through
+    ``serve_frame``, which returns ``(replies, close)``."""
+    return serve_frame(session, bytearray(pack_frame(payload)), now)
 
 
 def recv_frame(sock, timeout=None):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import (NOW, RecordingEcho, cache_ticket_source, gateway_endpoint, gateway_stack,
-                      initiator_factory, recv_frame, service_endpoint, sim_backend)
+                      initiator_factory, recv_frame, serve, service_endpoint, sim_backend)
 from kerbpk import codec, gateway, messages, transport
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseError,
                            ReplayDetected, Timeout, UnknownService)
@@ -167,17 +167,17 @@ SESSIONS = {
 ], ids=["unserved-schema", "unknown-id", "empty"])
 def test_every_session_answers_a_frame_it_does_not_serve_then_closes(realm, make, payload,
                                                                        error):
-    replies, close = make(realm).feed(payload, NOW)
+    replies, close = serve(make(realm), payload)
     assert close
     assert [codec.decode(reply, codec.SchemaId.ERROR_REPLY).error for reply in replies] == [error]
 
 
 def test_backend_session_protocol():
     session = BackendSession()
-    replies, close = session.feed(codec.encode(AppRequest("GET", "/x", b"hi")), NOW)
+    replies, close = serve(session, codec.encode(AppRequest("GET", "/x", b"hi")))
     assert not close
     assert codec.decode(replies[0], codec.SchemaId.APP_RESPONSE).body == b"hi"
-    replies, close = session.feed(b"\x7fgarbage", NOW)
+    replies, close = serve(session, b"\x7fgarbage")
     assert close  # a foreign frame is answered, then the connection closes
     err = codec.decode(replies[0], codec.SchemaId.ERROR_REPLY)
     assert (len(replies), err.error) == (1, "Truncated")  # its header claims 1.7 GB
@@ -188,7 +188,7 @@ def test_backend_session_reports_handler_errors():
         raise UnknownService("nope")
 
     session = BackendSession(angry)
-    replies, close = session.feed(codec.encode(AppRequest("GET", "/x", b"")), NOW)
+    replies, close = serve(session, codec.encode(AppRequest("GET", "/x", b"")))
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "UnknownService"
 
@@ -197,12 +197,12 @@ def test_protected_session_rejects_wrap_before_handshake(logged_in):
     session = service_endpoint(logged_in)()
     from kerbpk.gss import WrapToken
     token = WrapToken(0, 1, b"\x00" * 40)
-    replies, close = session.feed(codec.encode(token), NOW)
+    replies, close = serve(session, codec.encode(token))
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY) == \
         ErrorReply("StateError", "wrap token before any handshake")
     # plain app requests never reach a protected endpoint
-    replies, close = session.feed(codec.encode(AppRequest("GET", "/", b"")), NOW)
+    replies, close = serve(session, codec.encode(AppRequest("GET", "/", b"")))
     assert close
     err = codec.decode(replies[0], codec.SchemaId.ERROR_REPLY)
     assert (len(replies), err.error) == (1, "SchemaMismatch")
@@ -212,7 +212,7 @@ def test_gateway_session_answers_a_malformed_plain_request_and_closes(logged_in)
     net, core, _, echo = gateway_stack(logged_in, None)
     session = gateway_endpoint(logged_in, core)()
     truncated = codec.encode(AppRequest("GET", "/public/page", b"hi"))[:-1]
-    replies, close = session.feed(truncated, NOW)
+    replies, close = serve(session, truncated)
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "Truncated"
     assert echo.requests == []
@@ -369,6 +369,9 @@ def test_fresh_channel_that_fails_is_not_retried(logged_in):
             replies, close = self.session.feed(payload, now)
             return replies, close or codec.schema_id_of(payload) == codec.SchemaId.AP_REQUEST
 
+        def refuse(self, exc):
+            return self.session.refuse(exc)
+
     net.register("gw", HangUpAfterHandshake)
     with pytest.raises(FetchError) as info:
         client.fetch("/data/a")
@@ -437,9 +440,9 @@ def test_first_leg_replayed_after_a_flood_is_refused(monkeypatch, logged_in):
     captured, _ = initiator(NOW).step(None, NOW)
     # fresh first legs in the same second push the captured one out
     for leg1 in [captured] + [initiator(NOW).step(None, NOW)[0] for _ in range(4)]:
-        replies, close = endpoint().feed(codec.encode(leg1), NOW)
+        replies, close = serve(endpoint(), codec.encode(leg1))
         assert codec.schema_id_of(replies[0]) == codec.SchemaId.AP_REPLY and not close
-    replies, close = endpoint().feed(codec.encode(captured), NOW + 10)
+    replies, close = serve(endpoint(), codec.encode(captured), NOW + 10)
     assert close
     assert codec.decode(replies[0], codec.SchemaId.ERROR_REPLY).error == "ReplayWindowLost"
 
@@ -456,10 +459,10 @@ def test_first_leg_flood_by_one_principal_locks_out_only_that_principal(monkeypa
     for _ in range(5):
         leg1, _ = initiator_for(bob.cache, "echo", logged_in.provider, source).step(
             None, NOW + CLOCK_SKEW)
-        replies, close = endpoint().feed(codec.encode(leg1), NOW)
+        replies, close = serve(endpoint(), codec.encode(leg1))
         assert codec.schema_id_of(replies[0]) == codec.SchemaId.AP_REPLY and not close
     leg1, _ = initiator(NOW + 10).step(None, NOW + 10)
-    replies, close = endpoint().feed(codec.encode(leg1), NOW + 10)
+    replies, close = serve(endpoint(), codec.encode(leg1), NOW + 10)
     assert codec.schema_id_of(replies[0]) == codec.SchemaId.AP_REPLY and not close
 
 
@@ -504,11 +507,12 @@ def tcp_backend():
         backend.server.stop()
 
 
-class FailsOnSecondRequest:
+class FailsOnSecondRequest(BackendSession):
     """Answers a connection's first request.  On its second it hangs up, or,
     with ``close=False``, stays silent."""
 
     def __init__(self, seen, close=True):
+        super().__init__()
         self.seen = seen
         self.close = close
         self.answered = False
@@ -518,7 +522,7 @@ class FailsOnSecondRequest:
         if self.answered:
             return [], self.close
         self.answered = True
-        return BackendSession().feed(payload, now)
+        return super().feed(payload, now)
 
 
 def test_misses_reuse_one_backend_connection(tcp_backend):

@@ -1,8 +1,9 @@
 """Source hygiene: every name a library or test module imports is used in that
 module, only one function makes a replay cache, only one function reads a
-frame's length header, only transport answers with an ErrorReply, no
-per-message path runs an import statement, every registered structure is
-reachable, and every name the benchmark takes from the library resolves."""
+frame's length header, only ``TableSession.refuse`` builds an ErrorReply and
+the scenario never names one, no per-message path runs an import statement,
+every registered structure is reachable, and every name the benchmark takes
+from the library resolves."""
 
 import ast
 import importlib
@@ -76,19 +77,39 @@ def test_only_take_frame_reads_a_length_header():
     assert sum(length_header_reads(tree) for tree in trees) == length_header_reads(cutter) == 1
 
 
+def error_reply_builds(tree: ast.AST) -> int:
+    return sum(isinstance(node, ast.Call) and
+               getattr(node.func, "id", getattr(node.func, "attr", None)) == "ErrorReply"
+               for node in ast.walk(tree))
+
+
 def test_only_transport_builds_an_error_reply():
-    # Every server session answers through TableSession.feed, and an oversize
-    # header through serve_frame, so a refused frame has one answer path.
-    callers = [path.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "error_reply"]
-    assert callers == ["transport.py", "transport.py"]
+    # serve_frame refuses every frame a server will not answer, an oversize
+    # header included, through the session's refuse: one answer path.
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    session = next(node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node.name == "TableSession")
+    refuse = next(node for node in session.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "refuse")
+    assert sum(error_reply_builds(tree) for tree in trees) == error_reply_builds(refuse) == 1
+
+
+def test_the_scenario_never_names_the_error_reply():
+    # the scenario sees a refusal through the session's refuse, not by
+    # decoding the replies a session sends
+    tree = ast.parse((SOURCE / "scenario.py").read_text())
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"ErrorReply", "ERROR_REPLY"} == set()
 
 
 def test_no_per_message_path_imports():
     # cryptography loads once, when the first StandardProvider is built, and
     # hashlib when the first ToyProvider is; the functions that run once per
     # message or request never import anything
-    per_message = {"seal", "open", "digest", "feed", "call", "handle", "wrap", "unwrap"}
+    per_message = {"seal", "open", "digest", "feed", "refuse", "call", "handle", "wrap",
+                   "unwrap"}
     functions = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.FunctionDef) and node.name in per_message]
     assert {node.name for node in functions} == per_message  # the names still exist

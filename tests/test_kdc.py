@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import NOW, REALM, Realm
+from conftest import NOW, REALM, Realm, serve
 from kerbpk import codec, messages
 from kerbpk.client import ClientAgent, ClientIdentity
 from kerbpk.crypto import SealLabel
@@ -438,12 +438,12 @@ def test_each_client_exchange_is_one_kdc_request(realm):
 
 def test_kdc_frame_session_reports_errors_and_closes(realm):
     session = KdcFrameSession(realm.kdc, "as")
-    replies, close = session.feed(b"\x00garbage", NOW)
+    replies, close = serve(session, b"\x00garbage")
     assert close  # an ErrorReply ends the connection, as at every endpoint
     err = codec.decode(replies[0], codec.SchemaId.ERROR_REPLY)
     assert (len(replies), err.error) == (1, "Truncated")
 
     req = realm.agent.build_as_request("krbtgt", HOUR)
-    replies, close = KdcFrameSession(realm.kdc, "as").feed(codec.encode(req), NOW)
+    replies, close = serve(KdcFrameSession(realm.kdc, "as"), codec.encode(req))
     assert not close
     assert codec.schema_id_of(replies[0]) == codec.SchemaId.AS_REPLY

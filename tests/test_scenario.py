@@ -318,6 +318,22 @@ def test_flipped_kdc_frame_is_reported_not_accepted():
     assert report.steps[0].error  # named, never silent
 
 
+def test_oversize_length_prefix_is_refused_as_an_event():
+    # the top bit of the AS request's length prefix: the header claims 2 GiB
+    report = run_scenario(HAPPY, seed=8, extra_faults=(FlipBit(1, 0, 0),))
+    assert (report.steps[0].outcome, report.steps[0].error) == ("error", "FrameTooLarge")
+    assert [e.render() for e in report.events] == ["event step=1 actor=kdc-as error=FrameTooLarge"]
+
+
+def test_request_cut_short_by_its_length_prefix_is_refused_when_the_client_gives_up():
+    # the TGS request's header claims 2 bytes more than come: the server waits
+    # inside the frame until the client times out and closes the connection
+    report = run_scenario(HAPPY, seed=8, extra_faults=(FlipBit(3, 3, 1),))
+    assert (report.steps[1].outcome, report.steps[1].error) == ("error", "Timeout")
+    assert [e.render() for e in report.events] == ["event step=2 actor=kdc-tgs error=Truncated"]
+    assert report.kdc_requests == 1  # the cut request never reached the TGS
+
+
 def test_pipeline_and_swap_reorders_are_caught():
     script = """\
 realm EXAMPLE

@@ -16,12 +16,15 @@ from kerbpk.kdc import ROLE_AS, KdcFrameSession
 from kerbpk.messages import Validity, decode_reply
 from kerbpk.transport import (MAX_FRAME, SIM_CLOCK_START, Delay, Drop,
                               Duplicate, FlipBit, FrameClient, SimClock,
-                              SimNetwork, Swap, ThreadedFrameServer,
+                              SimNetwork, Swap, TableSession, ThreadedFrameServer,
                               pack_frame, parse_fault, take_frame)
 
 
 class EchoSession:
-    """Replies to every frame and stays open, unless told to close."""
+    """Replies to every frame and stays open, unless told to close; a refused
+    frame gets an ErrorReply, as from every server session."""
+
+    refuse = TableSession.refuse
 
     def feed(self, payload, now):
         if payload == b"please-close":
@@ -193,10 +196,10 @@ def test_swap_inverts_delivery_order():
     conn.send(b"second")
     assert conn.recv() == b"echo:second"
     assert conn.recv() == b"echo:first"
-    held = [r for r in net.transcript if r.status == "held"]
-    assert [(r.index, r.note == "") for r in held] == [(1, True)]
-    releases = [r for r in net.transcript if r.note == "released after swap"]
-    assert [r.index for r in releases] == [1]
+    # frame 1 is held, then released once frame 2 has been answered
+    assert [(r.index, r.direction, r.status) for r in net.transcript] == [
+        (1, "c->s", "held"), (2, "c->s", "delivered"), (3, "s->c", "delivered"),
+        (1, "c->s", "delivered"), (4, "s->c", "delivered")]
 
 
 class ValiditySession:
@@ -339,14 +342,45 @@ def test_tcp_session_close(tcp_server):
         client.close()
 
 
-def test_tcp_mangled_frame_gets_an_error_report(tcp_server):
-    sock = socket.create_connection((tcp_server.host, tcp_server.port), timeout=2.0)
+def refusal_server():
+    """A started echo server, the list of error names its sessions refused,
+    and an event set at each refusal."""
+    refused, seen = [], threading.Event()
+
+    class Recording(EchoSession):
+        def refuse(self, exc):
+            refused.append(exc.name)
+            seen.set()
+            return super().refuse(exc)
+
+    return ThreadedFrameServer(Recording).start(), refused, seen
+
+
+def test_tcp_connection_that_ends_inside_a_frame_is_refused_once():
+    server, refused, seen = refusal_server()
     try:
-        sock.sendall(struct.pack(">I", MAX_FRAME + 1))  # absurd length claim
-        err = codec.decode(recv_frame(sock, timeout=2.0), codec.SchemaId.ERROR_REPLY)
-        assert err.error == "FrameTooLarge"
+        with socket.create_connection((server.host, server.port), timeout=3.0) as sock:
+            sock.sendall(pack_frame(b"half a payload")[:11])
+            sock.shutdown(socket.SHUT_WR)
+            assert read_to_end(sock) == b""  # nothing new goes on the wire
+        assert seen.wait(5.0) and wait_until_idle(server)
+        assert refused == ["Truncated"]
     finally:
-        sock.close()
+        server.stop()
+
+
+def test_tcp_mangled_frame_gets_an_error_report():
+    server, refused, seen = refusal_server()
+    try:
+        with socket.create_connection((server.host, server.port), timeout=3.0) as sock:
+            sock.sendall(struct.pack(">I", MAX_FRAME + 1))  # absurd length claim
+            err = codec.decode(recv_frame(sock), codec.SchemaId.ERROR_REPLY)
+            assert err.error == "FrameTooLarge"
+            assert read_to_end(sock) == b""
+        assert seen.wait(5.0) and wait_until_idle(server)
+        assert refused == ["FrameTooLarge"]  # the header left in the buffer is not refused again
+    finally:
+        server.stop()
 
 
 def test_tcp_oversize_send_fails_client_side(tcp_server):
