@@ -78,6 +78,10 @@ _LABELS = frozenset(SealLabel)
 class SymmetricKey:
     data: bytes = field(repr=False)
     provider_id: str
+    # StandardProvider's AES-GCM object for this key, built on its first seal
+    # or open; a class attribute, not a field, so the codec, ==, hash and
+    # repr never see it
+    _cipher = None
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,10 @@ class StandardProvider(CryptoProvider):
     """Production profile on well-reviewed primitives.
 
     Key pairs concatenate a signing half and an exchange half: 32 Ed25519
-    bytes then 32 X25519 bytes, for both public and private sides.
+    bytes then 32 X25519 bytes, for both public and private sides.  A
+    ``SymmetricKey`` keeps the AES-GCM object built on its first ``seal`` or
+    ``open``, so its key schedule is computed once per key, not per message.
+    The public-key wrap builds one per call: its keys are ephemeral.
     """
 
     provider_id = "standard"
@@ -277,10 +284,20 @@ class StandardProvider(CryptoProvider):
         )
         return SymmetricKey(kdf.derive(password.encode()), self.provider_id)
 
+    @staticmethod
+    def _cipher_for(key: SymmetricKey):
+        """The key's one AES-GCM object, key schedule included, built on first
+        use.  Threads that race here each build an equal one, and one is kept."""
+        cipher = key._cipher
+        if cipher is None:
+            cipher = AESGCM(key.data)
+            object.__setattr__(key, "_cipher", cipher)
+        return cipher
+
     def seal(self, key: SymmetricKey, plaintext: bytes, label: int, aad: bytes = b"") -> bytes:
         self._check(key, label)
         nonce = os.urandom(self._GCM_NONCE)
-        return nonce + AESGCM(key.data).encrypt(nonce, plaintext, bytes([label]) + aad)
+        return nonce + self._cipher_for(key).encrypt(nonce, plaintext, bytes([label]) + aad)
 
     def open(self, key: SymmetricKey, ciphertext: bytes, label: int, aad: bytes = b"") -> bytes:
         self._check(key, label)
@@ -288,7 +305,7 @@ class StandardProvider(CryptoProvider):
             raise IntegrityError("sealed part too short")
         nonce, body = ciphertext[: self._GCM_NONCE], ciphertext[self._GCM_NONCE:]
         try:
-            return AESGCM(key.data).decrypt(nonce, body, bytes([label]) + aad)
+            return self._cipher_for(key).decrypt(nonce, body, bytes([label]) + aad)
         except InvalidTag:
             raise IntegrityError("seal tag mismatch") from None
 

@@ -108,7 +108,8 @@ class ResponseCache:
 
 
 def backend_connector(host: str, port: int) -> Callable[[], FrameClient]:
-    """Connector for a plain TCP backend, waiting ``BACKEND_TIMEOUT`` per reply."""
+    """Connector for a plain TCP backend, waiting ``BACKEND_TIMEOUT`` per
+    frame: for a request to be sent, and for its reply to arrive whole."""
     return lambda: FrameClient(host, port, timeout=BACKEND_TIMEOUT)
 
 
@@ -171,10 +172,9 @@ class GatewayCore:
                 conn.close()
                 # A reused connection may have died while idle.  Only a GET is
                 # sent again, once, on a fresh connection: any other request
-                # may already have reached the backend, and a timeout means a
-                # slow backend, not a gone one.
-                lost = (isinstance(exc, (ConnectionClosed, OSError))
-                        and not isinstance(exc, TimeoutError))
+                # may already have reached the backend, and a Timeout, sending
+                # or receiving, means a slow backend, not a gone one.
+                lost = isinstance(exc, (ConnectionClosed, OSError))
                 if not (reused and lost and request.method == "GET"):
                     return AppResponse(502, f"backend failed: {exc}".encode(), SERVED_BACKEND)
                 conn = None

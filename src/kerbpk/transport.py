@@ -24,8 +24,14 @@ A failure travels as the error frame, an ErrorReply naming the error class:
 names.  ``serve_frame`` is where a server refuses a frame, an oversize header
 included; after an ErrorReply the connection closes, after a success it stays
 open.  A connection that ends inside a frame is refused with ``Truncated``.
-This module needs only ``codec`` and ``errors``, so a plain server loads no
-crypto and no ticket layer.
+
+Both TCP ends read and write through a ``FrameStream``: a blocking socket
+with kernel timeouts, so each read or write is one system call, and one
+frame reader that gives each frame a deadline from its first wait.  A
+client's ``timeout`` bounds its connect and each frame it sends or
+receives; the server bounds each frame by ``FRAME_DEADLINE``, and its
+accepted sockets take their timeouts from the listening socket.  This module needs only ``codec``
+and ``errors``, so a plain server loads no crypto and no ticket layer.
 """
 
 from __future__ import annotations
@@ -52,13 +58,14 @@ from .errors import (
 
 MAX_FRAME = 1 << 20
 DEFAULT_RECV_TIMEOUT = 30   # also the TCP server's idle timeout, in seconds
-FRAME_DEADLINE = 10         # seconds the TCP server waits from a frame's first byte to its last
+FRAME_DEADLINE = 10         # seconds the TCP server gives a frame, first byte to last, or a reply's write
 MAX_CONNECTIONS = 64        # TCP server workers, and its listen backlog
 SIM_CLOCK_START = 1_000_000
 
 _RECV_CHUNK = 1 << 16
 
 _LEN = struct.Struct(">I")
+_TIMEVAL = struct.Struct("@ll")    # struct timeval: seconds, microseconds
 
 
 def pack_frame(payload: bytes) -> bytes:
@@ -144,8 +151,70 @@ def call(conn, request, expected: codec.SchemaId):
     return codec.decode(check_reply(conn.recv()), expected)
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(pack_frame(payload))
+def _arm(sock: socket.socket, option: int, seconds: float) -> None:
+    """Set the kernel timeout ``option`` (SO_RCVTIMEO or SO_SNDTIMEO) of a
+    blocking socket; at least 1 us, since 0 would mean none."""
+    usec = max(1, int(seconds * 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, option, _TIMEVAL.pack(*divmod(usec, 1_000_000)))
+
+
+class FrameStream:
+    """One connected socket as either TCP end reads and writes it, and the
+    receive buffer it cuts frames from.
+
+    The socket blocks, and kernel timeouts (socket(7) SO_RCVTIMEO and
+    SO_SNDTIMEO) bound each call, so every read or write is one system call.
+    ``armed`` is the receive timeout the socket already has.  It is set
+    again only when the wait changes: a frame that arrives in one read costs
+    that one ``recv`` and nothing more.
+    """
+
+    def __init__(self, sock: socket.socket, armed: float):
+        self.sock = sock
+        self.buf = bytearray()
+        self._armed = armed
+
+    def read(self, wait: float) -> None:
+        """Add what one ``recv`` brings, within ``wait`` seconds, to ``buf``;
+        Timeout when nothing comes, ConnectionClosed at end of file or reset."""
+        if wait <= 0:
+            raise Timeout("timed out waiting for frame data")
+        if wait != self._armed:
+            _arm(self.sock, socket.SO_RCVTIMEO, wait)
+            self._armed = wait
+        try:
+            chunk = self.sock.recv(_RECV_CHUNK)
+        except BlockingIOError:
+            raise Timeout("timed out waiting for frame data") from None
+        except ConnectionResetError:
+            raise ConnectionClosed("peer reset the connection") from None
+        if not chunk:
+            raise ConnectionClosed("peer closed the connection mid-frame"
+                                   if self.buf else "peer closed the connection")
+        self.buf += chunk
+
+    def next_frame(self, cut: Callable[[bytearray], object], wait: float):
+        """``cut(buf)`` once it is not None, that is once the current frame is
+        whole, reading until then; the frame's deadline is ``wait`` seconds
+        from its first wait."""
+        result = cut(self.buf)
+        if result is None:
+            deadline = time.monotonic() + wait
+            self.read(wait)
+            while (result := cut(self.buf)) is None:
+                self.read(deadline - time.monotonic())
+        return result
+
+    def send(self, frame: bytes) -> None:
+        """Write ``frame`` in one ``send``.  One call's waits together are
+        bounded by the send timeout, so a short count, like nothing sent at
+        all, means the peer took too long: Timeout."""
+        try:
+            sent = self.sock.send(frame)
+        except BlockingIOError:
+            sent = 0
+        if sent < len(frame):
+            raise Timeout("timed out sending a frame")
 
 
 class SimClock:
@@ -410,18 +479,19 @@ class SimNetwork:
 class ThreadedFrameServer:
     """Real-socket counterpart of SimNetwork: reused worker threads, same sessions.
 
-    Workers share the listening socket and block in ``accept`` with no
-    timeout; Linux wakes one waiter per connection.  A worker serves its
-    connection to the end from a receive buffer it owns, then accepts again.
-    The worker that takes the last idle slot starts one more, so the pool
-    grows to the peak number of concurrent connections, at most
-    ``MAX_CONNECTIONS``; later connections wait in the listen backlog.  A
-    connection that sends nothing for ``DEFAULT_RECV_TIMEOUT`` seconds is
-    closed, and so is one that takes longer than ``FRAME_DEADLINE`` seconds
-    from a frame's first byte to its last, so a peer that trickles bytes
-    cannot keep a worker.  A partial frame stays in the buffer across reads,
-    so a slow peer cannot desynchronise the framing, and is refused with
-    ``Truncated`` if the connection ends first.
+    Workers share the listening socket and block in ``accept``, and accept
+    again when its idle timeout passes; Linux wakes one waiter per
+    connection.  A worker serves its connection to the end from a receive
+    buffer it owns, then accepts again.  The worker that takes the last
+    idle slot starts one more, so the pool grows to the peak number of
+    concurrent connections, at most ``MAX_CONNECTIONS``; later connections
+    wait in the listen backlog.  A connection that sends nothing for
+    ``DEFAULT_RECV_TIMEOUT`` seconds is closed, and so is one that takes
+    longer than ``FRAME_DEADLINE`` seconds from a frame's first byte to its
+    last, or to take a reply frame, so a peer that trickles bytes, or never
+    reads, cannot keep a worker.  A partial frame stays in the buffer across
+    reads, so a slow peer cannot desynchronise the framing, and is refused
+    with ``Truncated`` if the connection ends first.
     """
 
     def __init__(self, session_factory: Callable[[], object],
@@ -431,6 +501,11 @@ class ThreadedFrameServer:
         self.now_fn = now_fn
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        # Linux copies both kernel timeouts to every accepted socket, so a
+        # connection starts with them at no cost; accept waits idle too
+        self._idle = DEFAULT_RECV_TIMEOUT
+        _arm(self._sock, socket.SO_RCVTIMEO, self._idle)
+        _arm(self._sock, socket.SO_SNDTIMEO, FRAME_DEADLINE)
         self._sock.bind((host, port))
         self._sock.listen(MAX_CONNECTIONS)
         self.host, self.port = self._sock.getsockname()
@@ -456,6 +531,8 @@ class ThreadedFrameServer:
         while True:
             try:
                 conn, _ = self._sock.accept()
+            except BlockingIOError:
+                continue  # no connection within the idle timeout
             except OSError:
                 return  # stop() shut the listening socket down
             with self._lock:
@@ -479,38 +556,27 @@ class ThreadedFrameServer:
 
     def _serve(self, conn: socket.socket) -> None:
         session = self.session_factory()
-        buf = bytearray()
-        deadline = None     # set while buf holds part of a frame
-        timeout = None      # the value last set on conn
+        idle = DEFAULT_RECV_TIMEOUT
+        frame_wait = min(FRAME_DEADLINE, idle)  # a stall inside a frame is idle too
+        stream = FrameStream(conn, self._idle)
+
+        def cut(buf: bytearray):
+            return serve_frame(session, buf, self.now_fn())
+
         while True:
-            served = serve_frame(session, buf, self.now_fn())
-            if served is None:
-                wait = DEFAULT_RECV_TIMEOUT
-                if buf:
-                    if deadline is None:
-                        deadline = time.monotonic() + FRAME_DEADLINE
-                    wait = min(wait, deadline - time.monotonic())
-                chunk = b""
-                if wait > 0:
-                    if wait != timeout:
-                        conn.settimeout(wait)
-                        timeout = wait
-                    try:
-                        chunk = conn.recv(_RECV_CHUNK)
-                    except OSError:
-                        pass  # idle timeout, frame deadline, reset, or stop()
-                if not chunk:
-                    if buf:
-                        session.refuse(Truncated("connection ended inside a frame"))
-                    return
-                buf += chunk
-                continue
-            deadline = None
-            replies, close = served
+            try:
+                if not stream.buf:
+                    stream.read(idle)   # until a frame begins
+                replies, close = stream.next_frame(cut, frame_wait)
+            except (KerbPkError, OSError):
+                # idle timeout, frame deadline, end of file, reset, or stop()
+                if stream.buf:
+                    session.refuse(Truncated("connection ended inside a frame"))
+                return
             try:
                 for reply in replies:
-                    send_frame(conn, reply)
-            except OSError:
+                    stream.send(pack_frame(reply))
+            except (KerbPkError, OSError):
                 return
             if close:
                 return
@@ -535,43 +601,49 @@ class FrameClient:
     """Blocking client for the threaded server; mirrors SimConnection.
 
     Frames are cut from a receive buffer, as the server cuts them, so bytes
-    read past the end of one frame stay for the next ``recv``.  ``timeout``,
-    set once on the socket, bounds the connect and every send and receive.
+    read past the end of one frame stay for the next ``recv``.  ``timeout``
+    bounds the connect, and each frame, per frame, kernel-enforced: a
+    ``recv`` raises Timeout unless its whole frame arrives within
+    ``timeout`` of its first wait, and a ``send`` unless its frame is
+    written within ``timeout``.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._buf = bytearray()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        _arm(sock, socket.SO_RCVTIMEO, timeout)
+        _arm(sock, socket.SO_SNDTIMEO, timeout)     # which bounds the connect too
+        try:
+            sock.connect((host, port))
+        except OSError as exc:
+            sock.close()
+            if isinstance(exc, BlockingIOError):    # the send timeout ran out
+                raise TimeoutError(f"timed out connecting to {host}:{port}") from None
+            raise
+        self._sock = sock
+        self._stream = FrameStream(sock, timeout)
+        self._timeout = timeout
+        self._poll = None
 
     def send(self, payload: bytes) -> None:
         try:
-            send_frame(self._sock, payload)
+            self._stream.send(pack_frame(payload))
         except (BrokenPipeError, ConnectionResetError):
             raise ConnectionClosed("peer closed the connection") from None
 
     def recv(self) -> bytes:
-        while (payload := take_frame(self._buf)) is None:
-            try:
-                chunk = self._sock.recv(_RECV_CHUNK)
-            except socket.timeout:
-                raise Timeout("timed out waiting for frame data") from None
-            except ConnectionResetError:
-                raise ConnectionClosed("peer reset the connection") from None
-            if not chunk:
-                raise ConnectionClosed("peer closed the connection mid-frame"
-                                       if self._buf else "peer closed the connection")
-            self._buf += chunk
-        return payload
+        return self._stream.next_frame(take_frame, self._timeout)
 
     def peer_closed(self) -> bool:
         """True when this idle connection is unfit for reuse: the peer closed
-        or reset it, or sent bytes nobody asked for.  The zero-timeout poll
-        sends nothing and, unlike ``select.select``, takes any descriptor."""
-        if self._buf:
+        or reset it, or sent bytes nobody asked for.  A zero-timeout poll,
+        which sends nothing and reads nothing, on one poll object per
+        connection, built at its first probe."""
+        if self._stream.buf:
             return True
-        poller = select.poll()
-        poller.register(self._sock, select.POLLIN)
-        return bool(poller.poll(0))
+        if self._poll is None:
+            self._poll = select.poll()
+            self._poll.register(self._sock, select.POLLIN)
+        return bool(self._poll.poll(0))
 
     def close(self) -> None:
         try:

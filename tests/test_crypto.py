@@ -1,6 +1,8 @@
 """Provider contract: both the toy and the standard profile must honor it."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,36 @@ def test_seal_roundtrip_property_standard(payload, label):
     prov = get_provider("standard")
     key = prov.random_session_key()
     assert prov.open(key, prov.seal(key, payload, label), label) == payload
+
+
+def test_one_key_seals_and_opens_from_two_threads_at_once():
+    # the KDC's and the gateway's workers share long-term keys, and with them
+    # each key's one AES-GCM object
+    prov = get_provider("standard")
+    key = prov.random_session_key()
+    errors = []
+
+    def round_trips(n):
+        try:
+            for i in range(5000):
+                payload = b"%d.%d" % (n, i)
+                box = prov.seal(key, payload, SealLabel.WRAP, payload)
+                assert prov.open(key, box, SealLabel.WRAP, payload) == payload
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=round_trips, args=(n,)) for n in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 @given(st.binary(max_size=PK_PAYLOAD_LIMIT))

@@ -12,13 +12,14 @@ from conftest import (NOW, RecordingEcho, cache_ticket_source, gateway_endpoint,
 from kerbpk import codec, gateway, messages, transport
 from kerbpk.errors import (ConnectionClosed, FetchError, NoTicket, PolicyParseError,
                            ReplayDetected, Timeout, UnknownService)
-from kerbpk.app import SERVED_BACKEND, SERVED_CACHE, AppRequest, AppResponse, BackendSession
+from kerbpk.app import (SERVED_BACKEND, SERVED_CACHE, AppRequest, AppResponse, BackendSession,
+                        echo_handler)
 from kerbpk.gateway import BYPASS, PROTECT, GatewayClient, GatewayCore, GatewayPolicy, ResponseCache
 from kerbpk.gss import initiator_for
 from kerbpk.kdc import ROLE_AS, KdcFrameSession
 from kerbpk.messages import CLOCK_SKEW
 from kerbpk.transport import (Drop, Duplicate, ErrorReply, FrameClient, ThreadedFrameServer,
-                              call, send_frame)
+                              call, pack_frame)
 
 
 # --------------------------------------------------------------------- policy
@@ -295,7 +296,7 @@ def test_client_reconnects_when_the_gateway_resets_the_channel(logged_in):
                 for _ in range(2):
                     replies, _ = session.feed(recv_frame(conn, timeout=5.0), NOW)
                     for reply in replies:
-                        send_frame(conn, reply)
+                        conn.sendall(pack_frame(reply))
                 if reset:
                     conn.recv(1, socket.MSG_PEEK)
 
@@ -588,6 +589,41 @@ def test_pooled_connection_that_times_out_is_not_retried(tcp_backend):
     assert len(backend.made) == 1
 
 
+def test_send_that_times_out_on_a_pooled_connection_is_a_502_and_not_resent():
+    # the backend answers a connection's first request, then never reads again
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        done = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                request = codec.decode(recv_frame(conn, timeout=5.0), codec.SchemaId.APP_REQUEST)
+                conn.sendall(pack_frame(codec.encode(echo_handler(request))))
+                done.wait(5.0)
+
+        made = []
+
+        def connect():
+            conn = FrameClient(*listener.getsockname(), timeout=0.3)
+            conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            made.append(conn)
+            return conn
+
+        backend = threading.Thread(target=serve)
+        backend.start()
+        core = GatewayCore(GatewayPolicy(), None, [("/", connect)])
+        try:
+            assert core.handle(AppRequest("GET", "/data", b"small")).status == 200
+            response = core.handle(AppRequest("GET", "/data", b"x" * 100_000))
+            assert response.status == 502 and response.body.startswith(b"backend failed")
+            assert len(made) == 1  # a slow backend is not a lost connection
+        finally:
+            done.set()
+            core.close()
+            backend.join(timeout=5.0)
+
+
 def test_concurrent_misses_each_get_their_own_reply(tcp_backend):
     echo = RecordingEcho()
     backend = tcp_backend(lambda: BackendSession(echo))
@@ -685,3 +721,45 @@ def test_client_hears_the_502_for_a_silent_backend(monkeypatch, logged_in):
         finally:
             server.stop()
             core.close()
+
+
+def test_trickling_backend_gets_the_client_its_502_and_frees_the_worker(monkeypatch,
+                                                                       logged_in):
+    monkeypatch.setattr(gateway, "BACKEND_TIMEOUT", 0.5)
+    monkeypatch.setattr(transport, "MAX_CONNECTIONS", 1)  # the gateway has one worker
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as trickler:
+        def serve():
+            # reads the request, then answers one byte every 0.3 s
+            conn, _ = trickler.accept()
+            with conn:
+                recv_frame(conn, timeout=5.0)
+                reply = pack_frame(codec.encode(AppResponse(200, b"late", SERVED_BACKEND)))
+                for byte in reply:
+                    if stop.wait(0.3):
+                        return
+                    conn.sendall(bytes([byte]))
+
+        slow = threading.Thread(target=serve)
+        slow.start()
+        fast = ThreadedFrameServer(BackendSession).start()
+        core = GatewayCore(GatewayPolicy.parse("bypass /public\n"), None,
+                           [("/public/slow", gateway.backend_connector(*trickler.getsockname())),
+                            ("/public", gateway.backend_connector(fast.host, fast.port))])
+        server = ThreadedFrameServer(gateway_endpoint(logged_in, core)).start()
+        client = GatewayClient(lambda: FrameClient(server.host, server.port, timeout=5.0),
+                               None, lambda: NOW)
+        try:
+            started = time.monotonic()
+            response = client.fetch_plain("/public/slow")
+            assert response.status == 502 and response.body.startswith(b"backend failed")
+            assert time.monotonic() - started < 1.5
+            response = client.fetch_plain("/public/fast", body=b"next")
+            assert (response.status, response.body) == (200, b"next")
+            assert len(server._workers) == 1
+        finally:
+            stop.set()
+            server.stop()
+            core.close()
+            fast.stop()
+            slow.join(timeout=5.0)

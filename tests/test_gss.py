@@ -1,13 +1,14 @@
 """Security contexts: credentials, the two-leg handshake, and the wrapped tunnel."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NOW, REALM, Realm, cache_ticket_source, initiator_factory
-from kerbpk import codec
+from kerbpk import codec, crypto
 from kerbpk.crypto import SealLabel, get_provider
 from kerbpk.errors import (IntegrityError, MissingBacking, MutualAuthFailure,
                            NoTicket, OutOfSequence, ReplayDetected,
@@ -372,6 +373,32 @@ def test_replay_is_reported_however_long_the_context_lives():
     with pytest.raises(OutOfSequence):
         acc.context.unwrap(ahead)
     assert acc.context.recv_seq == expected
+
+
+def test_a_context_builds_one_cipher_per_key(monkeypatch):
+    # the standard provider keeps each key's AES-GCM object with the key
+    get_provider("standard")  # binds crypto.AESGCM
+    built = Counter()
+    real = crypto.AESGCM
+
+    def counting(key_bytes):
+        built[key_bytes] += 1
+        return real(key_bytes)
+
+    monkeypatch.setattr(crypto, "AESGCM", counting)
+    realm = Realm(get_provider("standard"))
+    realm.agent.kinit(realm.send_as, NOW)
+    realm.agent.get_service_ticket("echo", NOW, realm.send_tgs)
+    init, acc = established(realm)
+    subkey = init.context.subkey.data
+    assert built[subkey] == 0  # the handshake seals under the ticket's session key
+    for i in range(500):
+        payload = i.to_bytes(2, "big")
+        assert acc.context.unwrap(init.context.wrap(payload)) == payload
+        assert init.context.unwrap(acc.context.wrap(payload)) == payload
+    # 1,000 wraps and 1,000 unwraps, and each end's key object built one
+    assert built[subkey] == 2
+    assert all(count <= 2 for count in built.values())
 
 
 def test_wrap_sequence_numbers_are_consecutive(logged_in):

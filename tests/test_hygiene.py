@@ -1,9 +1,10 @@
 """Source hygiene: every name a library or test module imports is used in that
 module, only one function makes a replay cache, only one function reads a
 frame's length header, only ``TableSession.refuse`` builds an ErrorReply and
-the scenario never names one, no per-message path runs an import statement,
-every registered structure is reachable, and every name the benchmark takes
-from the library resolves."""
+the scenario never names one, AES-GCM is built once per key or per public-key
+wrap, no per-message path runs an import statement, every registered
+structure is reachable, and every name the benchmark takes from the library
+resolves."""
 
 import ast
 import importlib
@@ -92,6 +93,21 @@ def test_only_transport_builds_an_error_reply():
     refuse = next(node for node in session.body
                   if isinstance(node, ast.FunctionDef) and node.name == "refuse")
     assert sum(error_reply_builds(tree) for tree in trees) == error_reply_builds(refuse) == 1
+
+
+def aesgcm_builds(tree: ast.AST) -> int:
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AESGCM"
+               for node in ast.walk(tree))
+
+
+def test_aes_gcm_is_built_once_per_key_or_per_public_key_wrap():
+    # seal and open reuse the cipher kept with their key; only the public-key
+    # wrap, whose keys are ephemeral, builds one per call
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    builders = {node.name: aesgcm_builds(node) for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and aesgcm_builds(node)}
+    assert builders == {"_cipher_for": 1, "pk_encrypt": 1, "pk_decrypt": 1}
+    assert sum(aesgcm_builds(tree) for tree in trees) == 3
 
 
 def test_the_scenario_never_names_the_error_reply():

@@ -458,6 +458,7 @@ def test_client_sees_a_reset_as_connection_closed():
     # a second reply waits in the client's buffer
     (lambda conn, client: (conn.sendall(pack_frame(b"one") + pack_frame(b"two")),
                            client.recv()), True),
+    (lambda conn, client: close_with_reset(conn), True),
 ])
 def test_client_sees_whether_an_idle_connection_is_fit_for_reuse(peer_does, unfit):
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -470,6 +471,65 @@ def test_client_sees_whether_an_idle_connection_is_fit_for_reuse(peer_does, unfi
             while client.peer_closed() != unfit and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert client.peer_closed() == unfit
+        finally:
+            client.close()
+            conn.close()
+
+
+def test_client_connect_that_gets_no_answer_times_out():
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        queued = FrameClient(*listener.getsockname(), timeout=0.3)  # fills the backlog
+        try:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                FrameClient(*listener.getsockname(), timeout=0.3)
+            assert time.monotonic() - started < 1.0
+        finally:
+            queued.close()
+
+
+def test_client_timeout_bounds_a_whole_trickled_frame():
+    # one byte every 0.3 s: no read waits long, but the frame is late
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = FrameClient(*listener.getsockname(), timeout=1.0)
+        conn, _ = listener.accept()
+        stop = threading.Event()
+
+        def trickle():
+            for byte in pack_frame(b"8 bytes!"):
+                if stop.wait(0.3):
+                    return
+                conn.sendall(bytes([byte]))
+
+        writer = threading.Thread(target=trickle)
+        writer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(Timeout):
+                client.recv()
+            assert 0.9 < time.monotonic() - started < 2.0
+        finally:
+            stop.set()
+            writer.join(timeout=5.0)
+            client.close()
+            conn.close()
+
+
+def test_client_send_to_a_peer_that_never_reads_times_out():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        client = FrameClient(*listener.getsockname(), timeout=0.3)
+        client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        conn, _ = listener.accept()
+        try:
+            # the first send writes what fits, the second nothing at all
+            for _ in range(2):
+                started = time.monotonic()
+                with pytest.raises(Timeout):
+                    client.send(b"x" * 100_000)
+                assert time.monotonic() - started < 1.0
         finally:
             client.close()
             conn.close()
@@ -629,6 +689,37 @@ def test_tcp_trickling_peer_is_closed_at_the_frame_deadline(monkeypatch):
         slow.close()
         server.stop()
     assert not trickler.is_alive()
+
+
+def test_tcp_reply_to_a_peer_that_never_reads_ends_by_the_frame_deadline(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(transport, "FRAME_DEADLINE", 0.5)
+
+    class Flood(EchoSession):
+        """Answers ``b"flood"`` with more than the socket buffers hold."""
+
+        def feed(self, payload, now):
+            if payload == b"flood":
+                return [b"x" * MAX_FRAME] * 4, False
+            return super().feed(payload, now)
+
+    server = ThreadedFrameServer(Flood).start()
+    deaf = socket.socket()
+    deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    client = None
+    try:
+        deaf.connect((server.host, server.port))
+        deaf.sendall(pack_frame(b"flood"))  # one read: the idle wait would bound the reply
+        started = time.monotonic()
+        client = FrameClient(server.host, server.port, timeout=5.0)  # waits for the one worker
+        client.send(b"next")
+        assert client.recv() == b"echo:next"
+        assert time.monotonic() - started < 2.0
+    finally:
+        if client is not None:
+            client.close()
+        deaf.close()
+        server.stop()
 
 
 def test_tcp_partial_frame_past_its_deadline_is_closed_at_once(monkeypatch, tcp_server):
